@@ -25,7 +25,6 @@ from .privacy import (
     epsilon_tight,
     epsilon_tight_terms,
     s1_term,
-    s2_term,
     sensitivity_bounds,
 )
 from .sim import (

@@ -197,12 +197,12 @@ class RunConfig:
 
     def build_solver(self, ctx: PrivacyContext, eps_bar: float | None = None) -> SolverConfig:
         sv = self.raw["solver"]
-        eps = float(eps_bar if eps_bar is not None else sv["eps_bar"])
-        n_cap = int(sv["n_cap"])
-        bit_cap = sv["bit_cap"]
-        bit_cap = None if bit_cap is None else int(bit_cap)
-        rho = sv["rho"]
         try:
+            eps = validate_positive("eps_bar", eps_bar if eps_bar is not None else sv["eps_bar"])
+            n_cap = int(sv["n_cap"])
+            bit_cap = sv["bit_cap"]
+            bit_cap = None if bit_cap is None else int(bit_cap)
+            rho = sv["rho"]
             if rho is not None:
                 _, mu = eta_and_mu_values(n_cap, ctx)
                 lam = lambda_for_rho(float(rho), mu)
@@ -212,7 +212,7 @@ class RunConfig:
                 eps_bar=eps, lambda_step=lam, n_cap=n_cap,
                 rho=None if rho is None else float(rho), bit_cap=bit_cap,
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
 
     # sim ------------------------------------------------------------------
@@ -223,12 +223,14 @@ class RunConfig:
     def output_dir(self) -> str:
         return str(self.raw["output"]["dir"])
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.raw, sort_keys=True)
 
-
-def validate_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0:
-        raise ConfigError(f"{name} must be a positive finite number, got {value}")
-    return value
+def validate_positive(name: str, value) -> float:
+    """``value`` as a float; raises :class:`ConfigError` unless it is a
+    positive finite number."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number) or number <= 0:
+        raise ConfigError(f"{name} must be a positive finite number, got {number}")
+    return number

@@ -86,13 +86,25 @@ class SensitivityBounds:
     delta_inf: float
 
 
-def _sensitivity_triple(q: int, d: int, delta: float) -> tuple[float, float, float]:
+def _sqrt(x):
+    # math.sqrt keeps scalar arguments plain Python floats; both round
+    # correctly, so scalar and array evaluations agree bit for bit
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _max(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
+def _sensitivity_triple(q, d: int, delta: float):
     # 2D/s == q - 1 exactly, so the bounds depend on (q, d, delta) only.
     ln2d = math.log(2.0 / delta)
-    root = math.sqrt(2.0 * math.sqrt(d) * (q - 1) * ln2d)
+    root = _sqrt(2.0 * math.sqrt(d) * (q - 1) * ln2d)
     d1 = math.sqrt(d) * (q - 1) + root + (4.0 / 3.0) * ln2d
-    d2 = (q - 1) + math.sqrt(d1 + root)
-    return d1, d2, float(q + 1)
+    d2 = (q - 1) + _sqrt(d1 + root)
+    return d1, d2, q + 1.0
 
 
 def sensitivity_bounds(mech: MechanismParams, ctx: PrivacyContext) -> SensitivityBounds:
@@ -101,9 +113,12 @@ def sensitivity_bounds(mech: MechanismParams, ctx: PrivacyContext) -> Sensitivit
     return SensitivityBounds(delta_1=d1, delta_2=d2, delta_inf=dinf)
 
 
-def dp_variance_threshold(q: int, d: int, delta: float) -> float:
-    """Floor that K*n*p*(1-p) must reach for either estimator to apply."""
-    return max(23.0 * math.log(10.0 * d / delta), 2.0 * (q + 1))
+def dp_variance_threshold(q, d: int, delta: float):
+    """Floor that K*n*p*(1-p) must reach for either estimator to apply.
+
+    Broadcasts over an array of quantization levels.
+    """
+    return _max(23.0 * math.log(10.0 * d / delta), 2.0 * (q + 1))
 
 
 def dp_variance_feasible(mech: MechanismParams, ctx: PrivacyContext) -> bool:
@@ -156,46 +171,51 @@ def s1_term(n: int, p: float) -> float:
         raise ValueError(f"trial count n must be >= 2, got {n}")
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability p must lie in (0, 1), got {p}")
+    return _s1(n, p)
+
+
+def _s1(n, p):
+    # squares are written as products: numpy squares arrays by multiplying,
+    # while a Python float's ** 2 goes through libm pow, which can differ
+    # from the product in the last bit
     pq = p * (1.0 - p)
-    return (3.0 * p**2 - 3.0 * p + 1.0) / (n * (n + 1) * (n + 2) * pq * pq) * (
+    return (3.0 * (p * p) - 3.0 * p + 1.0) / (n * (n + 1) * (n + 2) * pq * pq) * (
         3.0 * n + 2.0 + 2.0 / pq
     )
 
 
-def s2_value(n: int, p: float, d: int, delta: float) -> float:
+def s2_value(n, p, d: int, delta: float):
     """Squared tail radius of the noise counts; always > 1."""
-    ln20d = math.log(20.0 * d / delta)
-    x = n * (p * (1.0 - p))
-    return (
-        math.sqrt(2.0 * x * ln20d)
-        + 1.0
-        + (2.0 / 3.0) * max(p, 1.0 - p) * ln20d
-    ) ** 2
+    return _s2(n * (p * (1.0 - p)), p, math.log(20.0 * d / delta))
 
 
-def s2_term(n: int, p: float, ctx: PrivacyContext) -> float:
-    if n < 2:
-        raise ValueError(f"trial count n must be >= 2, got {n}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability p must lie in (0, 1), got {p}")
-    return s2_value(n, p, ctx.d, ctx.delta)
+def _s2(x, p, ln20d: float):
+    # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
+    # array operation fewer
+    radius = _sqrt(x * (2.0 * ln20d)) + 1.0 + (2.0 / 3.0) * _max(p, 1.0 - p) * ln20d
+    return radius * radius
 
 
-def tight_epsilon_terms_value(
-    q: int, n: int, p: float, d: int, delta: float
-) -> tuple[float, float, float, float, float]:
-    """The five summands of the tight estimate, ungated, exposed for testing."""
+def tight_epsilon_terms_value(q, n, p, d: int, delta: float):
+    """The five summands of the tight estimate, ungated, exposed for testing.
+
+    The one implementation of the tight estimator: q, n and p may each be a
+    scalar or an array, and arrays broadcast against each other.  Scalars
+    stay Python floats throughout, so a scalar call returns plain floats.
+    """
     d1, d2, dinf = _sensitivity_triple(q, d, delta)
     pq = p * (1.0 - p)
     x = n * pq
-    psym = p**2 + (1.0 - p) ** 2
+    xx = x * x
+    psym = p * p + (1.0 - p) * (1.0 - p)
     ln125 = math.log(1.25 / delta)
     ln10 = math.log(10.0 / delta)
+    ln20d = math.log(20.0 * d / delta)
     one_minus = 1.0 - delta / 10.0
-    t1 = d2 * math.sqrt(2.0 * ln125) / math.sqrt(x)
-    t2 = ALPHA * d1 * (x + 1.0) * psym / (x * x * one_minus)
-    t3 = d2 / math.sqrt(one_minus) * math.sqrt(2.0 * s1_term(n, p) * ln10)
-    t4 = (2.0 / 3.0) * ALPHA * s2_value(n, p, d, delta) * psym * ln10 * dinf / (x * x)
+    t1 = d2 * math.sqrt(2.0 * ln125) / _sqrt(x)
+    t2 = ALPHA * d1 * (x + 1.0) * psym / (xx * one_minus)
+    t3 = d2 / math.sqrt(one_minus) * _sqrt(_s1(n, p) * (2.0 * ln10))
+    t4 = (2.0 / 3.0) * ALPHA * _s2(x, p, ln20d) * psym * ln10 * dinf / xx
     t5 = 2.0 * ln125 * dinf / x
     return t1, t2, t3, t4, t5
 
@@ -204,7 +224,6 @@ def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float
     """Tight budget estimate without the variance-floor gate (see caveat on
     :func:`baseline_epsilon_value`)."""
     t1, t2, t3, t4, t5 = tight_epsilon_terms_value(q, n, p, d, delta)
-    # left-to-right sum, matching tight_epsilon_n_array bit for bit
     return t1 + t2 + t3 + t4 + t5
 
 
@@ -233,31 +252,11 @@ def epsilon_tight_terms(
     return tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
 
 
-def tight_epsilon_n_array(
-    q: int, n: np.ndarray, p: float, d: int, delta: float
-) -> np.ndarray:
-    """Tight estimate over a whole vector of trial counts at fixed (q, p).
+def tight_epsilon_n_array(q, n: np.ndarray, p, d: int, delta: float) -> np.ndarray:
+    """Tight estimate over an array of trial counts, ungated.
 
-    Vectorized mirror of :func:`tight_epsilon_value` for exhaustive scans;
-    element i equals the scalar value at n[i] up to floating rounding.
+    q and p are scalars or arrays that broadcast against n.  Element i is
+    bit-identical to :func:`tight_epsilon_value` at the i-th (q, n, p).
     """
-    n = np.asarray(n, dtype=np.float64)
-    d1, d2, dinf = _sensitivity_triple(q, d, delta)
-    pq = p * (1.0 - p)
-    x = n * pq
-    psym = p**2 + (1.0 - p) ** 2
-    ln125 = math.log(1.25 / delta)
-    ln10 = math.log(10.0 / delta)
-    ln20d = math.log(20.0 * d / delta)
-    one_minus = 1.0 - delta / 10.0
-    s1 = (3.0 * p**2 - 3.0 * p + 1.0) / (n * (n + 1) * (n + 2) * pq * pq) * (
-        3.0 * n + 2.0 + 2.0 / pq
-    )
-    s2 = (np.sqrt(2.0 * x * ln20d) + 1.0 + (2.0 / 3.0) * max(p, 1.0 - p) * ln20d) ** 2
-    return (
-        d2 * math.sqrt(2.0 * ln125) / np.sqrt(x)
-        + ALPHA * d1 * (x + 1.0) * psym / (x * x * one_minus)
-        + d2 / math.sqrt(one_minus) * np.sqrt(2.0 * s1 * ln10)
-        + (2.0 / 3.0) * ALPHA * s2 * psym * ln10 * dinf / (x * x)
-        + 2.0 * ln125 * dinf / x
-    )
+    t1, t2, t3, t4, t5 = tight_epsilon_terms_value(q, np.asarray(n, dtype=np.float64), p, d, delta)
+    return t1 + t2 + t3 + t4 + t5

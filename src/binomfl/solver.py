@@ -3,11 +3,15 @@
 The search minimizes (1 + n*p*(1-p)) / (q-1)^2 over integer q and n, a
 probability grid of pitch lambda for p, and per-device powers, subject to
 the privacy-budget cap, the noise-variance floor, channel capacity and the
-power limits.  For each (q, p) cell the trial count is pinned down by a
-doubling-plus-bisection search on the (monotone in n) budget estimate,
-followed by the variance-floor ceiling.  The q range is pre-pruned by a
-monotone lower envelope of the budget, and p is restricted to [1/2, 1)
-because every constraint and the objective are symmetric around 1/2.
+power limits.  Every (q, p) cell needs the smallest trial count whose
+(monotone in n) budget estimate meets the cap.  ``lockstep_min_n`` runs the
+doubling-plus-bisection search for all cells at once: each step is one call
+of the broadcast budget kernel on the cells still searching, about
+2*log2(n_cap) calls per solve.  The variance-floor ceiling, the trial-count,
+capacity and bit caps and the tie-break are array operations on the same
+cells.  The q range is pre-pruned by a monotone lower envelope of the
+budget, and p is restricted to [1/2, 1) because every constraint and the
+objective are symmetric around 1/2.
 
 ``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
 p grid and every single n, sharing nothing with the search logic above.
@@ -62,8 +66,8 @@ class SolverConfig:
     bit_cap: int | None = None
 
     def __post_init__(self):
-        if self.eps_bar <= 0.0:
-            raise ValueError(f"eps_bar must be positive, got {self.eps_bar}")
+        if not (math.isfinite(self.eps_bar) and self.eps_bar > 0.0):
+            raise ValueError(f"eps_bar must be positive and finite, got {self.eps_bar}")
         if not (0.0 < self.lambda_step < 0.5):
             raise ValueError(f"lambda_step must lie in (0, 1/2), got {self.lambda_step}")
         if self.n_cap < 2:
@@ -121,16 +125,65 @@ class SolveStats:
     max_evals_per_cell: int = 0
 
 
-def objective(q: int, n: int, p: float) -> float:
-    """Convergence-rate surrogate (1 + n*p*(1-p)) / (q-1)^2; lower is faster."""
-    if q < 2:
+def objective(q, n, p):
+    """Convergence-rate surrogate (1 + n*p*(1-p)) / (q-1)^2; lower is faster.
+
+    Broadcasts over arrays of q, n and p.
+    """
+    if np.any(q < 2):
         raise ValueError(f"q must be >= 2, got {q}")
-    if n < 1:
+    if np.any(n < 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    if not (0.0 < p < 1.0):
+    if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     pq = p * (1.0 - p)
     return (1.0 + n * pq) / (q - 1) ** 2
+
+
+def lockstep_min_n(
+    q: np.ndarray,
+    p: np.ndarray,
+    eps_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    eps_bar: float,
+    n_cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest trial count meeting eps_bar, for every (q[i], p[i]) cell at once.
+
+    Per cell this is the doubling-plus-bisection search on the budget
+    estimate, which must be non-increasing in n: probe n = 2, then n_cap,
+    then double from 2 until the budget is met (n_cap ends the doubling),
+    then bisect.  All cells step together, so each step is one call
+    ``eps_fn(q, n, p)`` on the arrays of the cells still searching.
+
+    Returns ``(n1, evals)``: n1[i] is the trial count, or 0 where even n_cap
+    misses the budget; evals[i] counts the distinct trial counts probed.
+    """
+    cells = np.arange(q.size)
+    n1 = np.zeros(q.size, dtype=np.int64)
+    evals = np.ones(q.size, dtype=np.int64)
+    met = eps_fn(q, np.full(q.size, 2), p) <= eps_bar
+    n1[met] = 2
+    cells = cells[~met]
+    if n_cap == 2:
+        return n1, evals
+    evals[cells] += 1
+    cells = cells[eps_fn(q[cells], np.full(cells.size, n_cap), p[cells]) <= eps_bar]
+    # eps(lo) > eps_bar >= eps(hi) holds for every searching cell
+    lo = np.full(cells.size, 2, dtype=np.int64)
+    hi = np.full(cells.size, n_cap, dtype=np.int64)
+    doubling = 2 * lo < n_cap
+    while True:
+        done = hi - lo <= 1
+        n1[cells[done]] = hi[done]
+        cells, lo, hi, doubling = cells[~done], lo[~done], hi[~done], doubling[~done]
+        if cells.size == 0:
+            return n1, evals
+        probe = np.where(doubling, 2 * lo, (lo + hi) // 2)
+        evals[cells] += 1
+        above = eps_fn(q[cells], probe, p[cells]) > eps_bar
+        lo = np.where(above, probe, lo)
+        hi = np.where(above, hi, probe)
+        doubling &= above & (2 * lo < n_cap)
 
 
 def min_n_for_privacy(
@@ -142,45 +195,33 @@ def min_n_for_privacy(
 ) -> int:
     """Smallest trial count whose budget estimate meets eps_bar at (q, p).
 
-    Doubling phase followed by bisection, relying on the estimate being
-    non-increasing in n.  ``epsilon_fn`` may replace the default tight
-    estimator (used by tests to inject synthetic budget curves).  Raises
-    :class:`PrivacyInfeasibleError` when even n_cap cannot meet the budget.
+    One cell of :func:`lockstep_min_n`.  ``epsilon_fn`` may replace the
+    default tight estimator (used by tests to inject synthetic budget
+    curves).  Raises :class:`PrivacyInfeasibleError` when even n_cap cannot
+    meet the budget.
     """
     if epsilon_fn is None:
-        epsilon_fn = lambda n: tight_epsilon_value(q, n, p, ctx.d, ctx.delta)
-    memo: dict[int, float] = {}
-
-    def eps(n: int) -> float:
-        if n not in memo:
-            memo[n] = epsilon_fn(n)
-        return memo[n]
-
-    eb = cfg.eps_bar
-    if eps(2) <= eb:
-        return 2
-    if eps(cfg.n_cap) > eb:
+        def eps_fn(qs, ns, ps):
+            return tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta)
+    else:
+        def eps_fn(qs, ns, ps):
+            return np.array([epsilon_fn(int(n)) for n in ns])
+    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), eps_fn, cfg.eps_bar, cfg.n_cap)
+    if n1[0] == 0:
         raise PrivacyInfeasibleError(
-            f"budget at (q={q}, p={p}) stays above {eb} up to n_cap={cfg.n_cap}"
+            f"budget at (q={q}, p={p}) stays above {cfg.eps_bar} up to n_cap={cfg.n_cap}"
         )
-    lo = hi = 2
-    while eps(hi) > eb:
-        lo = hi
-        hi = min(2 * hi, cfg.n_cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps(mid) > eb:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return int(n1[0])
 
 
-def n_from_constraints(q: int, p: float, n1: int, ctx: PrivacyContext) -> int:
-    """Final trial count: the variance-floor ceiling joined with n1."""
+def n_from_constraints(q, p, n1, ctx: PrivacyContext):
+    """Final trial count: the variance-floor ceiling joined with n1.
+
+    Broadcasts over arrays of q, p and n1.
+    """
     pq = p * (1.0 - p)
-    n_floor = math.ceil(dp_variance_threshold(q, ctx.d, ctx.delta) / (ctx.K * pq))
-    return max(n_floor, n1)
+    n_floor = np.ceil(dp_variance_threshold(q, ctx.d, ctx.delta) / (ctx.K * pq))
+    return np.maximum(n_floor, n1).astype(np.int64)
 
 
 def mu_from_eta(eta: float) -> float:
@@ -297,68 +338,47 @@ def solve_with_stats(
 ) -> tuple[Solution, SolveStats]:
     """Grid search over (q, p) cells; see :func:`solve`."""
     q_hi, cap_real = _q_and_cap(sys, cfg, ctx)
-    ps = p_grid(cfg.lambda_step)
+    grid = p_grid(cfg.lambda_step)
     try:
         eta, mu = eta_and_mu(cfg, ctx)
     except ErrorBoundUnavailableError:
         eta = mu = None
+
+    q = np.repeat(np.arange(2, q_hi + 1), len(grid))
+    p = np.tile(np.array(grid), q_hi - 1)
+    n1, evals = lockstep_min_n(
+        q, p, lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta),
+        cfg.eps_bar, cfg.n_cap,
+    )
+    n = n_from_constraints(q, p, n1, ctx)
+    feasible = np.flatnonzero((n1 > 0) & (n <= cfg.n_cap) & (n <= cap_real - q))
     stats = SolveStats(
         eta=eta, mu=mu, lambda_step=cfg.lambda_step,
-        p_grid_size=len(ps), q_lo=2, q_hi=q_hi,
+        p_grid_size=len(grid), q_lo=2, q_hi=q_hi,
+        cells_total=int(q.size),
+        cells_feasible=int(feasible.size),
+        eps_evaluations=int(evals.sum()),
+        max_evals_per_cell=int(evals.max()),
     )
 
-    cache: dict[tuple[int, int, float], float] = {}
-
-    def cached_eps(q: int, n: int, p: float) -> float:
-        key = (q, n, p)
-        if key not in cache:
-            cache[key] = tight_epsilon_value(q, n, p, ctx.d, ctx.delta)
-        return cache[key]
-
-    best: tuple[float, int, float, int] | None = None
-    privacy_blocked = 0
-    for q in range(2, q_hi + 1):
-        for p in ps:
-            stats.cells_total += 1
-            cell_evals = 0
-
-            def counted(n: int, _q=q, _p=p) -> float:
-                nonlocal cell_evals
-                cell_evals += 1
-                stats.eps_evaluations += 1
-                return cached_eps(_q, n, _p)
-
-            try:
-                n1 = min_n_for_privacy(q, p, cfg, ctx, epsilon_fn=counted)
-            except PrivacyInfeasibleError:
-                stats.max_evals_per_cell = max(stats.max_evals_per_cell, cell_evals)
-                privacy_blocked += 1
-                continue
-            stats.max_evals_per_cell = max(stats.max_evals_per_cell, cell_evals)
-            n = n_from_constraints(q, p, n1, ctx)
-            if n > cfg.n_cap:
-                continue
-            if not (n <= cap_real - q):
-                continue
-            stats.cells_feasible += 1
-            cand = (objective(q, n, p), q, p, n)
-            if best is None or cand < best:
-                best = cand
-
-    if best is None:
-        if privacy_blocked == stats.cells_total:
+    if feasible.size == 0:
+        if not n1.any():
             raise PrivacyInfeasibleError(
                 f"budget {cfg.eps_bar} unreachable within n_cap={cfg.n_cap} "
                 "at every grid point"
             )
         raise InfeasibleError("no feasible grid point")
-    phi, q, p, n = best
-    powers = tuple(required_power(q, n, h, sys) for h in sys.gains)
-    if not capacity_feasible(q, n, list(powers), sys):
+    # cells run q-major over the ascending p grid and hold one n each, so the
+    # first minimum is the (objective, q, p, n) tie-break
+    best = feasible[np.argmin(objective(q[feasible], n[feasible], p[feasible]))]
+    q_b, n_b, p_b = int(q[best]), int(n[best]), float(p[best])
+    powers = tuple(required_power(q_b, n_b, h, sys) for h in sys.gains)
+    if not capacity_feasible(q_b, n_b, list(powers), sys):
         raise InfeasibleError("final power assignment failed the capacity re-check")
     sol = Solution(
-        q=q, n=n, p=p, powers=powers,
-        objective=phi, epsilon_achieved=cached_eps(q, n, p),
+        q=q_b, n=n_b, p=p_b, powers=powers,
+        objective=objective(q_b, n_b, p_b),
+        epsilon_achieved=tight_epsilon_value(q_b, n_b, p_b, ctx.d, ctx.delta),
     )
     return sol, stats
 
@@ -461,7 +481,12 @@ def check_solution(
     if lhs < dp_variance_threshold(sol.q, ctx.d, ctx.delta):
         problems.append("noise variance below its required floor")
     eps = tight_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
-    if eps > cfg.eps_bar:
+    if not all(math.isfinite(v) for v in (eps, sol.epsilon_achieved, cfg.eps_bar)):
+        problems.append(
+            f"non-finite budget: evaluated {eps}, stored {sol.epsilon_achieved}, "
+            f"eps_bar {cfg.eps_bar}"
+        )
+    elif eps > cfg.eps_bar:
         problems.append(f"budget {eps:.6g} exceeds eps_bar={cfg.eps_bar}")
     if abs(sol.epsilon_achieved - eps) > 1e-12 * max(1.0, eps):
         problems.append("stored epsilon_achieved disagrees with a fresh evaluation")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityInfeasibleError, EmptyDomainError
+from .errors import CapacityInfeasibleError, ConfigError, EmptyDomainError
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,13 @@ def domain_bound(sys: SystemParams) -> int:
     """Shared integer upper end of the q and n search domains {2, ..., bound}.
 
     Exact floor of the real-valued ceiling, minus 2; no epsilon fudge.
+    Raises :class:`ConfigError` when the ceiling overflows the float range,
+    as it does when T*W/d is large (the built-in sim dimension with the
+    full-scale channel) or the power cap is infinite.
     """
     base = capacity_base(sys)
     if math.isinf(base):
-        raise ValueError(
+        raise ConfigError(
             "capacity ceiling on q + n overflows the float range; "
             "check the T, W, d units"
         )

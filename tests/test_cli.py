@@ -60,6 +60,10 @@ def config_path(tmp_path):
     return path
 
 
+def run_module(argv):
+    return subprocess.run([sys.executable, "-m", "binomfl.cli", *argv], capture_output=True, text=True)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -85,11 +89,7 @@ class TestSolveCommand:
         assert (out_a / "solution.json").read_bytes() == (out_b / "solution.json").read_bytes()
 
     def test_runs_as_module(self, config_path, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "binomfl.cli", "solve", "--config", str(config_path),
-             "--out", str(tmp_path / "m")],
-            capture_output=True, text=True,
-        )
+        proc = run_module(["solve", "--config", str(config_path), "--out", str(tmp_path / "m")])
         assert proc.returncode == EXIT_OK, proc.stderr
 
     def test_builtin_defaults_feasible(self, tmp_path, monkeypatch):
@@ -243,6 +243,22 @@ class TestExitCodes:
         cfg = tmp_path / "narrow.yaml"
         cfg.write_text(SMALL_CONFIG.replace("bandwidth_hz: 150.0", "bandwidth_hz: 10.0"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_EMPTY_DOMAIN
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "abc"])
+    def test_eps_bar_not_a_finite_number(self, value, tmp_path):
+        cfg = tmp_path / "eps.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("eps_bar: 30.0", f"eps_bar: {value}"))
+        proc = run_module(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o" / "solution.json").exists()
+
+    def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
+        # the built-in sim dimension is far below the full-scale d, so the
+        # capacity ceiling on q + n overflows the float range
+        proc = run_module(["simulate", "--out", str(tmp_path / "o")])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

@@ -21,7 +21,7 @@ from binomfl.privacy import (
     epsilon_tight,
     epsilon_tight_terms,
     s1_term,
-    s2_term,
+    s2_value,
     sensitivity_bounds,
     tight_epsilon_n_array,
     tight_epsilon_value,
@@ -229,6 +229,16 @@ class TestTight:
             vec = tight_epsilon_n_array(mech.q, ns, mech.p, ctx.d, ctx.delta)
             for i, n in enumerate(range(mech.n, mech.n + 17)):
                 assert vec[i] == tight_epsilon_value(mech.q, n, mech.p, ctx.d, ctx.delta)
+        # array q and p as well; 2000 random p include the ~0.1% where libm
+        # pow(v, 2) and v * v round differently
+        count = 2000
+        qs = rng.integers(2, 1000, size=count)
+        ns = rng.integers(2, 65535, size=count)
+        ps = rng.uniform(0.01, 0.99, size=count)
+        for d, delta in ((47710, 1e-10), (12, 1e-3)):
+            vec = tight_epsilon_n_array(qs, ns, ps, d, delta)
+            for i in range(count):
+                assert vec[i] == tight_epsilon_value(int(qs[i]), int(ns[i]), float(ps[i]), d, delta)
 
 
 class TestSTerms:
@@ -246,7 +256,7 @@ class TestSTerms:
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert s2_term(n, p, ctx) > 1.0
+            assert s2_value(n, p, ctx.d, ctx.delta) > 1.0
 
 
 def test_baseline_uses_unscaled_middle_denominator():

@@ -2,16 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomfl.errors import (
     AllInfeasibleError,
     ErrorBoundUnavailableError,
     PrivacyInfeasibleError,
 )
+from binomfl.config import RunConfig
 from binomfl.privacy import (
     PrivacyContext,
     dp_variance_threshold,
+    tight_epsilon_n_array,
     tight_epsilon_value,
 )
 from binomfl.solver import (
@@ -20,6 +25,7 @@ from binomfl.solver import (
     check_solution,
     eta_and_mu,
     lambda_for_rho,
+    lockstep_min_n,
     min_n_for_privacy,
     mu_from_eta,
     n_from_constraints,
@@ -45,6 +51,34 @@ def linear_scan_min_n(q, p, eps_bar, d, delta, n_hi):
         if tight_epsilon_value(q, n, p, d, delta) <= eps_bar:
             return n
     return None
+
+
+def scalar_search(eps, eps_bar, n_cap):
+    """Reference one-cell doubling-plus-bisection search with a memo.
+
+    Returns (n1 or 0 when n_cap misses the budget, distinct n probed).
+    """
+    memo = {}
+
+    def probe(n):
+        if n not in memo:
+            memo[n] = eps(n)
+        return memo[n]
+
+    if probe(2) <= eps_bar:
+        return 2, len(memo)
+    if probe(n_cap) > eps_bar:
+        return 0, len(memo)
+    lo = hi = 2
+    while probe(hi) > eps_bar:
+        lo, hi = hi, min(2 * hi, n_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if probe(mid) > eps_bar:
+            lo = mid
+        else:
+            hi = mid
+    return hi, len(memo)
 
 
 def tuple_feasible(q, n, p, system, cfg, ctx):
@@ -125,6 +159,82 @@ class TestMinNForPrivacy:
             assert tight_epsilon_value(q, n1, p, d, delta) <= eps_bar
             if n1 > 2:
                 assert tight_epsilon_value(q, n1 - 1, p, d, delta) > eps_bar
+
+
+def _first_q(above, q):
+    """Smallest q' >= q with above(q') true, for above monotone in q."""
+    if above(q):
+        return q
+    lo, hi = q, 2 * q
+    while not above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return hi
+
+
+class TestLockstepSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2000),
+        log_delta=st.floats(-8.0, -0.7),
+        # a power-of-two cap makes the last doubling step land on n_cap itself
+        n_cap=st.one_of(st.integers(3, 300), st.sampled_from([4, 16, 128, 256])),
+        anchor_frac=st.floats(0.0, 1.0),
+        p_anchor=st.floats(0.05, 0.95),
+        p_two=st.floats(0.05, 0.95),
+        extra=st.lists(st.tuples(st.integers(2, 5000), st.floats(0.02, 0.98)), max_size=6),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_cell_matches_linear_scan(
+        self, d, log_delta, n_cap, anchor_frac, p_anchor, p_two, extra, order_seed
+    ):
+        delta = 10.0**log_delta
+
+        def eps(q, n, p):
+            return tight_epsilon_value(q, n, p, d, delta)
+
+        # anchor cell: its n lies above the last power of two below n_cap,
+        # so its doubling phase runs into n_cap
+        top_pow = 2 ** ((n_cap - 1).bit_length() - 1)
+        n_anchor = top_pow + 1 + int(anchor_frac * (n_cap - top_pow - 1))
+        q_anchor = _first_q(lambda q: eps(q, n_anchor, p_anchor) >= eps(2, 2, p_two), 2)
+        eps_bar = eps(q_anchor, n_anchor, p_anchor)
+        # a cell done at n = 2, and a cell that n_cap cannot bring under eps_bar
+        q_blocked = _first_q(lambda q: eps(q, n_cap, p_anchor) > eps_bar, q_anchor)
+        cells = [(q_anchor, p_anchor), (2, p_two), (q_blocked, p_anchor)] + extra
+        order = np.random.default_rng(order_seed).permutation(len(cells))
+        q = np.array([cells[i][0] for i in order])
+        p = np.array([cells[i][1] for i in order])
+
+        def kernel(qs, ns, ps):
+            return tight_epsilon_n_array(qs, ns, ps, d, delta)
+
+        n1, evals = lockstep_min_n(q, p, kernel, eps_bar, n_cap)
+        for i in range(len(cells)):
+            qi, pi = int(q[i]), float(p[i])
+            expected = linear_scan_min_n(qi, pi, eps_bar, d, delta, n_cap)
+            assert n1[i] == (0 if expected is None else expected)
+            ref_n, ref_probes = scalar_search(lambda n: eps(qi, n, pi), eps_bar, n_cap)
+            assert (n1[i], evals[i]) == (ref_n, ref_probes)
+        by_cell = dict(zip(order, n1))
+        assert by_cell[0] == n_anchor > top_pow
+        assert by_cell[1] == 2
+        assert by_cell[2] == 0
+
+    def test_builtin_solve_pinned(self):
+        cfg = RunConfig.defaults()
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        scfg = cfg.build_solver(ctx)
+        assert scfg.eps_bar == 10.0
+        sol, stats = solve_with_stats(system, scfg, ctx)
+        assert (sol.q, sol.n, sol.p) == (48, 64592, 0.5)
+        assert stats.cells_total == 47_300
+        assert stats.cells_feasible == 1_546
+        assert stats.eps_evaluations == 137_428
+        assert stats.max_evals_per_cell == 31
 
 
 class TestNFromConstraints:
