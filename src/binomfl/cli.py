@@ -43,8 +43,8 @@ from .errors import (
     PrivacyInfeasibleError,
 )
 from .privacy import baseline_epsilon_value, tight_epsilon_value
-from .solver import Solution, objective, qbar, solve_with_stats
-from .wireless import capacity_base, required_power, watts_to_dbm
+from .solver import Solution, objective, payload_caps, qbar, solve_with_stats
+from .wireless import required_power, watts_to_dbm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -245,9 +245,7 @@ def _suboptimal_tuple(sol: Solution, system, scfg, ctx, factor: float) -> Soluti
                 objective=objective(q_bad, sol.n, sol.p),
                 epsilon_achieved=tight_epsilon_value(q_bad, sol.n, sol.p, ctx.d, ctx.delta),
             )
-    cap_real = capacity_base(system)
-    if scfg.bit_cap is not None:
-        cap_real = min(cap_real, float(2**scfg.bit_cap))
+    _, cap_real = payload_caps(system, scfg.bit_cap)
     n_bad = sol.n
     while objective(sol.q, n_bad, sol.p) < factor * sol.objective:
         n_bad *= 2

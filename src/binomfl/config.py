@@ -113,6 +113,12 @@ class RunConfig:
 
     raw: dict = field(default_factory=lambda: dict(DEFAULTS))
 
+    def __post_init__(self):
+        validate_seed("seed", self.raw["seed"])
+        channel_seed = self.raw["system"]["channel"]["seed"]
+        if channel_seed is not None:
+            validate_seed("system.channel.seed", channel_seed)
+
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
         try:
@@ -136,7 +142,7 @@ class RunConfig:
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = dict(self.raw)
-        raw["seed"] = int(seed)
+        raw["seed"] = seed
         return RunConfig(raw=raw)
 
     # system ---------------------------------------------------------------
@@ -234,3 +240,11 @@ def validate_positive(name: str, value) -> float:
     if not math.isfinite(number) or number <= 0:
         raise ConfigError(f"{name} must be a positive finite number, got {number}")
     return number
+
+
+def validate_seed(name: str, value) -> int:
+    """``value`` as an int; raises :class:`ConfigError` unless it is a
+    non-negative integer (SeedSequence entropy)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)

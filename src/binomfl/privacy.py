@@ -252,11 +252,15 @@ def epsilon_tight_terms(
     return tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
 
 
-def tight_epsilon_n_array(q, n: np.ndarray, p, d: int, delta: float) -> np.ndarray:
-    """Tight estimate over an array of trial counts, ungated.
+def tight_epsilon_n_array(q, n, p, d: int, delta: float) -> np.ndarray:
+    """Tight estimate over broadcast arrays of (q, n, p), ungated.
 
-    q and p are scalars or arrays that broadcast against n.  Element i is
-    bit-identical to :func:`tight_epsilon_value` at the i-th (q, n, p).
+    q, n and p are scalars or arrays that broadcast against each other,
+    e.g. a (Q, 1) column of q values, a scalar n and a (1, P) row of p
+    values; factors that depend on one axis only are then computed once per
+    axis value.  The result is 1-D, flattened in C order of the broadcast
+    shape, and element i is bit-identical to :func:`tight_epsilon_value` at
+    the i-th (q, n, p) of that order.
     """
     t1, t2, t3, t4, t5 = tight_epsilon_terms_value(q, np.asarray(n, dtype=np.float64), p, d, delta)
-    return t1 + t2 + t3 + t4 + t5
+    return (t1 + t2 + t3 + t4 + t5).ravel()

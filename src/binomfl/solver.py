@@ -3,15 +3,21 @@
 The search minimizes (1 + n*p*(1-p)) / (q-1)^2 over integer q and n, a
 probability grid of pitch lambda for p, and per-device powers, subject to
 the privacy-budget cap, the noise-variance floor, channel capacity and the
-power limits.  Every (q, p) cell needs the smallest trial count whose
-(monotone in n) budget estimate meets the cap.  ``lockstep_min_n`` runs the
-doubling-plus-bisection search for all cells at once: each step is one call
-of the broadcast budget kernel on the cells still searching, about
-2*log2(n_cap) calls per solve.  The variance-floor ceiling, the trial-count,
-capacity and bit caps and the tie-break are array operations on the same
-cells.  The q range is pre-pruned by a monotone lower envelope of the
-budget, and p is restricted to [1/2, 1) because every constraint and the
-objective are symmetric around 1/2.
+power limits.  The cells form a Cartesian grid, a column of q values
+against a row of p values, and every (q, p) cell needs the smallest trial
+count whose (monotone in n) budget estimate meets the cap.
+``lockstep_min_n`` runs the doubling-plus-bisection search for all cells at
+once, about 2*log2(n_cap) calls of the broadcast budget kernel per solve.
+Its two bracket probes (n = 2 and n = n_cap) each make one call on the q
+and p axes with a scalar n, so the q-only and p-only factors are computed
+once per axis value and only the terms that mix the axes run on every
+cell; each later step is one call on the cells still searching.  The
+variance-floor ceiling, the trial-count, capacity and bit caps broadcast
+over the same axes, and the tie-break is an argmin over the cells in
+q-major order.  The q range is pre-pruned by a monotone lower envelope of
+the budget, and p is restricted to [1/2, 1) because every constraint and
+the objective are symmetric around 1/2.  ``payload_caps`` is the one place
+that turns the channel and the bit cap into limits on q and on q + n.
 
 ``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
 p grid and every single n, sharing nothing with the search logic above.
@@ -141,33 +147,40 @@ def objective(q, n, p):
 
 
 def lockstep_min_n(
-    q: np.ndarray,
-    p: np.ndarray,
+    q,
+    p,
     eps_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     eps_bar: float,
     n_cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest trial count meeting eps_bar, for every (q[i], p[i]) cell at once.
+    """Smallest trial count meeting eps_bar, for every (q, p) cell at once.
 
-    Per cell this is the doubling-plus-bisection search on the budget
-    estimate, which must be non-increasing in n: probe n = 2, then n_cap,
-    then double from 2 until the budget is met (n_cap ends the doubling),
-    then bisect.  All cells step together, so each step is one call
-    ``eps_fn(q, n, p)`` on the arrays of the cells still searching.
+    q and p broadcast against each other to the cell grid, e.g. a (Q, 1)
+    column of q values and a (1, P) row of p values; cells are numbered in
+    C order of the broadcast shape.  Per cell this is the doubling-plus-
+    bisection search on the budget estimate, which must be non-increasing
+    in n: probe n = 2, then n_cap, then double from 2 until the budget is
+    met (n_cap ends the doubling), then bisect.  The two bracket probes are
+    one call ``eps_fn(q, n, p)`` each, on q and p as given and a scalar n;
+    every later step is one call on 1-D arrays of the cells still
+    searching.  ``eps_fn`` returns the budget flattened in C order of the
+    broadcast shape of its arguments.
 
-    Returns ``(n1, evals)``: n1[i] is the trial count, or 0 where even n_cap
-    misses the budget; evals[i] counts the distinct trial counts probed.
+    Returns ``(n1, evals)``, both flat over the cells: n1[i] is the trial
+    count, or 0 where even n_cap misses the budget; evals[i] counts the
+    distinct trial counts probed.
     """
-    cells = np.arange(q.size)
-    n1 = np.zeros(q.size, dtype=np.int64)
-    evals = np.ones(q.size, dtype=np.int64)
-    met = eps_fn(q, np.full(q.size, 2), p) <= eps_bar
+    shape = np.broadcast_shapes(np.shape(q), np.shape(p))
+    size = math.prod(shape)
+    met = eps_fn(q, 2, p) <= eps_bar
+    n1 = np.zeros(size, dtype=np.int64)
     n1[met] = 2
-    cells = cells[~met]
-    if n_cap == 2:
-        return n1, evals
-    evals[cells] += 1
-    cells = cells[eps_fn(q[cells], np.full(cells.size, n_cap), p[cells]) <= eps_bar]
+    if n_cap == 2 or met.all():
+        return n1, np.ones(size, dtype=np.int64)
+    evals = np.where(met, 1, 2)
+    cells = np.flatnonzero((eps_fn(q, n_cap, p) <= eps_bar) & ~met)
+    at = np.unravel_index(cells, shape)
+    q, p = np.broadcast_to(q, shape)[at], np.broadcast_to(p, shape)[at]
     # eps(lo) > eps_bar >= eps(hi) holds for every searching cell
     lo = np.full(cells.size, 2, dtype=np.int64)
     hi = np.full(cells.size, n_cap, dtype=np.int64)
@@ -175,12 +188,14 @@ def lockstep_min_n(
     while True:
         done = hi - lo <= 1
         n1[cells[done]] = hi[done]
-        cells, lo, hi, doubling = cells[~done], lo[~done], hi[~done], doubling[~done]
+        keep = ~done
+        cells, q, p = cells[keep], q[keep], p[keep]
+        lo, hi, doubling = lo[keep], hi[keep], doubling[keep]
         if cells.size == 0:
             return n1, evals
         probe = np.where(doubling, 2 * lo, (lo + hi) // 2)
         evals[cells] += 1
-        above = eps_fn(q[cells], probe, p[cells]) > eps_bar
+        above = eps_fn(q, probe, p) > eps_bar
         lo = np.where(above, probe, lo)
         hi = np.where(above, hi, probe)
         doubling &= above & (2 * lo < n_cap)
@@ -205,7 +220,7 @@ def min_n_for_privacy(
             return tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta)
     else:
         def eps_fn(qs, ns, ps):
-            return np.array([epsilon_fn(int(n)) for n in ns])
+            return np.array([epsilon_fn(int(n)) for n in np.atleast_1d(ns)])
     n1, _ = lockstep_min_n(np.array([q]), np.array([p]), eps_fn, cfg.eps_bar, cfg.n_cap)
     if n1[0] == 0:
         raise PrivacyInfeasibleError(
@@ -323,39 +338,48 @@ def qbar(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> int:
     return lo
 
 
-def _q_and_cap(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> tuple[int, float]:
-    """Upper q limit and the real-valued ceiling on q + n for this run."""
-    q_hi = min(qbar(sys, cfg, ctx), domain_bound(sys))
+def payload_caps(sys: SystemParams, bit_cap: int | None) -> tuple[int, float]:
+    """Largest admissible q and the real-valued ceiling on q + n.
+
+    The channel's capacity ceiling and the shared q/n domain bound, each
+    further limited by the optional bit cap q + n <= 2^b (which leaves
+    room for n >= 2).
+    """
+    q_max = domain_bound(sys)
     cap_real = capacity_base(sys)
-    if cfg.bit_cap is not None:
-        cap_real = min(cap_real, float(2**cfg.bit_cap))
-        q_hi = min(q_hi, 2**cfg.bit_cap - 2)
-    return q_hi, cap_real
+    if bit_cap is not None:
+        cap_real = min(cap_real, float(2**bit_cap))
+        q_max = min(q_max, 2**bit_cap - 2)
+    return q_max, cap_real
 
 
 def solve_with_stats(
     sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext
 ) -> tuple[Solution, SolveStats]:
     """Grid search over (q, p) cells; see :func:`solve`."""
-    q_hi, cap_real = _q_and_cap(sys, cfg, ctx)
+    q_max, cap_real = payload_caps(sys, cfg.bit_cap)
+    q_hi = min(qbar(sys, cfg, ctx), q_max)
     grid = p_grid(cfg.lambda_step)
     try:
         eta, mu = eta_and_mu(cfg, ctx)
     except ErrorBoundUnavailableError:
         eta = mu = None
 
-    q = np.repeat(np.arange(2, q_hi + 1), len(grid))
-    p = np.tile(np.array(grid), q_hi - 1)
+    # a (Q, 1) column of q values against a (1, P) row of p values; cells
+    # are numbered q-major over the ascending p grid
+    q = np.arange(2, q_hi + 1)[:, None]
+    p = np.array(grid)[None, :]
     n1, evals = lockstep_min_n(
         q, p, lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta),
         cfg.eps_bar, cfg.n_cap,
     )
+    n1 = n1.reshape(q.size, p.size)
     n = n_from_constraints(q, p, n1, ctx)
     feasible = np.flatnonzero((n1 > 0) & (n <= cfg.n_cap) & (n <= cap_real - q))
     stats = SolveStats(
         eta=eta, mu=mu, lambda_step=cfg.lambda_step,
         p_grid_size=len(grid), q_lo=2, q_hi=q_hi,
-        cells_total=int(q.size),
+        cells_total=int(n1.size),
         cells_feasible=int(feasible.size),
         eps_evaluations=int(evals.sum()),
         max_evals_per_cell=int(evals.max()),
@@ -368,10 +392,12 @@ def solve_with_stats(
                 "at every grid point"
             )
         raise InfeasibleError("no feasible grid point")
+    iq, ip = np.unravel_index(feasible, n1.shape)
+    q_f, n_f, p_f = q[iq, 0], n[iq, ip], p[0, ip]
     # cells run q-major over the ascending p grid and hold one n each, so the
     # first minimum is the (objective, q, p, n) tie-break
-    best = feasible[np.argmin(objective(q[feasible], n[feasible], p[feasible]))]
-    q_b, n_b, p_b = int(q[best]), int(n[best]), float(p[best])
+    best = np.argmin(objective(q_f, n_f, p_f))
+    q_b, n_b, p_b = int(q_f[best]), int(n_f[best]), float(p_f[best])
     powers = tuple(required_power(q_b, n_b, h, sys) for h in sys.gains)
     if not capacity_feasible(q_b, n_b, list(powers), sys):
         raise InfeasibleError("final power assignment failed the capacity re-check")
@@ -406,12 +432,7 @@ def brute_force_solve(
     """
     if fine_factor < 1:
         raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
-    bound = domain_bound(sys)
-    q_hi = bound
-    cap_real = capacity_base(sys)
-    if cfg.bit_cap is not None:
-        cap_real = min(cap_real, float(2**cfg.bit_cap))
-        q_hi = min(q_hi, 2**cfg.bit_cap - 2)
+    q_hi, cap_real = payload_caps(sys, cfg.bit_cap)
 
     lam = cfg.lambda_step / fine_factor
     ps = []
@@ -426,7 +447,7 @@ def brute_force_solve(
         ps.append(0.5)
         ps.sort()
 
-    n_hi = min(cfg.n_cap, bound)
+    n_hi = min(cfg.n_cap, domain_bound(sys))
     if n_hi < 2:
         raise InfeasibleError("no admissible trial count")
     n_all = np.arange(2, n_hi + 1, dtype=np.float64)

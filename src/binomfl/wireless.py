@@ -43,14 +43,15 @@ class SystemParams:
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         for name in ("T", "W", "omega0", "p_min", "p_max"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.p_min > self.p_max:
             raise ValueError(f"p_min={self.p_min} exceeds p_max={self.p_max}")
         if len(self.gains) != self.K:
             raise ValueError(f"gains has length {len(self.gains)}, expected K={self.K}")
-        if any(g <= 0.0 for g in self.gains):
-            raise ValueError("all channel gains must be positive")
+        if not all(math.isfinite(g) and g > 0.0 for g in self.gains):
+            raise ValueError("all channel gains must be positive and finite")
         object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
 
 

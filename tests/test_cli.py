@@ -244,14 +244,45 @@ class TestExitCodes:
         cfg.write_text(SMALL_CONFIG.replace("bandwidth_hz: 150.0", "bandwidth_hz: 10.0"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_EMPTY_DOMAIN
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "abc"])
-    def test_eps_bar_not_a_finite_number(self, value, tmp_path):
-        cfg = tmp_path / "eps.yaml"
-        cfg.write_text(SMALL_CONFIG.replace("eps_bar: 30.0", f"eps_bar: {value}"))
-        proc = run_module(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    @staticmethod
+    def assert_config_error(tmp_path, text, *extra):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        proc = run_module(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "o" / "solution.json").exists()
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "abc"])
+    def test_eps_bar_not_a_finite_number(self, value, tmp_path):
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace("eps_bar: 30.0", f"eps_bar: {value}"))
+
+    @pytest.mark.parametrize("line, value", [
+        ("power_max_dbm: 30.0", ".nan"),
+        ("power_max_dbm: 30.0", ".inf"),
+        ("transmission_time_s: 1.0", ".nan"),
+        ("bandwidth_hz: 150.0", ".nan"),
+        ("noise_power_w: 0.4", ".nan"),
+    ])
+    def test_channel_parameter_not_finite(self, line, value, tmp_path):
+        key = line.split(":")[0]
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace(line, f"{key}: {value}"))
+
+    def test_nan_channel_gain(self, tmp_path):
+        gains = ", ".join([".nan"] + ["1.0"] * 11)
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace(
+            "  power_max_dbm: 30.0\n", f"  power_max_dbm: 30.0\n  gains: [{gains}]\n"))
+
+    @pytest.mark.parametrize("config_seed, cli_seed", [
+        ("-1", None), ("abc", None), ("7", "-1"),
+    ])
+    def test_seed_not_a_non_negative_integer(self, config_seed, cli_seed, tmp_path):
+        extra = () if cli_seed is None else ("--seed", cli_seed)
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace("seed: 7", f"seed: {config_seed}"), *extra)
+
+    def test_negative_channel_seed(self, tmp_path):
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace(
+            "    distance_max_m: 2.0\n", "    distance_max_m: 2.0\n    seed: -1\n"))
 
     def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
         # the built-in sim dimension is far below the full-scale d, so the

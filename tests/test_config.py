@@ -74,3 +74,8 @@ class TestSeedSplitting:
         cfg = RunConfig.defaults().with_seed(99)
         assert cfg.seed == 99
         assert RunConfig.defaults().seed == 2024
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "abc", True, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError):
+            RunConfig.defaults().with_seed(seed)

@@ -239,6 +239,16 @@ class TestTight:
             vec = tight_epsilon_n_array(qs, ns, ps, d, delta)
             for i in range(count):
                 assert vec[i] == tight_epsilon_value(int(qs[i]), int(ns[i]), float(ps[i]), d, delta)
+        # a (Q, 1) column of q, a scalar n and a (1, P) row of p: the result
+        # is flat in C order, q-major
+        q_axis = rng.integers(2, 1000, size=30)
+        p_axis = rng.uniform(0.01, 0.99, size=40)
+        for d, delta in ((47710, 1e-10), (12, 1e-3)):
+            for n in (2, 65534, int(rng.integers(3, 65534))):
+                vec = tight_epsilon_n_array(q_axis[:, None], n, p_axis[None, :], d, delta)
+                assert vec.shape == (q_axis.size * p_axis.size,)
+                for i, (qi, pi) in enumerate((qi, pi) for qi in q_axis for pi in p_axis):
+                    assert vec[i] == tight_epsilon_value(int(qi), n, float(pi), d, delta)
 
 
 class TestSTerms:

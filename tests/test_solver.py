@@ -223,6 +223,42 @@ class TestLockstepSearch:
         assert by_cell[1] == 2
         assert by_cell[2] == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2000),
+        log_delta=st.floats(-8.0, -0.7),
+        n_cap=st.one_of(st.integers(3, 300), st.sampled_from([4, 16, 128, 256])),
+        q_extra=st.lists(st.integers(2, 5000), max_size=5),
+        p_axis=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=6, unique=True),
+    )
+    def test_axis_grid_matches_flat_cells(self, d, log_delta, n_cap, q_extra, p_axis):
+        delta = 10.0**log_delta
+        p_axis = np.array(sorted(p_axis))
+        # (2, p_axis[0]) is done at n = 2, and (q_blocked, p_axis[0]) is
+        # blocked at n_cap
+        eps_bar = tight_epsilon_value(2, 2, float(p_axis[0]), d, delta)
+        q_blocked = _first_q(
+            lambda q: tight_epsilon_value(q, n_cap, float(p_axis[0]), d, delta) > eps_bar, 2
+        )
+        q_axis = np.array(sorted({2, q_blocked, *q_extra}))
+        shapes = []
+
+        def kernel(qs, ns, ps):
+            shapes.append((np.shape(qs), np.shape(ns), np.shape(ps)))
+            return tight_epsilon_n_array(qs, ns, ps, d, delta)
+
+        grid = lockstep_min_n(q_axis[:, None], p_axis[None, :], kernel, eps_bar, n_cap)
+        grid_shapes, shapes[:] = list(shapes), []
+        flat = lockstep_min_n(
+            np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size), kernel, eps_bar, n_cap
+        )
+        assert np.array_equal(grid[0], flat[0]) and np.array_equal(grid[1], flat[1])
+        assert grid[0][0] == 2
+        assert grid[0][list(q_axis).index(q_blocked) * p_axis.size] == 0
+        # both bracket probes run on the axes with a scalar n
+        assert grid_shapes[:2] == [((q_axis.size, 1), (), (1, p_axis.size))] * 2
+        assert len(grid_shapes) == len(shapes)
+
     def test_builtin_solve_pinned(self):
         cfg = RunConfig.defaults()
         system = cfg.build_system()

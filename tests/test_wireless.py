@@ -45,6 +45,15 @@ class TestSystemParams:
             SystemParams(K=1, M=1, d=1, delta=0.5, T=1, W=1, omega0=1,
                          p_min=2.0, p_max=1.0, gains=(1.0,))
 
+    @pytest.mark.parametrize("name", ["T", "W", "omega0", "p_min", "p_max", "gains"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_channel_parameters(self, name, value):
+        fields = dict(K=2, M=2, d=1, delta=0.5, T=1.0, W=1.0, omega0=1.0,
+                      p_min=0.1, p_max=1.0, gains=(1.0, 2.0))
+        fields[name] = (1.0, value) if name == "gains" else value
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**fields)
+
 
 class TestShannonRate:
     def test_unit_snr(self):
