@@ -56,6 +56,7 @@ from .solver import (
 from .wireless import (
     ChannelSampler,
     SystemParams,
+    assign_powers,
     capacity_feasible,
     domain_bound,
     required_power,

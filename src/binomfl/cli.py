@@ -44,7 +44,7 @@ from .errors import (
 )
 from .privacy import baseline_epsilon_value, tight_epsilon_value
 from .solver import Solution, objective, payload_caps, qbar, solve_with_stats
-from .wireless import required_power, watts_to_dbm
+from .wireless import assign_powers, watts_to_dbm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,7 +239,7 @@ def _suboptimal_tuple(sol: Solution, system, scfg, ctx, factor: float) -> Soluti
     if sol.q >= 3:
         q_bad = max(2, (sol.q - 1) // 2 + 1)
         if objective(q_bad, sol.n, sol.p) >= factor * sol.objective:
-            powers = tuple(required_power(q_bad, sol.n, h, system) for h in system.gains)
+            powers = assign_powers(q_bad, sol.n, system)
             return Solution(
                 q=q_bad, n=sol.n, p=sol.p, powers=powers,
                 objective=objective(q_bad, sol.n, sol.p),
@@ -251,7 +251,7 @@ def _suboptimal_tuple(sol: Solution, system, scfg, ctx, factor: float) -> Soluti
         n_bad *= 2
         if n_bad > scfg.n_cap or not (n_bad <= cap_real - sol.q):
             return None
-    powers = tuple(required_power(sol.q, n_bad, h, system) for h in system.gains)
+    powers = assign_powers(sol.q, n_bad, system)
     return Solution(
         q=sol.q, n=n_bad, p=sol.p, powers=powers,
         objective=objective(sol.q, n_bad, sol.p),

@@ -9,6 +9,18 @@ whole pipeline is unbiased.
 
 Randomness: every routine takes an explicit ``numpy.random.Generator``;
 two runs with equal generators produce bit-identical traces.
+
+A round is bit-reproducible, and the trace CSVs are pinned byte for byte,
+so a rewrite for speed must keep every value's IEEE operations.  Three
+things must not change:
+
+* the draw order: ``choice`` of the devices, then ``random`` for the
+  rounding and ``binomial`` for the noise, once per round or bias trial;
+* the logistic task's stacked ``X @ w``, one (S, d) block per device:
+  flattening the blocks into one (M*S, d) product rounds some logits
+  differently whenever S % 4 != 0;
+* the ``einsum`` of the logistic gradients: ``matmul`` in its place
+  rounds differently.
 """
 
 from __future__ import annotations
@@ -180,7 +192,7 @@ def comm_cost(rounds: int, K: int, d: int, q: int, n: int) -> int:
 def _quantize_positions(g: np.ndarray, D: float, q: int) -> tuple[np.ndarray, np.ndarray]:
     # grid position t in [0, q-1]; lower level r and carry probability t - r
     t = ((g + D) / (2.0 * D)) * (q - 1)
-    r = np.clip(np.floor(t), 0, q - 2)
+    r = np.minimum(np.maximum(np.floor(t), 0), q - 2)
     return r, t - r
 
 
@@ -246,7 +258,7 @@ def aggregate(updates: Sequence[PrivatizedUpdate], K: int) -> np.ndarray:
 
 def _cap_gradients(grads: np.ndarray, D: float, mode: str) -> np.ndarray:
     if mode == "clip":
-        return np.clip(grads, -D, D)
+        return np.minimum(np.maximum(grads, -D), D)
     if mode == "scale":
         # per-device rescale: shrink the whole row only when it overflows the cap
         peak = np.max(np.abs(grads), axis=-1, keepdims=True)
@@ -255,15 +267,27 @@ def _cap_gradients(grads: np.ndarray, D: float, mode: str) -> np.ndarray:
     raise ValueError(f"rescale mode must be 'clip' or 'scale', got {mode!r}")
 
 
+def _mean_rows(x: np.ndarray) -> np.ndarray:
+    # x.mean(axis=0) without its wrapper chain: the same sum and division
+    return np.add.reduce(x, axis=0) / len(x)
+
+
 def _privatized_mean(
-    grads: np.ndarray, mech: MechanismParams, rng: np.random.Generator
+    grads: np.ndarray,
+    mech: MechanismParams,
+    rng: np.random.Generator,
+    positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Vectorized privatize + aggregate over a (K, d) gradient block."""
-    r, frac = _quantize_positions(grads, mech.D, mech.q)
+    """Vectorized privatize + aggregate over a (K, d) gradient block.
+
+    ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when
+    the caller already holds it for this block.
+    """
+    r, frac = _quantize_positions(grads, mech.D, mech.q) if positions is None else positions
     j = r + (rng.random(grads.shape) < frac)
     z = rng.binomial(mech.n, mech.p, size=grads.shape)
     values = mech.s * (j + z) - mech.D - mech.s * mech.n * mech.p
-    return values.mean(axis=0)
+    return _mean_rows(values)
 
 
 def theoretical_bounds(
@@ -303,10 +327,12 @@ def measure_bias(
     grads = task.device_gradients(w, list(range(K)))
     mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
     capped = _cap_gradients(grads, mech.D, rescale)
-    clean = capped.mean(axis=0)
+    clean = _mean_rows(capped)
+    # the block is fixed, so its quantizer positions are too
+    positions = _quantize_positions(capped, mech.D, mech.q)
     samples = np.empty(trials)
     for t in range(trials):
-        noisy = _privatized_mean(capped, mech, rng)
+        noisy = _privatized_mean(capped, mech, rng, positions)
         diff = noisy - clean
         samples[t] = diff @ diff
     mean = float(samples.mean())
@@ -353,14 +379,13 @@ def run_fsgd(
     for _ in range(rounds):
         devices = rng.choice(task.M, size=sys.K, replace=False)
         grads = task.device_gradients(w, devices)
-        clean = grads.mean(axis=0)
         if mech is not None:
             capped = _cap_gradients(grads, mech.D, rescale)
             step_grad = _privatized_mean(capped, mech, rng)
-            diff = step_grad - capped.mean(axis=0)
+            diff = step_grad - _mean_rows(capped)
             bias_sample = float(diff @ diff)
         else:
-            step_grad = clean
+            step_grad = _mean_rows(grads)
             bias_sample = 0.0
         w = w - gamma * step_grad
         loss = float(task.loss(w))

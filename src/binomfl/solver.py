@@ -47,10 +47,10 @@ from .privacy import (
 )
 from .wireless import (
     SystemParams,
+    assign_powers,
     capacity_base,
     capacity_feasible,
     domain_bound,
-    required_power,
 )
 
 
@@ -398,7 +398,7 @@ def solve_with_stats(
     # first minimum is the (objective, q, p, n) tie-break
     best = np.argmin(objective(q_f, n_f, p_f))
     q_b, n_b, p_b = int(q_f[best]), int(n_f[best]), float(p_f[best])
-    powers = tuple(required_power(q_b, n_b, h, sys) for h in sys.gains)
+    powers = assign_powers(q_b, n_b, sys)
     if not capacity_feasible(q_b, n_b, list(powers), sys):
         raise InfeasibleError("final power assignment failed the capacity re-check")
     sol = Solution(
@@ -479,7 +479,7 @@ def brute_force_solve(
     if best is None:
         raise InfeasibleError("no feasible tuple in the exhaustive scan")
     phi, q, p, n = best
-    powers = tuple(required_power(q, n, h, sys) for h in sys.gains)
+    powers = assign_powers(q, n, sys)
     eps_val = tight_epsilon_value(q, n, p, ctx.d, ctx.delta)
     return Solution(q=q, n=n, p=p, powers=powers, objective=phi, epsilon_achieved=eps_val)
 

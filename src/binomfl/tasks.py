@@ -16,12 +16,13 @@ import numpy as np
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    # 1/(1 + exp(-z)) for z >= 0 and exp(z)/(1 + exp(z)) below, in one
+    # pass: each element sees the same IEEE operations on the same values
+    # as on its own branch (a NaN keeps its sign), without masked gathers
+    # and scatters
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 class QuadraticBowlTask:
@@ -98,7 +99,8 @@ class LogisticRegressionTask:
         logits = self.X @ w
         # stable log(1 + exp(z)) - y*z
         ce = np.logaddexp(0.0, logits) - self.y * logits
-        return float(ce.mean()) + 0.5 * self.l2 * float(w @ w)
+        # ce.mean() without its wrapper chain: the same sum and division
+        return float(np.add.reduce(ce, axis=None) / ce.size) + 0.5 * self.l2 * float(w @ w)
 
     def device_gradients(self, w: np.ndarray, devices) -> np.ndarray:
         ks = np.asarray(devices)

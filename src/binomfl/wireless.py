@@ -95,8 +95,8 @@ def sample_gains(sampler: ChannelSampler, count: int) -> list[float]:
     mean_sq = sampler.g0 * (sampler.d0 / dist) ** 4
     h_sq = rng.exponential(mean_sq)
     if sampler.semantics == "amplitude":
-        return [float(v) for v in np.sqrt(h_sq)]
-    return [float(v) for v in h_sq]
+        return np.sqrt(h_sq).tolist()
+    return h_sq.tolist()
 
 
 def shannon_rate(power: float, gain: float, sys: SystemParams) -> float:
@@ -133,26 +133,44 @@ def required_power(q: int, n: int, gain: float, sys: SystemParams) -> float:
     by at most a few ulps where rounding would otherwise leave the capacity
     check failing by one bit of precision.
     """
+    return _powers(q, n, (gain,), sys)[0]
+
+
+def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
+    """:func:`required_power` of every device, in the order of ``sys.gains``.
+
+    The payload's power factor and bit size are computed once for all
+    devices.  Raises :class:`CapacityInfeasibleError` for the first device,
+    in gain order, that even p_max cannot serve.
+    """
+    return _powers(q, n, sys.gains, sys)
+
+
+def _powers(q: int, n: int, gains: tuple[float, ...], sys: SystemParams) -> tuple[float, ...]:
     if q + n < 4:
         raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
     try:
-        unclamped = sys.omega0 * ((q + n) ** (sys.d / (sys.T * sys.W)) - 1.0) / gain
+        factor = sys.omega0 * ((q + n) ** (sys.d / (sys.T * sys.W)) - 1.0)
     except OverflowError:
         raise CapacityInfeasibleError(
-            f"payload at (q={q}, n={n}) needs a power beyond float range on gain {gain:.6g}"
+            f"payload at (q={q}, n={n}) needs a power beyond float range on gain {gains[0]:.6g}"
         ) from None
-    if unclamped > sys.p_max:
-        raise CapacityInfeasibleError(
-            f"payload at (q={q}, n={n}) needs {unclamped:.6g} W on gain "
-            f"{gain:.6g}, above the {sys.p_max:.6g} W limit"
-        )
-    power = max(sys.p_min, unclamped)
     need = payload_bits_real(sys.d, q, n)
-    bump = 2.0**-50
-    while need > sys.T * shannon_rate(power, gain, sys) and power < sys.p_max and bump < 2.0**-20:
-        power = min(sys.p_max, max(sys.p_min, unclamped) * (1.0 + bump))
-        bump *= 4.0
-    return power
+    powers = []
+    for gain in gains:
+        unclamped = factor / gain
+        if unclamped > sys.p_max:
+            raise CapacityInfeasibleError(
+                f"payload at (q={q}, n={n}) needs {unclamped:.6g} W on gain "
+                f"{gain:.6g}, above the {sys.p_max:.6g} W limit"
+            )
+        power = max(sys.p_min, unclamped)
+        bump = 2.0**-50
+        while need > sys.T * shannon_rate(power, gain, sys) and power < sys.p_max and bump < 2.0**-20:
+            power = min(sys.p_max, max(sys.p_min, unclamped) * (1.0 + bump))
+            bump *= 4.0
+        powers.append(power)
+    return tuple(powers)
 
 
 def min_snr(sys: SystemParams) -> float:

@@ -6,6 +6,7 @@ of the closed forms, not with the code under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -267,6 +268,97 @@ class TestSTerms:
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
             assert s2_value(n, p, ctx.d, ctx.delta) > 1.0
+
+
+def _mp_sensitivity(q, d, delta):
+    ln2d = mpmath.log(2 / delta)
+    root = mpmath.sqrt(2 * mpmath.sqrt(d) * (q - 1) * ln2d)
+    d1 = mpmath.sqrt(d) * (q - 1) + root + mpmath.mpf(4) / 3 * ln2d
+    return d1, (q - 1) + mpmath.sqrt(d1 + root), q + 1
+
+
+def mp_tight(q, n, p, d, delta):
+    """Tight estimate from its printed closed form, in mpmath arithmetic."""
+    q, n, p, d, delta = (mpmath.mpf(v) for v in (q, n, p, d, delta))
+    d1, d2, dinf = _mp_sensitivity(q, d, delta)
+    alpha = -3 - 9 * mpmath.log(mpmath.mpf(2) / 3)
+    pq = p * (1 - p)
+    x = n * pq
+    psym = p**2 + (1 - p) ** 2
+    ln125, ln10, ln20d = mpmath.log(1.25 / delta), mpmath.log(10 / delta), mpmath.log(20 * d / delta)
+    om = 1 - delta / 10
+    s1 = (3 * p**2 - 3 * p + 1) / (n * (n + 1) * (n + 2) * pq**2) * (3 * n + 2 + 2 / pq)
+    s2 = (mpmath.sqrt(2 * x * ln20d) + 1 + mpmath.mpf(2) / 3 * max(p, 1 - p) * ln20d) ** 2
+    return (
+        d2 * mpmath.sqrt(2 * ln125) / mpmath.sqrt(x)
+        + alpha * d1 * (x + 1) * psym / (x**2 * om)
+        + d2 / mpmath.sqrt(om) * mpmath.sqrt(2 * s1 * ln10)
+        + mpmath.mpf(2) / 3 * alpha * s2 * psym * ln10 * dinf / x**2
+        + 2 * ln125 * dinf / x
+    )
+
+
+def mp_baseline(q, n, p, d, delta):
+    """Classical estimate from its printed closed form, in mpmath arithmetic."""
+    q, n, p, d, delta = (mpmath.mpf(v) for v in (q, n, p, d, delta))
+    d1, d2, dinf = _mp_sensitivity(q, d, delta)
+    x = n * p * (1 - p)
+    psym = p**2 + (1 - p) ** 2
+    cp = mpmath.sqrt(2) * (3 * p**3 + 3 * (1 - p) ** 3 + 2 * psym)
+    bp = mpmath.mpf(2) / 3 * psym + (1 - 2 * p)
+    dp_ = mpmath.mpf(4) / 3 * psym
+    ln125, ln10, ln20d = mpmath.log(1.25 / delta), mpmath.log(10 / delta), mpmath.log(20 * d / delta)
+    return (
+        d2 * mpmath.sqrt(2 * ln125) / mpmath.sqrt(x)
+        + (d2 * cp * mpmath.sqrt(ln10) + d1 * bp) / (x * (1 - delta / 10))
+        + (mpmath.mpf(2) / 3 * dinf * ln125 + dinf * dp_ * ln20d * ln10) / x
+    )
+
+
+class TestHighPrecisionReference:
+    """Both estimators against 50-digit evaluations at extreme inputs.
+
+    The grid is every combination of the listed d, delta, n, p and q (162
+    points), well outside the variance floor for many of them: the closed
+    forms are checked as functions, ungated.  The bound 2^-40 on the
+    relative error was fixed before the first run.
+    """
+
+    REL = 2.0**-40
+    GRID = [
+        (q, n, p, d, delta)
+        for d in (1, 47_710, 10**7)
+        for delta in (1e-15, 1e-2)
+        for n in (2, 65_534, 2**24)
+        for p in (0.5, 0.75, 0.999)
+        for q in (2, 946, 2**16)
+    ]
+
+    def test_reference_reproduces_golden_values(self):
+        # the transcription above agrees with the frozen golden numbers
+        with mpmath.workdps(50):
+            for point, tight, base in ((GOLDEN, GOLDEN_TIGHT, GOLDEN_BASELINE),
+                                       (GOLDEN2, GOLDEN2_TIGHT, GOLDEN2_BASELINE)):
+                args = (point["q"], point["n"], point["p"], point["d"], point["delta"])
+                assert abs(mp_tight(*args) / tight - 1) < 1e-15
+                assert abs(mp_baseline(*args) / base - 1) < 1e-15
+
+    def test_scalar_and_array_paths_within_bound(self):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for q, n, p, d, delta in self.GRID:
+                ref_tight = mp_tight(q, n, p, d, delta)
+                ref_base = mp_baseline(q, n, p, d, delta)
+                got = {
+                    "tight scalar": (tight_epsilon_value(q, n, p, d, delta), ref_tight),
+                    "tight array": (tight_epsilon_n_array(q, np.array([n]), p, d, delta)[0], ref_tight),
+                    "baseline scalar": (baseline_epsilon_value(q, n, p, d, delta), ref_base),
+                }
+                for path, (value, ref) in got.items():
+                    rel = float(abs(mpmath.mpf(float(value)) / ref - 1))
+                    assert rel <= self.REL, (path, q, n, p, d, delta, value, ref)
+                    worst = max(worst, rel)
+        assert worst > 0.0  # the grid does reach float rounding
 
 
 def test_baseline_uses_unscaled_middle_denominator():

@@ -4,17 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomfl.errors import CapacityInfeasibleError, EmptyDomainError
 from binomfl.wireless import (
     ChannelSampler,
     SystemParams,
+    assign_powers,
     capacity_base,
     capacity_feasible,
     dbm_to_watts,
     db_to_linear,
     domain_bound,
     min_snr,
+    payload_bits_real,
     required_power,
     sample_gains,
     shannon_rate,
@@ -133,6 +137,65 @@ class TestRequiredPower:
             except CapacityInfeasibleError:
                 continue
             assert capacity_feasible(q, n, [power], sys)
+
+
+def _ref_required_power(q, n, gain, sys):
+    # the per-device form every power assignment used to loop over
+    if q + n < 4:
+        raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
+    try:
+        unclamped = sys.omega0 * ((q + n) ** (sys.d / (sys.T * sys.W)) - 1.0) / gain
+    except OverflowError:
+        raise CapacityInfeasibleError(
+            f"payload at (q={q}, n={n}) needs a power beyond float range on gain {gain:.6g}"
+        ) from None
+    if unclamped > sys.p_max:
+        raise CapacityInfeasibleError(
+            f"payload at (q={q}, n={n}) needs {unclamped:.6g} W on gain "
+            f"{gain:.6g}, above the {sys.p_max:.6g} W limit"
+        )
+    power = max(sys.p_min, unclamped)
+    need = payload_bits_real(sys.d, q, n)
+    bump = 2.0**-50
+    while need > sys.T * shannon_rate(power, gain, sys) and power < sys.p_max and bump < 2.0**-20:
+        power = min(sys.p_max, max(sys.p_min, unclamped) * (1.0 + bump))
+        bump *= 4.0
+    return power
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (CapacityInfeasibleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAssignPowers:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        K=st.integers(1, 30), d=st.integers(1, 400), T=st.floats(0.2, 3.0), W=st.floats(0.5, 50.0),
+        omega0=st.floats(0.01, 2.0), p_min=st.floats(1e-9, 1.0), p_span=st.floats(1.0, 1e6),
+        q=st.integers(1, 300), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_device_loop(self, K, d, T, W, omega0, p_min, p_span, q, n, seed):
+        gains = tuple(np.random.default_rng(seed).uniform(0.01, 10.0, size=K).tolist())
+        sys = SystemParams(K=K, M=K, d=d, delta=0.5, T=T, W=W, omega0=omega0,
+                           p_min=p_min, p_max=p_min * p_span, gains=gains)
+
+        def loop():
+            return tuple(_ref_required_power(q, n, h, sys) for h in sys.gains)
+
+        # same powers bit for bit, or the same error for the first failing
+        # device in gain order
+        assert _outcome(lambda: assign_powers(q, n, sys)) == _outcome(loop)
+        assert _outcome(lambda: required_power(q, n, gains[-1], sys)) == \
+            _outcome(lambda: _ref_required_power(q, n, gains[-1], sys))
+
+    def test_overflow_names_the_first_gain(self):
+        sys = SystemParams(K=2, M=2, d=10**6, delta=0.5, T=1.0, W=1.0, omega0=1.0,
+                           p_min=1e-3, p_max=1.0, gains=(3.0, 0.5))
+        with pytest.raises(CapacityInfeasibleError, match="beyond float range on gain 3$"):
+            assign_powers(2, 2, sys)
 
 
 class TestDomainBound:
