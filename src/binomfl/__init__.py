@@ -11,7 +11,6 @@ from .errors import (
     EmptyDomainError,
     ErrorBoundUnavailableError,
     InfeasibleError,
-    MechanismMismatchError,
     NotApplicableError,
     PrivacyInfeasibleError,
 )
@@ -29,14 +28,12 @@ from .privacy import (
 )
 from .sim import (
     ConvergenceParams,
-    PrivatizedUpdate,
     SimTrace,
-    aggregate,
     comm_cost,
+    dequantize,
     iterations_estimate,
     measure_bias,
     privatize,
-    quantize_coord,
     run_fsgd,
     theoretical_bounds,
 )
@@ -44,9 +41,7 @@ from .solver import (
     SolverConfig,
     Solution,
     brute_force_solve,
-    eta_and_mu,
     lambda_for_rho,
-    min_n_for_privacy,
     n_from_constraints,
     objective,
     qbar,

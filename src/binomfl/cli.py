@@ -42,9 +42,9 @@ from .errors import (
     InfeasibleError,
     PrivacyInfeasibleError,
 )
-from .privacy import baseline_epsilon_value, tight_epsilon_value
-from .solver import Solution, objective, payload_caps, qbar, solve_with_stats
-from .wireless import assign_powers, watts_to_dbm
+from .privacy import baseline_epsilon_value
+from .solver import Solution, qbar, solve_with_stats, suboptimal_tuple
+from .wireless import watts_to_dbm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,9 +200,7 @@ def cmd_compare_eps(args) -> int:
             rows.append([eb, "infeasible", None, None])
             continue
         tight = sol.epsilon_achieved
-        # the classical form covers each reflection pair (p, 1-p) once, at
-        # the half with p <= 1/2
-        base = baseline_epsilon_value(sol.q, sol.n, min(sol.p, 1.0 - sol.p), ctx.d, ctx.delta)
+        base = baseline_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
         rows.append([eb, tight, base, base / tight])
     path = out / "compare_eps.csv"
     _write_csv(path, ["eps_bar", "epsilon_tight", "epsilon_baseline", "ratio"], rows)
@@ -230,33 +228,6 @@ def cmd_qbar(args) -> int:
     _write_csv(path, ["p_max_dbm", "qbar", "log10_qbar"], rows)
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _suboptimal_tuple(sol: Solution, system, scfg, ctx, factor: float) -> Solution | None:
-    """A deliberately worse feasible tuple with >= factor x the objective."""
-    # shrinking q inflates the objective ~quadratically and relaxes every
-    # constraint, so prefer it; fall back to inflating n within capacity
-    if sol.q >= 3:
-        q_bad = max(2, (sol.q - 1) // 2 + 1)
-        if objective(q_bad, sol.n, sol.p) >= factor * sol.objective:
-            powers = assign_powers(q_bad, sol.n, system)
-            return Solution(
-                q=q_bad, n=sol.n, p=sol.p, powers=powers,
-                objective=objective(q_bad, sol.n, sol.p),
-                epsilon_achieved=tight_epsilon_value(q_bad, sol.n, sol.p, ctx.d, ctx.delta),
-            )
-    _, cap_real = payload_caps(system, scfg.bit_cap)
-    n_bad = sol.n
-    while objective(sol.q, n_bad, sol.p) < factor * sol.objective:
-        n_bad *= 2
-        if n_bad > scfg.n_cap or not (n_bad <= cap_real - sol.q):
-            return None
-    powers = assign_powers(sol.q, n_bad, system)
-    return Solution(
-        q=sol.q, n=n_bad, p=sol.p, powers=powers,
-        objective=objective(sol.q, n_bad, sol.p),
-        epsilon_achieved=tight_epsilon_value(sol.q, n_bad, sol.p, ctx.d, ctx.delta),
-    )
 
 
 def _build_task(cfg: RunConfig):
@@ -311,7 +282,7 @@ def cmd_simulate(args) -> int:
     arms: dict[str, Solution | None] = {"baseline": None, "optimized": sol}
     sub = None
     if bool(s["compare_suboptimal"]):
-        sub = _suboptimal_tuple(sol, system, scfg, ctx, float(s["subopt_factor"]))
+        sub = suboptimal_tuple(sol, system, scfg, ctx, float(s["subopt_factor"]))
         if sub is not None:
             arms["suboptimal"] = sub
 

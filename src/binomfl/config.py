@@ -22,7 +22,7 @@ import yaml
 
 from .errors import ConfigError
 from .privacy import PrivacyContext
-from .solver import SolverConfig, eta_and_mu_values, lambda_for_rho
+from .solver import SolverConfig
 from .wireless import ChannelSampler, SystemParams, db_to_linear, dbm_to_watts, sample_gains
 
 SPEC_VERSION = 1
@@ -161,7 +161,7 @@ class RunConfig:
                 seed=int(seed),
                 semantics=str(ch["gain_semantics"]),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad channel section: {exc}") from exc
 
     def build_system(
@@ -174,15 +174,15 @@ class RunConfig:
         W: float | None = None,
     ) -> SystemParams:
         s = self.raw["system"]
-        K = int(K if K is not None else s["selected"])
-        M = int(M if M is not None else s["population"])
-        d = int(d if d is not None else s["dimension"])
-        gains = s["gains"]
-        if gains is None:
-            gains = sample_gains(self.channel_sampler(), K)
-        elif len(gains) != K:
-            raise ConfigError(f"system.gains has {len(gains)} entries, expected K={K}")
         try:
+            K = int(K if K is not None else s["selected"])
+            M = int(M if M is not None else s["population"])
+            d = int(d if d is not None else s["dimension"])
+            gains = s["gains"]
+            if gains is None:
+                gains = sample_gains(self.channel_sampler(), K)
+            elif len(gains) != K:
+                raise ConfigError(f"system.gains has {len(gains)} entries, expected K={K}")
             return SystemParams(
                 K=K, M=M, d=d,
                 delta=float(s["delta"]),
@@ -193,7 +193,7 @@ class RunConfig:
                 p_max=dbm_to_watts(float(p_max_dbm if p_max_dbm is not None else s["power_max_dbm"])),
                 gains=tuple(float(g) for g in gains),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad system section: {exc}") from exc
 
     def build_context(self, sys: SystemParams) -> PrivacyContext:
@@ -208,17 +208,12 @@ class RunConfig:
             n_cap = int(sv["n_cap"])
             bit_cap = sv["bit_cap"]
             bit_cap = None if bit_cap is None else int(bit_cap)
-            rho = sv["rho"]
-            if rho is not None:
-                _, mu = eta_and_mu_values(n_cap, ctx)
-                lam = lambda_for_rho(float(rho), mu)
-            else:
-                lam = float(sv["lambda_step"])
+            if sv["rho"] is not None:
+                return SolverConfig.for_target_error(eps, float(sv["rho"]), n_cap, ctx, bit_cap)
             return SolverConfig(
-                eps_bar=eps, lambda_step=lam, n_cap=n_cap,
-                rho=None if rho is None else float(rho), bit_cap=bit_cap,
+                eps_bar=eps, lambda_step=float(sv["lambda_step"]), n_cap=n_cap, bit_cap=bit_cap,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
 
     # sim ------------------------------------------------------------------

@@ -47,11 +47,6 @@ class ErrorBoundUnavailableError(BinomflError):
     relative-error factor can be quoted."""
 
 
-class MechanismMismatchError(BinomflError):
-    """Updates built with different mechanism parameters cannot be
-    aggregated together."""
-
-
 class DivergedError(BinomflError):
     """The training loss became non-finite."""
 

@@ -7,6 +7,11 @@ indices; the server averages the de-quantized values and takes a step.
 The quantizer is mean-preserving and the noise is mean-shifted, so the
 whole pipeline is unbiased.
 
+There is one wire path, on a (K, d) block with one row per device:
+``privatize`` builds the int64 payload, ``dequantize`` maps it back to
+values, and ``_privatized_mean`` averages those over the rows.  A payload
+costs ``payload.size * bits_per_coord(q, n)`` bits.
+
 Randomness: every routine takes an explicit ``numpy.random.Generator``;
 two runs with equal generators produce bit-identical traces.
 
@@ -28,11 +33,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergedError, MechanismMismatchError
+from .errors import DivergedError
 from .privacy import MechanismParams
 from .solver import Solution
 from .wireless import SystemParams
@@ -83,29 +87,6 @@ class ConvergenceParams:
         else:
             gamma = 1.0 / L
         return cls(L=L, G=G, G_f=G_f, theta=theta, capital_lambda=capital_lambda, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class PrivatizedUpdate:
-    """Integer payload of one device: quantizer index plus noise count."""
-
-    indices: np.ndarray
-    q: int
-    n: int
-    p: float
-    s: float
-    D: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1:
-            raise ValueError("indices must be a 1-d integer array")
-        if idx.size and (idx.min() < 0 or idx.max() > self.q - 1 + self.n):
-            raise ValueError(f"indices must lie in [0, {self.q - 1 + self.n}]")
-
-    @property
-    def bit_size(self) -> int:
-        return self.indices.size * bits_per_coord(self.q, self.n)
 
 
 @dataclass
@@ -196,64 +177,34 @@ def _quantize_positions(g: np.ndarray, D: float, q: int) -> tuple[np.ndarray, np
     return r, t - r
 
 
-def quantize_coord(g: float, mech: MechanismParams, rng: np.random.Generator) -> int:
-    """Stochastically round one capped value onto the q-level grid.
-
-    Returns the grid index in {0, ..., q-1}; the represented value is
-    -D + s*index and its expectation over the rounding equals g.
-    """
-    if not (-mech.D <= g <= mech.D):
-        raise ValueError(f"value {g} outside [-D, D] = [{-mech.D}, {mech.D}]; cap it first")
-    t = ((g + mech.D) / (2.0 * mech.D)) * (mech.q - 1)
-    r = min(math.floor(t), mech.q - 2)
-    return r + 1 if rng.random() < t - r else r
-
-
 def privatize(
-    gradient: Sequence[float] | np.ndarray,
+    grads: np.ndarray,
     mech: MechanismParams,
     rng: np.random.Generator,
-) -> PrivatizedUpdate:
-    """Quantize a capped gradient and add per-coordinate Binomial counts.
+    positions: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Integer wire payload of a (K, d) block of capped gradients.
 
-    The payload index j + z lies in [0, q-1+n] and the represented value
-    s*(j + z) - D - s*n*p has expectation equal to the input coordinate.
+    Every coordinate is rounded onto the q-level grid by a mean-preserving
+    coin flip (index j in {0, ..., q-1}) and gets Binomial(n, p) counts z;
+    the payload j + z lies in [0, q-1+n], so a block costs
+    ``payload.size * bits_per_coord(q, n)`` bits.  Coordinates must be
+    finite; any outside [-D, D] land on the end levels, so cap them first.
+    ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when the
+    caller already holds it for this block.
     """
-    g = np.asarray(gradient, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError("gradient must be a vector")
-    if g.size and (g.min() < -mech.D or g.max() > mech.D):
-        raise ValueError("gradient has coordinates outside [-D, D]; cap it first")
-    r, frac = _quantize_positions(g, mech.D, mech.q)
-    j = r + (rng.random(g.shape) < frac)
-    z = rng.binomial(mech.n, mech.p, size=g.shape)
-    return PrivatizedUpdate(
-        indices=(j + z).astype(np.int64),
-        q=mech.q, n=mech.n, p=mech.p, s=mech.s, D=mech.D,
-    )
+    r, frac = _quantize_positions(grads, mech.D, mech.q) if positions is None else positions
+    j = r + (rng.random(grads.shape) < frac)
+    z = rng.binomial(mech.n, mech.p, size=grads.shape)
+    return (j + z).astype(np.int64)
 
 
-def dequantize(update: PrivatizedUpdate) -> np.ndarray:
-    """Server-side reconstruction s*index - D - s*n*p of one payload."""
-    return update.s * update.indices - update.D - update.s * update.n * update.p
+def dequantize(payload: np.ndarray, mech: MechanismParams) -> np.ndarray:
+    """Server-side value s*(j + z) - D - s*n*p of every payload entry.
 
-
-def aggregate(updates: Sequence[PrivatizedUpdate], K: int) -> np.ndarray:
-    """Average the de-quantized payloads of K devices."""
-    if len(updates) != K:
-        raise ValueError(f"got {len(updates)} updates, expected K={K}")
-    first = updates[0]
-    for u in updates[1:]:
-        if (u.q, u.n, u.p, u.s, u.D, u.indices.size) != (
-            first.q, first.n, first.p, first.s, first.D, first.indices.size
-        ):
-            raise MechanismMismatchError(
-                "updates were built with different mechanism parameters"
-            )
-    total = np.zeros(first.indices.size, dtype=np.float64)
-    for u in updates:
-        total += dequantize(u)
-    return total / K
+    Its expectation over the rounding and the noise is the capped input.
+    """
+    return mech.s * payload - mech.D - mech.s * mech.n * mech.p
 
 
 def _cap_gradients(grads: np.ndarray, D: float, mode: str) -> np.ndarray:
@@ -278,16 +229,8 @@ def _privatized_mean(
     rng: np.random.Generator,
     positions: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Vectorized privatize + aggregate over a (K, d) gradient block.
-
-    ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when
-    the caller already holds it for this block.
-    """
-    r, frac = _quantize_positions(grads, mech.D, mech.q) if positions is None else positions
-    j = r + (rng.random(grads.shape) < frac)
-    z = rng.binomial(mech.n, mech.p, size=grads.shape)
-    values = mech.s * (j + z) - mech.D - mech.s * mech.n * mech.p
-    return _mean_rows(values)
+    """Server mean of a privatized (K, d) block: the payload, dequantized."""
+    return _mean_rows(dequantize(privatize(grads, mech, rng, positions), mech))
 
 
 def theoretical_bounds(

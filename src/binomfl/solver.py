@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     AllInfeasibleError,
+    ConfigError,
     ErrorBoundUnavailableError,
     InfeasibleError,
     PrivacyInfeasibleError,
@@ -52,6 +53,11 @@ from .wireless import (
     capacity_feasible,
     domain_bound,
 )
+
+
+# the search holds a few float arrays over every (q, p) cell at once; at
+# this many cells one solve peaks near 300 MiB
+MAX_GRID_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class SolverConfig:
             raise ValueError(f"n_cap must be >= 2, got {self.n_cap}")
         if self.rho is not None and self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.bit_cap is not None and self.bit_cap < 2:
-            raise ValueError(f"bit_cap must be >= 2, got {self.bit_cap}")
+        if self.bit_cap is not None and not (2 <= self.bit_cap <= 63):
+            raise ValueError(f"bit_cap must lie in [2, 63] (an int64 payload), got {self.bit_cap}")
 
     @classmethod
     def for_target_error(
@@ -201,34 +207,6 @@ def lockstep_min_n(
         doubling &= above & (2 * lo < n_cap)
 
 
-def min_n_for_privacy(
-    q: int,
-    p: float,
-    cfg: SolverConfig,
-    ctx: PrivacyContext,
-    epsilon_fn: Callable[[int], float] | None = None,
-) -> int:
-    """Smallest trial count whose budget estimate meets eps_bar at (q, p).
-
-    One cell of :func:`lockstep_min_n`.  ``epsilon_fn`` may replace the
-    default tight estimator (used by tests to inject synthetic budget
-    curves).  Raises :class:`PrivacyInfeasibleError` when even n_cap cannot
-    meet the budget.
-    """
-    if epsilon_fn is None:
-        def eps_fn(qs, ns, ps):
-            return tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta)
-    else:
-        def eps_fn(qs, ns, ps):
-            return np.array([epsilon_fn(int(n)) for n in np.atleast_1d(ns)])
-    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), eps_fn, cfg.eps_bar, cfg.n_cap)
-    if n1[0] == 0:
-        raise PrivacyInfeasibleError(
-            f"budget at (q={q}, p={p}) stays above {cfg.eps_bar} up to n_cap={cfg.n_cap}"
-        )
-    return int(n1[0])
-
-
 def n_from_constraints(q, p, n1, ctx: PrivacyContext):
     """Final trial count: the variance-floor ceiling joined with n1.
 
@@ -258,10 +236,6 @@ def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
     """
     eta = max(23.0 * math.log(10.0 * ctx.d / ctx.delta), 6.0) / (ctx.K * n_cap)
     return eta, mu_from_eta(eta)
-
-
-def eta_and_mu(cfg: SolverConfig, ctx: PrivacyContext) -> tuple[float, float]:
-    return eta_and_mu_values(cfg.n_cap, ctx)
 
 
 def lambda_for_rho(rho: float, mu: float) -> float:
@@ -306,7 +280,11 @@ def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:
     one_minus = 1.0 - ctx.delta / 10.0
     g1 = d2 * math.sqrt(2.0 * ln125) / math.sqrt(r)
     g2 = ALPHA * d1 * (r + 1.0) / (2.0 * one_minus * r * r)
-    g3 = d2 / math.sqrt(one_minus) * math.sqrt((r + 1.0) / r**3 * ln10)
+    # 2*s1 >= (r+1)/r^3 holds only for large r; (3r+2)/(2r(r+1/4)(r+1/2))
+    # holds for every r (1 - 3pq >= 1/4, pq <= 1/4), and the min keeps the
+    # first form, bit for bit, wherever it is the smaller
+    s1_twice = min((r + 1.0) / r**3, (3.0 * r + 2.0) / (2.0 * r * (r + 0.25) * (r + 0.5)))
+    g3 = d2 / math.sqrt(one_minus) * math.sqrt(s1_twice * ln10)
     g4 = (ALPHA / 3.0) * ln10 * dinf * (
         math.sqrt(2.0 * ln20d / r) + (3.0 + ln20d) / (3.0 * r)
     ) ** 2
@@ -353,15 +331,31 @@ def payload_caps(sys: SystemParams, bit_cap: int | None) -> tuple[int, float]:
     return q_max, cap_real
 
 
+def _solution(q: int, n: int, p: float, sys: SystemParams, ctx: PrivacyContext) -> Solution:
+    """The tuple (q, n, p) with its powers, objective and tight budget."""
+    return Solution(
+        q=q, n=n, p=p, powers=assign_powers(q, n, sys),
+        objective=objective(q, n, p),
+        epsilon_achieved=tight_epsilon_value(q, n, p, ctx.d, ctx.delta),
+    )
+
+
 def solve_with_stats(
     sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext
 ) -> tuple[Solution, SolveStats]:
     """Grid search over (q, p) cells; see :func:`solve`."""
     q_max, cap_real = payload_caps(sys, cfg.bit_cap)
     q_hi = min(qbar(sys, cfg, ctx), q_max)
+    cells = (q_hi - 1) * (0.5 / cfg.lambda_step)
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"the (q, p) search grid has about {cells:.3g} cells, above the "
+            f"{MAX_GRID_CELLS} one solve may hold; set solver.bit_cap, or a "
+            "coarser lambda_step or rho"
+        )
     grid = p_grid(cfg.lambda_step)
     try:
-        eta, mu = eta_and_mu(cfg, ctx)
+        eta, mu = eta_and_mu_values(cfg.n_cap, ctx)
     except ErrorBoundUnavailableError:
         eta = mu = None
 
@@ -397,15 +391,9 @@ def solve_with_stats(
     # cells run q-major over the ascending p grid and hold one n each, so the
     # first minimum is the (objective, q, p, n) tie-break
     best = np.argmin(objective(q_f, n_f, p_f))
-    q_b, n_b, p_b = int(q_f[best]), int(n_f[best]), float(p_f[best])
-    powers = assign_powers(q_b, n_b, sys)
-    if not capacity_feasible(q_b, n_b, list(powers), sys):
+    sol = _solution(int(q_f[best]), int(n_f[best]), float(p_f[best]), sys, ctx)
+    if not capacity_feasible(sol.q, sol.n, list(sol.powers), sys):
         raise InfeasibleError("final power assignment failed the capacity re-check")
-    sol = Solution(
-        q=q_b, n=n_b, p=p_b, powers=powers,
-        objective=objective(q_b, n_b, p_b),
-        epsilon_achieved=tight_epsilon_value(q_b, n_b, p_b, ctx.d, ctx.delta),
-    )
     return sol, stats
 
 
@@ -419,6 +407,25 @@ def solve(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution
     """
     sol, _ = solve_with_stats(sys, cfg, ctx)
     return sol
+
+
+def suboptimal_tuple(
+    sol: Solution, sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext, factor: float
+) -> Solution | None:
+    """A deliberately worse feasible tuple with >= factor x the objective."""
+    # shrinking q inflates the objective ~quadratically and relaxes every
+    # constraint, so prefer it; fall back to inflating n within capacity
+    if sol.q >= 3:
+        q_bad = max(2, (sol.q - 1) // 2 + 1)
+        if objective(q_bad, sol.n, sol.p) >= factor * sol.objective:
+            return _solution(q_bad, sol.n, sol.p, sys, ctx)
+    _, cap_real = payload_caps(sys, cfg.bit_cap)
+    n_bad = sol.n
+    while objective(sol.q, n_bad, sol.p) < factor * sol.objective:
+        n_bad *= 2
+        if n_bad > cfg.n_cap or not (n_bad <= cap_real - sol.q):
+            return None
+    return _solution(sol.q, n_bad, sol.p, sys, ctx)
 
 
 def brute_force_solve(

@@ -192,10 +192,11 @@ def domain_bound(sys: SystemParams) -> int:
     Exact floor of the real-valued ceiling, minus 2; no epsilon fudge.
     Raises :class:`ConfigError` when the ceiling overflows the float range,
     as it does when T*W/d is large (the built-in sim dimension with the
-    full-scale channel) or the power cap is infinite.
+    full-scale channel) or the power cap is infinite.  Beyond 1e100 counts
+    as overflow: the budget envelope cubes the ceiling.
     """
     base = capacity_base(sys)
-    if math.isinf(base):
+    if not base <= 1e100:
         raise ConfigError(
             "capacity ceiling on q + n overflows the float range; "
             "check the T, W, d units"

@@ -20,6 +20,7 @@ from binomfl.privacy import (
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
+    tight_epsilon_n_array,
     tight_epsilon_value,
 )
 from binomfl.sim import (
@@ -37,7 +38,7 @@ from binomfl.solver import (
     check_solution,
     eta_and_mu_values,
     lambda_for_rho,
-    min_n_for_privacy,
+    lockstep_min_n,
     objective,
     qbar,
     qbar_envelope,
@@ -116,18 +117,17 @@ def test_criterion_03_binary_search_equals_linear_scan():
             lo = tight_epsilon_value(q, n_cap, p, d, delta)
             hi = tight_epsilon_value(q, 2, p, d, delta)
             eps_bar = math.exp(rng.uniform(math.log(lo * 0.8), math.log(hi * 1.2)))
-            cfg = SolverConfig(eps_bar=eps_bar, lambda_step=0.1, n_cap=n_cap)
-            ctx = PrivacyContext(d=d, delta=delta, K=1)
-            expected = None
+            expected = 0  # lockstep_min_n's mark for "n_cap misses the budget"
             for n in range(2, n_cap + 1):
                 if tight_epsilon_value(q, n, p, d, delta) <= eps_bar:
                     expected = n
                     break
-            if expected is None:
-                with pytest.raises(PrivacyInfeasibleError):
-                    min_n_for_privacy(q, p, cfg, ctx)
-            else:
-                assert min_n_for_privacy(q, p, cfg, ctx) == expected
+            n1, _ = lockstep_min_n(
+                np.array([q]), np.array([p]),
+                lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, d, delta),
+                eps_bar, n_cap,
+            )
+            assert n1[0] == expected
 
 
 def _random_small_instance(rng):

@@ -1,12 +1,18 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomfl.cli import (
     EXIT_ALL_INFEASIBLE,
@@ -16,7 +22,8 @@ from binomfl.cli import (
     EXIT_PRIVACY_INFEASIBLE,
     main,
 )
-from binomfl.solver import objective
+from binomfl.config import DEFAULTS, RunConfig
+from binomfl.solver import Solution, check_solution, objective
 
 SMALL_CONFIG = """\
 seed: 7
@@ -268,6 +275,21 @@ class TestExitCodes:
         key = line.split(":")[0]
         self.assert_config_error(tmp_path, SMALL_CONFIG.replace(line, f"{key}: {value}"))
 
+    @pytest.mark.parametrize("line, value", [
+        ("  selected: 12\n", "  selected: null\n"),
+        ("  dimension: 40\n", "  dimension: abc\n"),
+        ("  bit_cap: null\n", "  bit_cap: 1100\n"),
+        ("    reference_gain_db: 20.0\n", "    reference_gain_db: 1100\n"),
+        ("    distance_max_m: 2.0\n", "    distance_max_m: .inf\n"),
+        # no bit cap and a wide channel, or a fine pitch: a grid too big to hold
+        ("  power_max_dbm: 30.0\n", "  power_max_dbm: 60.0\n"),
+        ("  lambda_step: 0.02\n", "  lambda_step: 1.0e-9\n"),
+        ("  lambda_step: 0.02\n", "  lambda_step: 5.0e-324\n"),
+    ])
+    def test_malformed_or_oversized_system_and_solver(self, line, value, tmp_path):
+        assert line in SMALL_CONFIG
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace(line, value, 1))
+
     def test_nan_channel_gain(self, tmp_path):
         gains = ", ".join([".nan"] + ["1.0"] * 11)
         self.assert_config_error(tmp_path, SMALL_CONFIG.replace(
@@ -296,3 +318,78 @@ class TestExitCodes:
             main(["--help"])
         out = capsys.readouterr().out
         assert "Exit codes" in out and "privacy" in out
+
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8}
+JUNK_VALUES = [None, "abc", True, [1.0], {"k": 1}, -1, 0, 1100, 1e6, -1e6, 1e-300,
+               math.nan, math.inf, -math.inf]
+
+
+def _leaf_paths(tree, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+# every key solve reads: the seed, the system and the solver sections
+FUZZ_PATHS = [p for p in _leaf_paths(DEFAULTS) if p[0] in ("seed", "system", "solver")]
+
+
+def get_in(tree, path):
+    for key in path:
+        tree = tree.get(key) if isinstance(tree, dict) else None
+    return tree
+
+
+@st.composite
+def config_mutation(draw):
+    path = draw(st.sampled_from(FUZZ_PATHS + [("system", "unknown_key")]))
+    section = yaml.safe_load(DESK_CONFIG.read_text())
+    for key in path[:-1]:
+        section = section.get(key, {})
+    base = section.get(path[-1], get_in(DEFAULTS, path))
+    options = [st.sampled_from(JUNK_VALUES)]
+    if isinstance(base, (int, float)) and not isinstance(base, bool):
+        cast = int if isinstance(base, int) else float
+        options.append(st.floats(0.25, 4.0).map(lambda f: cast(base * f)))
+    if path[-1] == "gains":
+        options.append(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=14))
+    return path, draw(st.one_of(options))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(mutations=st.lists(config_mutation(), min_size=1, max_size=3))
+    def test_solve_never_crashes_or_breaks_the_cap(self, mutations, tmp_path_factory):
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        for path, value in mutations:
+            node = raw
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+        work = tmp_path_factory.mktemp("fuzz")
+        cfg_path = work / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            # any exception other than a mapped signal escapes main here
+            code = main(["solve", "--config", str(cfg_path), "--out", str(work / "o")])
+        assert code in DOCUMENTED_EXITS, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            assert err.getvalue().startswith("error: ")
+            return
+        report = json.loads((work / "o" / "solution.json").read_text())
+        run = RunConfig.from_yaml(cfg_path)
+        system = run.build_system()
+        ctx = run.build_context(system)
+        scfg = run.build_solver(ctx)
+        sol = Solution(
+            q=report["q"], n=report["n"], p=report["p"], powers=tuple(report["powers_w"]),
+            objective=report["objective"], epsilon_achieved=report["epsilon_achieved"],
+        )
+        assert check_solution(sol, system, scfg, ctx) == []
+        assert math.isfinite(sol.epsilon_achieved) and sol.epsilon_achieved <= scfg.eps_bar

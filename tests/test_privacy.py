@@ -9,6 +9,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binomfl.errors import NotApplicableError
 from binomfl.privacy import (
@@ -38,9 +40,10 @@ GOLDEN_TIGHT_TERMS = (
     4.4955832639347200425,
     0.45408192346200520695,
 )
-# second point, chosen close to the crossover so the ordering is stressed
+# second point, chosen close to the crossover so the ordering is stressed;
+# the classical form is evaluated at the reflected p = 1 - 0.7
 GOLDEN2 = dict(q=5, n=300, p=0.7, d=100, delta=1e-6, K=50)
-GOLDEN2_BASELINE = 39.631323934962470259
+GOLDEN2_BASELINE = 40.817531243392050057
 GOLDEN2_TIGHT = 39.133276861495438629
 
 
@@ -159,6 +162,29 @@ class TestBaseline:
         with pytest.raises(NotApplicableError):
             epsilon_baseline(mech, ctx)
 
+    def test_reflected_above_half(self):
+        # unreflected, the (1-2p) term made this certified budget -231,421
+        mech, ctx = mech_ctx(946, 2, 0.75, 10**7, 1e-2, 10**4)
+        mirrored, _ = mech_ctx(946, 2, 0.25, 10**7, 1e-2, 10**4)
+        assert dp_variance_feasible(mech, ctx)
+        base = epsilon_baseline(mech, ctx)
+        assert base > 0.0
+        assert base == epsilon_baseline(mirrored, ctx)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.integers(2, 2**16),
+        log_n=st.floats(math.log(2.0), math.log(2.0**24)),
+        p=st.floats(1e-3, 1.0 - 1e-3),
+        log_d=st.floats(0.0, math.log(1e9)),
+        log_delta=st.floats(-15.0, -0.1),
+    )
+    def test_positive_and_symmetric_in_p(self, q, log_n, p, log_d, log_delta):
+        n, d, delta = int(math.exp(log_n)), int(math.exp(log_d)), 10.0**log_delta
+        base = baseline_epsilon_value(q, n, p, d, delta)
+        assert base > 0.0
+        assert baseline_epsilon_value(q, n, 1.0 - p, d, delta) == pytest.approx(base, rel=1e-12)
+
 
 class TestTight:
     def test_golden_value_and_terms(self):
@@ -185,6 +211,36 @@ class TestTight:
             tight = epsilon_tight(mech, ctx)
             base = epsilon_baseline(mech, ctx)
             assert tight <= base * (1.0 + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log_q=st.floats(math.log(2.0), math.log(2.0**24)),
+        log_d=st.floats(0.0, math.log(1e9)),
+        log_delta=st.floats(-15.0, -0.05),
+        p=st.floats(1e-4, 0.5),
+        log_excess=st.floats(0.0, math.log(1e4)),
+    )
+    def test_below_baseline_where_per_device_variance_clears_floor(
+        self, log_q, log_d, log_delta, p, log_excess
+    ):
+        # the region the epsilon_tight docstring states: n*p*(1-p) alone
+        # clears the variance floor
+        q, d, delta = int(math.exp(log_q)), int(math.exp(log_d)), 10.0**log_delta
+        x = dp_variance_threshold(q, d, delta) * math.exp(log_excess)
+        n = math.ceil(x / (p * (1.0 - p)))
+        assert tight_epsilon_value(q, n, p, d, delta) < baseline_epsilon_value(q, n, p, d, delta)
+
+    def test_can_exceed_baseline_at_small_per_device_variance(self):
+        # with K = 1000 the floor admits n*p*(1-p) = 16, where the tight
+        # form is the larger one
+        mech, ctx = mech_ctx(946, 64, 0.5, 10**7, 1e-2, 1000)
+        assert dp_variance_feasible(mech, ctx)
+        tight, base = epsilon_tight(mech, ctx), epsilon_baseline(mech, ctx)
+        assert tight == pytest.approx(75_140.49250026426, rel=1e-12)
+        assert base == pytest.approx(72_261.75322085415, rel=1e-12)
+        with mpmath.workdps(50):
+            assert tight == pytest.approx(float(mp_tight(946, 64, 0.5, 10**7, 1e-2)), rel=1e-12)
+            assert base == pytest.approx(float(mp_baseline(946, 64, 0.5, 10**7, 1e-2)), rel=1e-12)
 
     def test_symmetric_in_p(self, rng):
         for mech, ctx in sample_feasible(rng, 40):
@@ -299,8 +355,10 @@ def mp_tight(q, n, p, d, delta):
 
 
 def mp_baseline(q, n, p, d, delta):
-    """Classical estimate from its printed closed form, in mpmath arithmetic."""
+    """Classical estimate from its printed closed form, in mpmath arithmetic,
+    at the reflected p <= 1/2 the form is valid for."""
     q, n, p, d, delta = (mpmath.mpf(v) for v in (q, n, p, d, delta))
+    p = min(p, 1 - p)
     d1, d2, dinf = _mp_sensitivity(q, d, delta)
     x = n * p * (1 - p)
     psym = p**2 + (1 - p) ** 2

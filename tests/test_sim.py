@@ -1,24 +1,23 @@
-"""Quantizer, mechanism, aggregation, bounds, and the training loop."""
+"""Quantizer, wire payload, server mean, bounds, and the training loop."""
 
 import math
 
 import numpy as np
 import pytest
 
-from binomfl.errors import DivergedError, MechanismMismatchError
+from binomfl.errors import DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import (
     ConvergenceParams,
-    PrivatizedUpdate,
     SimTrace,
-    aggregate,
+    _mean_rows,
+    _privatized_mean,
     bits_per_coord,
     comm_cost,
     dequantize,
     iterations_estimate,
     measure_bias,
     privatize,
-    quantize_coord,
     run_fsgd,
     theoretical_bounds,
 )
@@ -55,41 +54,47 @@ class _NoiselessBinomial:
         return self._rng.choice(*args, **kwargs)
 
 
-class TestQuantizeCoord:
-    def test_endpoints_deterministic(self, rng):
-        mech = MechanismParams(q=3, n=4, p=0.5, D=1.0)
-        for _ in range(200):
-            assert quantize_coord(-1.0, mech, rng) == 0
-            assert quantize_coord(1.0, mech, rng) == 2
+def quantizer_index(g, mech, seed=0):
+    """Grid index of every entry of the block g: the payload minus its noise,
+    with the noise frozen at its mean n*p."""
+    noiseless = _NoiselessBinomial(mech.n, mech.p, seed)
+    return privatize(np.asarray(g, dtype=np.float64), mech, noiseless) - noiseless._mean
 
-    def test_grid_value_never_moves(self, rng):
+
+class TestQuantizeCoord:
+    def test_endpoints_deterministic(self):
+        mech = MechanismParams(q=3, n=4, p=0.5, D=1.0)
+        idx = quantizer_index(np.tile([-1.0, 1.0], (200, 1)), mech)
+        assert np.array_equal(idx, np.tile([0, 2], (200, 1)))
+
+    def test_grid_value_never_moves(self):
         # g exactly on level 1 of the 3-level grid over [-1, 1]
         mech = MechanismParams(q=3, n=4, p=0.5, D=1.0)
-        assert all(quantize_coord(0.0, mech, rng) == 1 for _ in range(500))
+        assert np.all(quantizer_index(np.zeros((500, 1)), mech) == 1)
 
-    def test_quarter_point_distribution(self, rng):
+    def test_quarter_point_distribution(self):
         # g = 0.25 sits a quarter of the way from level 1 to level 2
         mech = MechanismParams(q=3, n=4, p=0.5, D=1.0)
-        draws = np.array([quantize_coord(0.25, mech, rng) for _ in range(100_000)])
+        draws = quantizer_index(np.full((1, 100_000), 0.25), mech)
         assert set(np.unique(draws)) <= {1, 2}
         values = -1.0 + mech.s * draws
         # mean of the represented value must be g; var = s^2 * 0.25 * 0.75
         stderr = math.sqrt(0.25 * 0.75 * mech.s**2 / draws.size)
         assert abs(values.mean() - 0.25) <= 5.0 * stderr
 
-    def test_rejects_uncapped_input(self, rng):
-        mech = MechanismParams(q=3, n=4, p=0.5, D=1.0)
-        with pytest.raises(ValueError):
-            quantize_coord(1.5, mech, rng)
+    def test_uncapped_input_lands_on_end_levels(self):
+        mech = MechanismParams(q=5, n=4, p=0.5, D=1.0)
+        idx = quantizer_index(np.tile([-7.0, -1.5, 1.5, 7.0], (50, 1)), mech)
+        assert np.array_equal(idx, np.tile([0, 0, 4, 4], (50, 1)))
 
     def test_unbiased_across_random_setups(self, rng):
         # spot unbiasedness over random (g, D, q) at moderate draw counts
-        for _ in range(30):
+        for seed in range(30):
             q = int(rng.integers(2, 17))
             D = float(rng.uniform(0.1, 5.0))
             g = float(rng.uniform(-D, D))
             mech = MechanismParams(q=q, n=4, p=0.5, D=D)
-            idx = np.array([quantize_coord(g, mech, rng) for _ in range(4000)])
+            idx = quantizer_index(np.full((4000, 1), g), mech, seed)
             values = -D + mech.s * idx
             stderr = math.sqrt(mech.s**2 / 4.0 / idx.size)
             assert abs(values.mean() - g) <= 5.0 * stderr
@@ -98,19 +103,17 @@ class TestQuantizeCoord:
 class TestPrivatize:
     def test_payload_range_and_bits(self, rng):
         mech = MechanismParams(q=5, n=12, p=0.5, D=1.0)
-        g = rng.uniform(-1, 1, size=64)
-        upd = privatize(g, mech, rng)
-        assert upd.indices.min() >= 0 and upd.indices.max() <= 5 - 1 + 12
-        assert upd.bit_size == 64 * math.ceil(math.log2(5 + 12))
+        g = rng.uniform(-1, 1, size=(3, 64))
+        payload = privatize(g, mech, rng)
+        assert payload.dtype == np.int64 and payload.shape == (3, 64)
+        assert payload.min() >= 0 and payload.max() <= 5 - 1 + 12
+        assert payload.size * bits_per_coord(5, 12) == 3 * 64 * math.ceil(math.log2(5 + 12))
 
     def test_dequantized_mean_matches_input(self, rng):
         mech = MechanismParams(q=9, n=32, p=0.3, D=2.0)
         g = rng.uniform(-2, 2, size=50)
-        acc = np.zeros(50)
         trials = 3000
-        for _ in range(trials):
-            acc += dequantize(privatize(g, mech, rng))
-        est = acc / trials
+        est = dequantize(privatize(np.tile(g, (trials, 1)), mech, rng), mech).mean(axis=0)
         per_coord_var = mech.s**2 * (0.25 + 32 * 0.3 * 0.7)
         stderr = math.sqrt(per_coord_var / trials)
         assert np.max(np.abs(est - g)) <= 5.0 * stderr * math.sqrt(math.log(50))
@@ -128,23 +131,14 @@ class TestAggregate:
         # its mean make the whole pipeline exact
         mech = MechanismParams(q=5, n=4, p=0.5, D=1.0)
         g = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        rng = _NoiselessBinomial(4, 0.5)
-        upd = privatize(g, mech, rng)
-        out = aggregate([upd], K=1)
+        out = _privatized_mean(g[None, :], mech, _NoiselessBinomial(4, 0.5))
         assert np.array_equal(out, g)
 
     def test_identical_updates_average_to_one(self, rng):
         mech = MechanismParams(q=5, n=4, p=0.5, D=1.0)
-        g = rng.uniform(-1, 1, size=16)
-        upd = privatize(g, mech, rng)
-        out = aggregate([upd] * 7, K=7)
-        np.testing.assert_allclose(out, dequantize(upd), rtol=1e-12)
-
-    def test_mismatched_parameters_rejected(self, rng):
-        a = privatize(np.zeros(4), MechanismParams(q=5, n=4, p=0.5, D=1.0), rng)
-        b = privatize(np.zeros(4), MechanismParams(q=5, n=6, p=0.5, D=1.0), rng)
-        with pytest.raises(MechanismMismatchError):
-            aggregate([a, b], K=2)
+        payload = privatize(rng.uniform(-1, 1, size=(1, 16)), mech, rng)
+        out = _mean_rows(dequantize(np.repeat(payload, 7, axis=0), mech))
+        np.testing.assert_allclose(out, dequantize(payload, mech)[0], rtol=1e-12)
 
     def test_empirical_mean_matches_clean_average(self, rng):
         mech = MechanismParams(q=7, n=16, p=0.5, D=1.0)
@@ -153,7 +147,7 @@ class TestAggregate:
         acc = np.zeros(8)
         trials = 10_000
         for _ in range(trials):
-            acc += aggregate([privatize(g, mech, rng) for g in grads], K=4)
+            acc += _privatized_mean(grads, mech, rng)
         est = acc / trials
         per_coord_var = mech.s**2 * (0.25 + 16 * 0.25) / 4
         stderr = math.sqrt(per_coord_var / trials)
@@ -330,12 +324,6 @@ class TestConvergenceParams:
             ConvergenceParams(L=0.0, G=1.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
         with pytest.raises(ValueError):
             ConvergenceParams(L=1.0, G=1.0, G_f=1.0, theta=1.5, capital_lambda=0.5, gamma=0.1)
-
-
-class TestPrivatizedUpdateType:
-    def test_index_range_enforced(self):
-        with pytest.raises(ValueError):
-            PrivatizedUpdate(indices=np.array([99]), q=3, n=4, p=0.5, s=1.0, D=1.0)
 
 
 class TestRescaleModes:

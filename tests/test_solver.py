@@ -23,10 +23,9 @@ from binomfl.solver import (
     SolverConfig,
     brute_force_solve,
     check_solution,
-    eta_and_mu,
+    eta_and_mu_values,
     lambda_for_rho,
     lockstep_min_n,
-    min_n_for_privacy,
     mu_from_eta,
     n_from_constraints,
     objective,
@@ -51,6 +50,22 @@ def linear_scan_min_n(q, p, eps_bar, d, delta, n_hi):
         if tight_epsilon_value(q, n, p, d, delta) <= eps_bar:
             return n
     return None
+
+
+def single_cell_min_n(q, p, eps_bar, n_cap, eps_fn):
+    """Trial count of the one cell (q, p) from lockstep_min_n; 0 when even
+    n_cap misses the budget."""
+    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), eps_fn, eps_bar, n_cap)
+    return int(n1[0])
+
+
+def tight_eps_fn(d, delta):
+    return lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, d, delta)
+
+
+def curve_eps_fn(curve):
+    """Budget kernel of a synthetic curve in n alone, flat over the cells."""
+    return lambda qs, ns, ps: np.ravel(curve(ns + 0.0 * qs + 0.0 * ps))
 
 
 def scalar_search(eps, eps_bar, n_cap):
@@ -110,25 +125,31 @@ class TestObjective:
 
 
 class TestMinNForPrivacy:
+    """The smallest trial count meeting the budget, one cell of the search."""
+
     def test_synthetic_hyperbola(self):
-        cfg = small_cfg(eps_bar=4.0, n_cap=4096)
-        ctx = PrivacyContext(d=1, delta=0.5, K=1)
-        n1 = min_n_for_privacy(2, 0.5, cfg, ctx, epsilon_fn=lambda n: 100.0 / n)
-        assert n1 == 25
+        assert single_cell_min_n(2, 0.5, 4.0, 4096, curve_eps_fn(lambda n: 100.0 / n)) == 25
 
     def test_already_feasible_at_two(self):
-        cfg = small_cfg(eps_bar=4.0, n_cap=4096)
-        ctx = PrivacyContext(d=1, delta=0.5, K=1)
-        assert min_n_for_privacy(2, 0.5, cfg, ctx, epsilon_fn=lambda n: 1.0) == 2
+        n1, evals = lockstep_min_n(
+            np.array([2]), np.array([0.5]), curve_eps_fn(lambda n: 1.0 + 0.0 * n), 4.0, 4096
+        )
+        assert (int(n1[0]), int(evals[0])) == (2, 1)
 
     def test_unreachable_budget_signals(self):
-        cfg = small_cfg(eps_bar=0.001, n_cap=512)
-        ctx = PrivacyContext(d=1, delta=0.5, K=1)
+        n1, evals = lockstep_min_n(
+            np.array([2]), np.array([0.5]), curve_eps_fn(lambda n: 100.0 / n), 0.001, 512
+        )
+        assert (int(n1[0]), int(evals[0])) == (0, 2)
+        # every cell unreachable: the solve raises instead of returning
+        system = make_system(K=30, d=10, delta=1e-2, base_target=2000.0)
+        ctx = make_context(system)
+        eps_bar = 0.9 * tight_epsilon_value(2, 8, 0.5, ctx.d, ctx.delta)
+        assert qbar_envelope(2, system, ctx) <= eps_bar
         with pytest.raises(PrivacyInfeasibleError):
-            min_n_for_privacy(2, 0.5, cfg, ctx, epsilon_fn=lambda n: 100.0 / n)
+            solve_with_stats(system, small_cfg(eps_bar=eps_bar, lam=0.1, n_cap=8), ctx)
 
     def test_matches_linear_scan(self, rng):
-        cfg = small_cfg(eps_bar=1.0, n_cap=4096)
         for _ in range(40):
             q = int(rng.integers(2, 64))
             p = float(rng.uniform(0.05, 0.95))
@@ -137,14 +158,9 @@ class TestMinNForPrivacy:
             lo = tight_epsilon_value(q, 4096, p, d, delta)
             hi = tight_epsilon_value(q, 2, p, d, delta)
             eps_bar = math.exp(rng.uniform(math.log(lo * 0.8), math.log(hi * 1.2)))
-            cfg = small_cfg(eps_bar=eps_bar, n_cap=4096)
-            ctx = PrivacyContext(d=d, delta=delta, K=1)
             expected = linear_scan_min_n(q, p, eps_bar, d, delta, 4096)
-            if expected is None:
-                with pytest.raises(PrivacyInfeasibleError):
-                    min_n_for_privacy(q, p, cfg, ctx)
-            else:
-                assert min_n_for_privacy(q, p, cfg, ctx) == expected
+            got = single_cell_min_n(q, p, eps_bar, 4096, tight_eps_fn(d, delta))
+            assert got == (0 if expected is None else expected)
 
     def test_minimality_invariant(self, rng):
         for _ in range(25):
@@ -153,9 +169,7 @@ class TestMinNForPrivacy:
             d = int(rng.integers(1, 500))
             delta = 10.0 ** rng.uniform(-6, -1)
             eps_bar = tight_epsilon_value(q, int(rng.integers(3, 2000)), p, d, delta)
-            cfg = small_cfg(eps_bar=eps_bar, n_cap=4096)
-            ctx = PrivacyContext(d=d, delta=delta, K=1)
-            n1 = min_n_for_privacy(q, p, cfg, ctx)
+            n1 = single_cell_min_n(q, p, eps_bar, 4096, tight_eps_fn(d, delta))
             assert tight_epsilon_value(q, n1, p, d, delta) <= eps_bar
             if n1 > 2:
                 assert tight_epsilon_value(q, n1 - 1, p, d, delta) > eps_bar
@@ -316,6 +330,28 @@ class TestQbar:
             if qb < domain_bound(system):
                 assert qbar_envelope(qb + 1, system, ctx) > cfg.eps_bar
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base_target=st.floats(4.1, 40.0),
+        d=st.integers(1, 5000),
+        log_delta=st.floats(-12.0, -0.5),
+        ps=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=8),
+    )
+    def test_envelope_below_budget_at_small_capacity(self, base_target, d, log_delta, ps):
+        # every (n, p) the channel admits at q has n*p*(1-p) <= r = (cap - q)/4,
+        # so the envelope must stay at or under the budget of each of them,
+        # down to r of about 1/2
+        system = make_system(K=5, d=d, delta=10.0**log_delta, base_target=base_target)
+        ctx = make_context(system)
+        cap = capacity_base(system)
+        q = np.arange(2, domain_bound(system) + 1)[:, None, None]
+        n = np.arange(2, math.floor(cap) + 1)[None, :, None]
+        p = np.array([0.5, *ps])[None, None, :]
+        eps = tight_epsilon_n_array(q, n, p, ctx.d, ctx.delta).reshape(q.size, n.size, p.size)
+        env = np.array([qbar_envelope(int(qq), system, ctx) for qq in q.ravel()])
+        admitted = np.broadcast_to(n <= cap - q, eps.shape)
+        assert np.all(env[:, None, None] <= np.where(admitted, eps, np.inf))
+
     def test_monotone_in_p_max(self):
         ctx = PrivacyContext(d=20, delta=1e-4, K=10)
         cfg = small_cfg(eps_bar=40.0)
@@ -347,7 +383,7 @@ class TestErrorMachinery:
     def test_eta_above_quarter_signals(self):
         ctx = PrivacyContext(d=1000, delta=1e-8, K=1)
         with pytest.raises(ErrorBoundUnavailableError):
-            eta_and_mu(small_cfg(n_cap=2), ctx)
+            eta_and_mu_values(2, ctx)
 
     def test_lambda_strictly_below_target(self, rng):
         for _ in range(30):
@@ -465,6 +501,25 @@ class TestBruteForce:
         assert (sol.q, sol.n, sol.p) == (2, 2, 0.5)
         assert solve(system, cfg, ctx).objective == sol.objective
 
+    def test_small_capacity_optimum_not_ruled_out(self):
+        # at r < 2 the envelope once assumed a variance-shape bound that does
+        # not hold there, rejected q = 2 and made this instance exit as
+        # infeasible although (2, 4, 1/2) meets the budget
+        d, delta, K = 3, 0.0019122037425300508, 424
+        system = SystemParams(
+            K=K, M=K, d=d, delta=delta, T=1.0, W=3.8811279482728738, omega0=1.0,
+            p_min=1e-3, p_max=1.0, gains=(3.0,) * K,
+        )
+        ctx = make_context(system)
+        cfg = SolverConfig(eps_bar=540.06, lambda_step=0.01, n_cap=64)
+        oracle = brute_force_solve(system, cfg, ctx)
+        sol = solve(system, cfg, ctx)
+        assert (oracle.q, oracle.n, oracle.p) == (2, 4, 0.5)
+        assert (sol.q, sol.n, sol.p) == (2, 4, 0.5)
+        assert sol.objective == oracle.objective
+        assert sol.epsilon_achieved == pytest.approx(539.38, abs=0.01)
+        assert check_solution(sol, system, cfg, ctx) == []
+
     def test_exact_agreement_on_dyadic_grid(self):
         # coarse pitch 1/32, fine factor 2: every coarse point is exactly
         # representable on the fine grid
@@ -482,7 +537,7 @@ class TestBruteForce:
     def test_guarantee_on_one_instance(self):
         system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
         ctx = make_context(system)
-        eta, mu = eta_and_mu(small_cfg(n_cap=64), ctx)
+        eta, mu = eta_and_mu_values(64, ctx)
         assert eta < 0.25
         lam = lambda_for_rho(0.1, mu)
         cfg = SolverConfig(eps_bar=40.0, lambda_step=lam, n_cap=64, rho=0.1)
