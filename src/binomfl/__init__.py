@@ -18,13 +18,9 @@ from .privacy import (
     ALPHA,
     MechanismParams,
     PrivacyContext,
-    SensitivityBounds,
     dp_variance_feasible,
     epsilon_baseline,
     epsilon_tight,
-    epsilon_tight_terms,
-    s1_term,
-    sensitivity_bounds,
 )
 from .sim import (
     ConvergenceParams,
@@ -54,7 +50,6 @@ from .wireless import (
     assign_powers,
     capacity_feasible,
     domain_bound,
-    required_power,
     sample_gains,
     shannon_rate,
 )

@@ -31,6 +31,7 @@ from .config import (
     SPEC_VERSION,
     RunConfig,
     child_seed,
+    rng_for,
 )
 from .errors import (
     AllInfeasibleError,
@@ -156,6 +157,10 @@ def _solve_row(cfg: RunConfig, **overrides):
         return None
 
 
+# sweep axis -> the override keyword of RunConfig.build_system or build_solver
+SWEEP_AXES = {"eps_bar": "eps_bar", "p_max": "p_max_dbm", "W": "W", "T": "T", "K": "K"}
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
@@ -164,18 +169,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must be ascending")
     rows = []
     for v in values:
-        if args.axis == "eps_bar":
-            sol = _solve_row(cfg, eps_bar=v)
-        elif args.axis == "p_max":
-            sol = _solve_row(cfg, p_max_dbm=v)
-        elif args.axis == "W":
-            sol = _solve_row(cfg, W=v)
-        elif args.axis == "T":
-            sol = _solve_row(cfg, T=v)
-        elif args.axis == "K":
-            sol = _solve_row(cfg, K=int(v))
-        else:
-            raise ConfigError(f"unknown sweep axis {args.axis!r}")
+        sol = _solve_row(cfg, **{SWEEP_AXES[args.axis]: v})
         if sol is None:
             rows.append([v, "infeasible", None, None, None, None])
         else:
@@ -230,18 +224,16 @@ def cmd_qbar(args) -> int:
     return EXIT_OK
 
 
-def _build_task(cfg: RunConfig):
-    s = cfg.sim_section()
+def _build_task(s: dict, seed: int):
     kind = str(s["task"])
-    data_seed = child_seed(cfg.seed, ROLE_SIM)
+    data_seed = child_seed(seed, ROLE_SIM)
     if kind == "logistic":
         return tasksmod.LogisticRegressionTask(
-            d=int(s["dimension"]), M=int(s["population"]),
-            samples_per_device=int(s["samples_per_device"]),
-            seed=data_seed, l2=float(s["l2"]),
+            d=s["dimension"], M=s["population"], samples_per_device=s["samples_per_device"],
+            seed=data_seed, l2=s["l2"],
         )
     if kind == "quadratic":
-        return tasksmod.QuadraticBowlTask(d=int(s["dimension"]), M=int(s["population"]), seed=data_seed)
+        return tasksmod.QuadraticBowlTask(d=s["dimension"], M=s["population"], seed=data_seed)
     raise ConfigError(f"unknown task {kind!r}; expected 'logistic' or 'quadratic'")
 
 
@@ -249,30 +241,24 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     s = cfg.sim_section()
-    task = _build_task(cfg)
-    system = cfg.build_system(K=int(s["selected"]), M=int(s["population"]), d=int(s["dimension"]))
+    task = _build_task(s, cfg.seed)
+    system = cfg.build_system(K=s["selected"], M=s["population"], d=s["dimension"])
     ctx = cfg.build_context(system)
     scfg = cfg.build_solver(ctx, eps_bar=s["eps_bar"])
     sol, _ = solve_with_stats(system, scfg, ctx)
-    rounds = int(s["rounds"])
+    rounds = s["rounds"]
 
-    conv_probe = simmod.ConvergenceParams.auto(
-        L=task.smoothness(), G=task.grad_bound(), G_f=max(task.loss(task.initial_point()), 1e-9),
-        theta=float(s["theta"]), capital_lambda=float(s["confidence"]),
-        sigma_sq=1.0, rounds=rounds,
-    )
-    bounds = simmod.theoretical_bounds(system, sol, conv_probe)
+    bounds = simmod.theoretical_bounds(system, sol, task.grad_bound())
     sigma_sq = bounds.u_hi_iid + bounds.b_hi
     conv = simmod.ConvergenceParams.auto(
-        L=task.smoothness(), G=task.grad_bound(), G_f=conv_probe.G_f,
-        theta=conv_probe.theta, capital_lambda=conv_probe.capital_lambda,
+        L=task.smoothness(), G_f=max(task.loss(task.initial_point()), 1e-9),
+        theta=s["theta"], capital_lambda=s["confidence"],
         sigma_sq=sigma_sq, rounds=rounds,
     )
     iters = simmod.iterations_estimate(conv, sigma_sq)
     bias = simmod.measure_bias(
-        task, sol, trials=int(s["bias_trials"]),
-        rng=np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ROLE_BIAS,))),
-        rescale=str(s["rescale"]),
+        task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS),
+        rescale=s["rescale"],
     )
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 
@@ -282,7 +268,7 @@ def cmd_simulate(args) -> int:
     arms: dict[str, Solution | None] = {"baseline": None, "optimized": sol}
     sub = None
     if bool(s["compare_suboptimal"]):
-        sub = suboptimal_tuple(sol, system, scfg, ctx, float(s["subopt_factor"]))
+        sub = suboptimal_tuple(sol, system, scfg, ctx, s["subopt_factor"])
         if sub is not None:
             arms["suboptimal"] = sub
 
@@ -290,7 +276,7 @@ def cmd_simulate(args) -> int:
     for index, (name, arm_sol) in enumerate(arms.items()):
         trace = simmod.run_fsgd(
             task, system, arm_sol, rounds, arm_rng(index),
-            gamma=conv.gamma, rescale=str(s["rescale"]),
+            gamma=conv.gamma, rescale=s["rescale"],
         )
         trace.to_csv(out / f"trace_{name}.csv")
         traces[name] = trace
@@ -354,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-solve along one parameter axis")
     common(p)
-    p.add_argument("--axis", required=True, choices=["eps_bar", "p_max", "W", "T", "K"])
+    p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p.add_argument("--values", required=True, help="ascending comma-separated values "
                    "(p_max in dBm, W in Hz, T in s)")
     p.set_defaults(func=cmd_sweep)
@@ -381,12 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BinomflError as exc:
-        for klass, code in _EXIT_BY_ERROR:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=_sys.stderr)
-                return code
         print(f"error: {exc}", file=_sys.stderr)
-        return 1
+        return next((code for klass, code in _EXIT_BY_ERROR if isinstance(exc, klass)), 1)
 
 
 if __name__ == "__main__":

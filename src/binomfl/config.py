@@ -83,6 +83,18 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+# sim counts and their smallest valid value: run_fsgd needs a round, and
+# measure_bias two trials for a standard error
+SIM_COUNTS = {"dimension": 1, "population": 1, "selected": 1,
+              "samples_per_device": 1, "rounds": 1, "bias_trials": 2}
+SIM_REALS = {
+    "l2": ("[0, inf)", lambda v: v >= 0.0),
+    "theta": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
+    "confidence": ("(0, 1)", lambda v: 0.0 < v < 1.0),
+    "subopt_factor": ("(0, inf)", lambda v: v > 0.0),
+}
+
+
 def rng_for(seed: int, role: int) -> np.random.Generator:
     """Component generator under the documented splitting rule."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role,)))
@@ -114,10 +126,10 @@ class RunConfig:
     raw: dict = field(default_factory=lambda: dict(DEFAULTS))
 
     def __post_init__(self):
-        validate_seed("seed", self.raw["seed"])
+        validate_integer("seed", self.raw["seed"], 0)
         channel_seed = self.raw["system"]["channel"]["seed"]
         if channel_seed is not None:
-            validate_seed("system.channel.seed", channel_seed)
+            validate_integer("system.channel.seed", channel_seed, 0)
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -175,9 +187,9 @@ class RunConfig:
     ) -> SystemParams:
         s = self.raw["system"]
         try:
-            K = int(K if K is not None else s["selected"])
-            M = int(M if M is not None else s["population"])
-            d = int(d if d is not None else s["dimension"])
+            K = validate_integer("system.selected", K if K is not None else s["selected"])
+            M = validate_integer("system.population", M if M is not None else s["population"])
+            d = validate_integer("system.dimension", d if d is not None else s["dimension"])
             gains = s["gains"]
             if gains is None:
                 gains = sample_gains(self.channel_sampler(), K)
@@ -204,10 +216,10 @@ class RunConfig:
     def build_solver(self, ctx: PrivacyContext, eps_bar: float | None = None) -> SolverConfig:
         sv = self.raw["solver"]
         try:
-            eps = validate_positive("eps_bar", eps_bar if eps_bar is not None else sv["eps_bar"])
-            n_cap = int(sv["n_cap"])
+            eps = validate_real("eps_bar", eps_bar if eps_bar is not None else sv["eps_bar"])
+            n_cap = validate_integer("solver.n_cap", sv["n_cap"])
             bit_cap = sv["bit_cap"]
-            bit_cap = None if bit_cap is None else int(bit_cap)
+            bit_cap = None if bit_cap is None else validate_integer("solver.bit_cap", bit_cap)
             if sv["rho"] is not None:
                 return SolverConfig.for_target_error(eps, float(sv["rho"]), n_cap, ctx, bit_cap)
             return SolverConfig(
@@ -219,27 +231,39 @@ class RunConfig:
     # sim ------------------------------------------------------------------
 
     def sim_section(self) -> dict:
-        return self.raw["sim"]
+        """The sim section, checked: counts as ints, reals as floats in range."""
+        s = dict(self.raw["sim"])
+        for key, minimum in SIM_COUNTS.items():
+            s[key] = validate_integer(f"sim.{key}", s[key], minimum)
+        for key, (interval, ok) in SIM_REALS.items():
+            s[key] = validate_real(f"sim.{key}", s[key], interval, ok)
+        if s["rescale"] not in ("clip", "scale"):
+            raise ConfigError(f"sim.rescale must be 'clip' or 'scale', got {s['rescale']!r}")
+        return s
 
     def output_dir(self) -> str:
         return str(self.raw["output"]["dir"])
 
 
-def validate_positive(name: str, value) -> float:
+def validate_real(name: str, value, interval: str = "(0, inf)", ok=lambda v: v > 0.0) -> float:
     """``value`` as a float; raises :class:`ConfigError` unless it is a
-    positive finite number."""
+    finite number, not a boolean, for which ``ok`` holds."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(number) or number <= 0:
-        raise ConfigError(f"{name} must be a positive finite number, got {number}")
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and ok(number)):
+        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
     return number
 
 
-def validate_seed(name: str, value) -> int:
-    """``value`` as an int; raises :class:`ConfigError` unless it is a
-    non-negative integer (SeedSequence entropy)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+def validate_integer(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int; raises :class:`ConfigError` unless it is an
+    integer, or an integral float such as 12.0, of at least ``minimum``.
+
+    Booleans are rejected although Python counts them as integers.
+    """
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

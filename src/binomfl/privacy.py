@@ -8,6 +8,8 @@ n*p*(1-p) is not small (see :func:`epsilon_tight` for where it is not).
 Both are certified only while the aggregate noise variance K*n*p*(1-p)
 clears a dimension-dependent floor; below that floor they raise
 :class:`NotApplicableError` instead of returning a number.
+``tight_epsilon_lower`` is the tight estimator's lower bound over every
+(n, p) with n*p*(1-p) <= x: the same five terms at the worst noise shape.
 
 All logarithms here are natural logs (``math.log``).  Channel-capacity math
 elsewhere in the package uses ``math.log2``; the two must never be mixed.
@@ -79,15 +81,6 @@ class MechanismParams:
         object.__setattr__(self, "s", 2.0 * self.D / (self.q - 1))
 
 
-@dataclass(frozen=True)
-class SensitivityBounds:
-    """L1/L2/Linf sensitivity of the quantized, noise-shifted sum."""
-
-    delta_1: float
-    delta_2: float
-    delta_inf: float
-
-
 def _sqrt(x):
     # math.sqrt keeps scalar arguments plain Python floats; both round
     # correctly, so scalar and array evaluations agree bit for bit
@@ -100,6 +93,12 @@ def _max(a, b):
     return max(a, b)
 
 
+def _min(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
 def _sensitivity_triple(q, d: int, delta: float):
     # 2D/s == q - 1 exactly, so the bounds depend on (q, d, delta) only.
     ln2d = math.log(2.0 / delta)
@@ -107,12 +106,6 @@ def _sensitivity_triple(q, d: int, delta: float):
     d1 = math.sqrt(d) * (q - 1) + root + (4.0 / 3.0) * ln2d
     d2 = (q - 1) + _sqrt(d1 + root)
     return d1, d2, q + 1.0
-
-
-def sensitivity_bounds(mech: MechanismParams, ctx: PrivacyContext) -> SensitivityBounds:
-    """Sensitivity bounds of the mechanism output between neighboring inputs."""
-    d1, d2, dinf = _sensitivity_triple(mech.q, ctx.d, ctx.delta)
-    return SensitivityBounds(delta_1=d1, delta_2=d2, delta_inf=dinf)
 
 
 def dp_variance_threshold(q, d: int, delta: float):
@@ -168,18 +161,6 @@ def baseline_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> fl
     )
 
 
-def s1_term(n: int, p: float) -> float:
-    """Variance-shape factor of the tight estimator's third summand.
-
-    Symmetric under p <-> 1-p and strictly decreasing in n.
-    """
-    if n < 2:
-        raise ValueError(f"trial count n must be >= 2, got {n}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"probability p must lie in (0, 1), got {p}")
-    return _s1(n, p)
-
-
 def _s1(n, p):
     # squares are written as products: numpy squares arrays by multiplying,
     # while a Python float's ** 2 goes through libm pow, which can differ
@@ -190,40 +171,53 @@ def _s1(n, p):
     )
 
 
-def s2_value(n, p, d: int, delta: float):
-    """Squared tail radius of the noise counts; always > 1."""
-    return _s2(n * (p * (1.0 - p)), p, math.log(20.0 * d / delta))
-
-
-def _s2(x, p, ln20d: float):
+def _s2(x, pmax, ln20d: float):
     # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
     # array operation fewer
-    radius = _sqrt(x * (2.0 * ln20d)) + 1.0 + (2.0 / 3.0) * _max(p, 1.0 - p) * ln20d
+    radius = _sqrt(x * (2.0 * ln20d)) + 1.0 + (2.0 / 3.0) * pmax * ln20d
     return radius * radius
 
 
-def tight_epsilon_terms_value(q, n, p, d: int, delta: float):
-    """The five summands of the tight estimate, ungated, exposed for testing.
-
-    The one implementation of the tight estimator: q, n and p may each be a
-    scalar or an array, and arrays broadcast against each other.  Scalars
-    stay Python floats throughout, so a scalar call returns plain floats.
-    """
+def _tight_terms(q, x, psym, pmax, s1, d: int, delta: float):
+    # the five summands from the noise shape: x = n*p*(1-p),
+    # psym = p^2 + (1-p)^2, pmax = max(p, 1-p) and the variance factor s1
     d1, d2, dinf = _sensitivity_triple(q, d, delta)
-    pq = p * (1.0 - p)
-    x = n * pq
     xx = x * x
-    psym = p * p + (1.0 - p) * (1.0 - p)
     ln125 = math.log(1.25 / delta)
     ln10 = math.log(10.0 / delta)
     ln20d = math.log(20.0 * d / delta)
     one_minus = 1.0 - delta / 10.0
     t1 = d2 * math.sqrt(2.0 * ln125) / _sqrt(x)
     t2 = ALPHA * d1 * (x + 1.0) * psym / (xx * one_minus)
-    t3 = d2 / math.sqrt(one_minus) * _sqrt(_s1(n, p) * (2.0 * ln10))
-    t4 = (2.0 / 3.0) * ALPHA * _s2(x, p, ln20d) * psym * ln10 * dinf / xx
+    t3 = d2 / math.sqrt(one_minus) * _sqrt(s1 * (2.0 * ln10))
+    t4 = (2.0 / 3.0) * ALPHA * _s2(x, pmax, ln20d) * psym * ln10 * dinf / xx
     t5 = 2.0 * ln125 * dinf / x
     return t1, t2, t3, t4, t5
+
+
+def tight_epsilon_terms_value(q, n, p, d: int, delta: float):
+    """The five summands of the tight estimate, ungated.
+
+    The one implementation of the tight estimator: q, n and p may each be a
+    scalar or an array, and arrays broadcast against each other.  Scalars
+    stay Python floats throughout, so a scalar call returns plain floats.
+    """
+    x = n * (p * (1.0 - p))
+    psym = p * p + (1.0 - p) * (1.0 - p)
+    return _tight_terms(q, x, psym, _max(p, 1.0 - p), _s1(n, p), d, delta)
+
+
+def tight_epsilon_lower(q, x, d: int, delta: float):
+    """Lower bound on each tight summand over every (n, p) with n*p*(1-p) <= x.
+
+    The five terms at the worst noise shape, psym = pmax = 1/2, with s1
+    bounded below by min((x+1)/(2x^3), (3x+2)/(4x(x+1/4)(x+1/2))); the
+    first form holds for large x only, the second everywhere (1 - 3p(1-p)
+    >= 1/4 and p(1-p) <= 1/4).  Every term is non-increasing in x and
+    non-decreasing in q.  q and x broadcast like the kernel's arguments.
+    """
+    s1 = _min((x + 1.0) / (2.0 * x**3), (3.0 * x + 2.0) / (4.0 * x * (x + 0.25) * (x + 0.5)))
+    return _tight_terms(q, x, 0.5, 0.5, s1, d, delta)
 
 
 def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
@@ -250,14 +244,6 @@ def epsilon_tight(mech: MechanismParams, ctx: PrivacyContext) -> float:
     """
     _require_applicable(mech, ctx)
     return tight_epsilon_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
-
-
-def epsilon_tight_terms(
-    mech: MechanismParams, ctx: PrivacyContext
-) -> tuple[float, float, float, float, float]:
-    """Certified tight budget split into its five (all positive) summands."""
-    _require_applicable(mech, ctx)
-    return tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
 
 
 def tight_epsilon_n_array(q, n, p, d: int, delta: float) -> np.ndarray:

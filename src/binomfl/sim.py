@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergedError
+from .errors import ConfigError, DivergedError
 from .privacy import MechanismParams
 from .solver import Solution
 from .wireless import SystemParams
@@ -49,20 +49,19 @@ FLOAT32_BITS = 32
 class ConvergenceParams:
     """Smoothness/accuracy constants controlling step size and round counts.
 
-    L: smoothness constant, G: per-coordinate gradient bound, G_f: initial
-    optimality gap, theta: target squared-gradient accuracy, capital_lambda:
-    allowed failure probability of reaching it, gamma: learning rate.
+    L: smoothness constant, G_f: initial optimality gap, theta: target
+    squared-gradient accuracy, capital_lambda: allowed failure probability
+    of reaching it, gamma: learning rate.
     """
 
     L: float
-    G: float
     G_f: float
     theta: float
     capital_lambda: float
     gamma: float
 
     def __post_init__(self):
-        for name in ("L", "G", "G_f", "gamma"):
+        for name in ("L", "G_f", "gamma"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if not (0.0 < self.theta <= 1.0):
@@ -74,7 +73,6 @@ class ConvergenceParams:
     def auto(
         cls,
         L: float,
-        G: float,
         G_f: float,
         theta: float,
         capital_lambda: float,
@@ -86,7 +84,7 @@ class ConvergenceParams:
             gamma = min(1.0 / L, math.sqrt(2.0 * G_f) / (math.sqrt(sigma_sq) * math.sqrt(L * rounds)))
         else:
             gamma = 1.0 / L
-        return cls(L=L, G=G, G_f=G_f, theta=theta, capital_lambda=capital_lambda, gamma=gamma)
+        return cls(L=L, G_f=G_f, theta=theta, capital_lambda=capital_lambda, gamma=gamma)
 
 
 @dataclass
@@ -233,11 +231,10 @@ def _privatized_mean(
     return _mean_rows(dequantize(privatize(grads, mech, rng, positions), mech))
 
 
-def theoretical_bounds(
-    sys: SystemParams, sol: Solution, conv: ConvergenceParams
-) -> TheoreticalBounds:
-    """Closed-form bounds on the gradient-sampling variance and the bias."""
-    d, G, K, M = sys.d, conv.G, sys.K, sys.M
+def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> TheoreticalBounds:
+    """Closed-form bounds on the gradient-sampling variance and the bias,
+    for the per-coordinate gradient bound G."""
+    d, K, M = sys.d, sys.K, sys.M
     x = sol.n * sol.p * (1.0 - sol.p)
     denom = K * (sol.q - 1) ** 2
     return TheoreticalBounds(
@@ -290,7 +287,6 @@ def run_fsgd(
     rounds: int,
     rng: np.random.Generator,
     gamma: float | None = None,
-    conv: ConvergenceParams | None = None,
     rescale: str = "clip",
 ) -> SimTrace:
     """Federated SGD loop; privatized when ``sol`` is given, plain otherwise.
@@ -306,10 +302,7 @@ def run_fsgd(
     if task.d != sys.d:
         raise ValueError(f"task dimension {task.d} != system dimension {sys.d}")
     if gamma is None:
-        if conv is not None:
-            gamma = conv.gamma
-        else:
-            gamma = 1.0 / task.smoothness()
+        gamma = 1.0 / task.smoothness()
     mech = None
     if sol is not None:
         mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
@@ -349,6 +342,11 @@ def iterations_estimate(conv: ConvergenceParams, sigma_sq: float) -> IterationsE
     sigma = math.sqrt(sigma_sq)
     lg = conv.L * conv.G_f
     tl = conv.theta * conv.capital_lambda
-    exact = ((lg * sigma + math.sqrt(lg * lg * sigma_sq + tl * lg * lg)) / tl) ** 2
-    order = 1.0 / tl + sigma_sq / tl**2
+    try:
+        exact = ((lg * sigma + math.sqrt(lg * lg * sigma_sq + tl * lg * lg)) / tl) ** 2
+        order = 1.0 / tl + sigma_sq / tl**2
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(
+            f"theta * capital_lambda = {tl:.3g} is so small that the round count overflows"
+        ) from None
     return IterationsEstimate(exact=exact, order_form=order)

@@ -14,10 +14,11 @@ once per axis value and only the terms that mix the axes run on every
 cell; each later step is one call on the cells still searching.  The
 variance-floor ceiling, the trial-count, capacity and bit caps broadcast
 over the same axes, and the tie-break is an argmin over the cells in
-q-major order.  The q range is pre-pruned by a monotone lower envelope of
-the budget, and p is restricted to [1/2, 1) because every constraint and
-the objective are symmetric around 1/2.  ``payload_caps`` is the one place
-that turns the channel and the bit cap into limits on q and on q + n.
+q-major order.  The q range is pre-pruned by the q-bar envelope,
+``privacy.tight_epsilon_lower`` at x = (cap - q)/4, and p is restricted to
+[1/2, 1) because every constraint and the objective are symmetric around
+1/2.  ``payload_caps`` is the one place that turns the channel and the bit
+cap into limits on q and on q + n.
 
 ``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
 p grid and every single n, sharing nothing with the search logic above.
@@ -39,10 +40,9 @@ from .errors import (
     PrivacyInfeasibleError,
 )
 from .privacy import (
-    ALPHA,
     PrivacyContext,
-    _sensitivity_triple,
     dp_variance_threshold,
+    tight_epsilon_lower,
     tight_epsilon_n_array,
     tight_epsilon_value,
 )
@@ -264,32 +264,17 @@ def p_grid(lambda_step: float) -> list[float]:
 
 
 def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:
-    """Monotone-in-q lower envelope of the budget over all feasible (n, p).
+    """Lower bound of the budget at q over every (n, p) the channel admits.
 
-    Built from the worst-case noise variance the channel allows at this q;
-    wherever the envelope already exceeds eps_bar, no (n, p, P_k) can be
-    feasible.
+    Any admitted n has n <= cap - q, so n*p*(1-p) <= (cap - q)/4, and the
+    bound is :func:`tight_epsilon_lower` there; wherever it already exceeds
+    eps_bar, no (n, p, P_k) can be feasible.  Non-decreasing in q.
     """
     r = 0.25 * (capacity_base(sys) - q)
     if r <= 0.0:
         return math.inf
-    d1, d2, dinf = _sensitivity_triple(q, ctx.d, ctx.delta)
-    ln125 = math.log(1.25 / ctx.delta)
-    ln10 = math.log(10.0 / ctx.delta)
-    ln20d = math.log(20.0 * ctx.d / ctx.delta)
-    one_minus = 1.0 - ctx.delta / 10.0
-    g1 = d2 * math.sqrt(2.0 * ln125) / math.sqrt(r)
-    g2 = ALPHA * d1 * (r + 1.0) / (2.0 * one_minus * r * r)
-    # 2*s1 >= (r+1)/r^3 holds only for large r; (3r+2)/(2r(r+1/4)(r+1/2))
-    # holds for every r (1 - 3pq >= 1/4, pq <= 1/4), and the min keeps the
-    # first form, bit for bit, wherever it is the smaller
-    s1_twice = min((r + 1.0) / r**3, (3.0 * r + 2.0) / (2.0 * r * (r + 0.25) * (r + 0.5)))
-    g3 = d2 / math.sqrt(one_minus) * math.sqrt(s1_twice * ln10)
-    g4 = (ALPHA / 3.0) * ln10 * dinf * (
-        math.sqrt(2.0 * ln20d / r) + (3.0 + ln20d) / (3.0 * r)
-    ) ** 2
-    g5 = 2.0 * ln125 * dinf / r
-    return g1 + g2 + g3 + g4 + g5
+    t1, t2, t3, t4, t5 = tight_epsilon_lower(q, r, ctx.d, ctx.delta)
+    return t1 + t2 + t3 + t4 + t5
 
 
 def qbar(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> int:

@@ -125,39 +125,26 @@ def capacity_feasible(q: int, n: int, powers: list[float], sys: SystemParams) ->
     )
 
 
-def required_power(q: int, n: int, gain: float, sys: SystemParams) -> float:
-    """Smallest admissible power at which a device carries the (q, n) payload.
+def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
+    """Smallest admissible power at which each device, in the order of
+    ``sys.gains``, carries the (q, n) payload.
 
-    Clamps to [p_min, p_max]; raises :class:`CapacityInfeasibleError` when
-    even p_max cannot carry the payload.  The returned power is nudged up
-    by at most a few ulps where rounding would otherwise leave the capacity
+    Clamps to [p_min, p_max]; raises :class:`CapacityInfeasibleError` for
+    the first device that even p_max cannot serve.  A power is nudged up by
+    at most a few ulps where rounding would otherwise leave the capacity
     check failing by one bit of precision.
     """
-    return _powers(q, n, (gain,), sys)[0]
-
-
-def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
-    """:func:`required_power` of every device, in the order of ``sys.gains``.
-
-    The payload's power factor and bit size are computed once for all
-    devices.  Raises :class:`CapacityInfeasibleError` for the first device,
-    in gain order, that even p_max cannot serve.
-    """
-    return _powers(q, n, sys.gains, sys)
-
-
-def _powers(q: int, n: int, gains: tuple[float, ...], sys: SystemParams) -> tuple[float, ...]:
     if q + n < 4:
         raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
     try:
         factor = sys.omega0 * ((q + n) ** (sys.d / (sys.T * sys.W)) - 1.0)
     except OverflowError:
         raise CapacityInfeasibleError(
-            f"payload at (q={q}, n={n}) needs a power beyond float range on gain {gains[0]:.6g}"
+            f"payload at (q={q}, n={n}) needs a power beyond float range on gain {sys.gains[0]:.6g}"
         ) from None
     need = payload_bits_real(sys.d, q, n)
     powers = []
-    for gain in gains:
+    for gain in sys.gains:
         unclamped = factor / gain
         if unclamped > sys.p_max:
             raise CapacityInfeasibleError(

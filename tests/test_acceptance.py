@@ -45,7 +45,7 @@ from binomfl.solver import (
     solve,
 )
 from binomfl.tasks import FixedGradientTask, LogisticRegressionTask
-from binomfl.wireless import SystemParams, domain_bound, required_power
+from binomfl.wireless import SystemParams, assign_powers, domain_bound
 
 from conftest import make_context, make_system
 
@@ -268,9 +268,7 @@ def test_criterion_07_bias_sandwich():
             system = SystemParams(K=K, M=2 * K, d=d, delta=1e-5, T=1.0, W=1e4,
                                   omega0=1.0, p_min=1e-6, p_max=10.0,
                                   gains=(2.0,) * K)
-            conv = ConvergenceParams(L=1.0, G=G, G_f=1.0, theta=0.5,
-                                     capital_lambda=0.5, gamma=0.1)
-            bounds = theoretical_bounds(system, sol, conv)
+            bounds = theoretical_bounds(system, sol, G)
             est = measure_bias(task, sol, trials, rng)
             assert bounds.b_lo - 4.0 * est.stderr <= est.mean <= bounds.b_hi + 4.0 * est.stderr
             x = n * p * (1.0 - p)
@@ -297,20 +295,17 @@ def test_criterion_08_convergence_analogue():
         q_bad = max(2, (sol.q - 1) // 2 + 1)
         bad = Solution(
             q=q_bad, n=sol.n, p=sol.p,
-            powers=tuple(required_power(q_bad, sol.n, h, system) for h in system.gains),
+            powers=assign_powers(q_bad, sol.n, system),
             objective=objective(q_bad, sol.n, sol.p),
             epsilon_achieved=tight_epsilon_value(q_bad, sol.n, sol.p, ctx.d, ctx.delta),
         )
         assert bad.objective >= 4.0 * sol.objective
         assert bad.epsilon_achieved <= cfg.eps_bar  # still feasible
-        conv_g = ConvergenceParams(L=task.smoothness(), G=task.grad_bound(),
-                                   G_f=task.loss(task.initial_point()),
-                                   theta=0.1, capital_lambda=0.1, gamma=1.0)
-        bounds = theoretical_bounds(system, sol, conv_g)
+        bounds = theoretical_bounds(system, sol, task.grad_bound())
         sigma_sq = bounds.u_hi_iid + bounds.b_hi
         gamma = ConvergenceParams.auto(
-            L=conv_g.L, G=conv_g.G, G_f=conv_g.G_f, theta=0.1, capital_lambda=0.1,
-            sigma_sq=sigma_sq, rounds=500,
+            L=task.smoothness(), G_f=task.loss(task.initial_point()),
+            theta=0.1, capital_lambda=0.1, sigma_sq=sigma_sq, rounds=500,
         ).gamma
         rounds, wins = 500, 0
         for seed in (0, 1, 2):

@@ -306,6 +306,50 @@ class TestExitCodes:
         self.assert_config_error(tmp_path, SMALL_CONFIG.replace(
             "    distance_max_m: 2.0\n", "    distance_max_m: 2.0\n    seed: -1\n"))
 
+    @staticmethod
+    def run_in_process(tmp_path, text, *argv):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command, line, value", [
+        # a bool once ran as K = 1 and exited 3; fractions were truncated
+        ("solve", "  selected: 12\n", "  selected: true\n"),
+        ("solve", "  selected: 12\n", "  selected: 12.9\n"),
+        ("solve", "  population: 600\n", "  population: 600.5\n"),
+        ("solve", "  dimension: 40\n", "  dimension: false\n"),
+        ("solve", "  n_cap: 256\n", "  n_cap: 255.7\n"),
+        ("solve", "  bit_cap: null\n", "  bit_cap: 15.5\n"),
+        ("simulate", "  dimension: 40\n  population: 60\n", "  dimension: 40.5\n  population: 60\n"),
+        ("simulate", "  population: 60\n", "  population: true\n"),
+        ("simulate", "  selected: 12\n  samples", "  selected: 12.9\n  samples"),
+        ("simulate", "  samples_per_device: 20\n", "  samples_per_device: 19.5\n"),
+        ("simulate", "  rounds: 40\n", "  rounds: true\n"),
+        ("simulate", "  rounds: 40\n", "  rounds: 0\n"),
+        ("simulate", "  bias_trials: 150\n", "  bias_trials: 1\n"),
+        ("simulate", "  bias_trials: 150\n", "  bias_trials: 150.5\n"),
+    ])
+    def test_bool_or_fractional_count(self, command, line, value, tmp_path):
+        assert line in SMALL_CONFIG
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), command)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_fractional_sweep_k_rejected(self, tmp_path):
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG, "sweep", "--axis", "K", "--values", "12.9")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "sweep_K.csv").exists()
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        code, _ = self.run_in_process(tmp_path, SMALL_CONFIG.replace("  selected: 12\n", "  selected: 12.0\n", 1),
+                                      "solve")
+        assert code == EXIT_OK
+        assert len(json.loads((tmp_path / "o" / "solution.json").read_text())["powers_w"]) == 12
+
     def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
         # the built-in sim dimension is far below the full-scale d, so the
         # capacity ceiling on q + n overflows the float range
@@ -355,21 +399,64 @@ def config_mutation(draw):
     if isinstance(base, (int, float)) and not isinstance(base, bool):
         cast = int if isinstance(base, int) else float
         options.append(st.floats(0.25, 4.0).map(lambda f: cast(base * f)))
+    if isinstance(base, int) and not isinstance(base, bool):
+        # counts: booleans, and scaled values that are mostly fractional
+        options += [st.booleans(), st.floats(0.25, 4.0).map(lambda f: base * f)]
     if path[-1] == "gains":
         options.append(st.lists(st.floats(0.1, 100.0), min_size=1, max_size=14))
     return path, draw(st.one_of(options))
+
+
+# simulate at fuzz scale: a few rounds and bias trials
+SIM_FUZZ_BASE = {"rounds": 3, "bias_trials": 3}
+# junk for the sim counts stays small: they size the training data
+SIM_COUNT_JUNK = [None, "abc", True, False, -1, 0, 1, 2.5, math.nan, math.inf, [1.0]]
+
+
+@st.composite
+def sim_mutation(draw):
+    path = draw(st.sampled_from([p for p in _leaf_paths(DEFAULTS) if p[0] == "sim"]))
+    key = path[-1]
+    base = SIM_FUZZ_BASE.get(key, yaml.safe_load(DESK_CONFIG.read_text())["sim"].get(key, DEFAULTS["sim"][key]))
+    if isinstance(base, int) and not isinstance(base, bool):
+        top = 1.0 if key in SIM_FUZZ_BASE else 4.0
+        value = st.one_of(st.sampled_from(SIM_COUNT_JUNK), st.booleans(),
+                          st.floats(0.25, top).map(lambda f: int(base * f)),
+                          st.floats(0.25, top).map(lambda f: base * f))
+    elif isinstance(base, float):
+        value = st.one_of(st.sampled_from(JUNK_VALUES), st.floats(-1.0, 4.0).map(lambda f: base * f))
+    else:
+        value = st.sampled_from(JUNK_VALUES + ["scale", "quadratic", False])
+    return path, draw(value)
+
+
+def _mutated_desk(mutations, sim=False):
+    raw = yaml.safe_load(DESK_CONFIG.read_text())
+    if sim:
+        raw["sim"].update(SIM_FUZZ_BASE)
+    for path, value in mutations:
+        node = raw
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return raw
+
+
+# the commands besides solve, and the output each writes
+OTHER_COMMANDS = {
+    "sweep-eps_bar": (["sweep", "--axis", "eps_bar", "--values", "20,30"], "sweep_eps_bar.csv"),
+    "sweep-K": (["sweep", "--axis", "K", "--values", "6,12"], "sweep_K.csv"),
+    "compare-eps": (["compare-eps", "--values", "25,30"], "compare_eps.csv"),
+    "qbar": (["qbar", "--values", "0,30"], "qbar_sweep.csv"),
+    "simulate": (["simulate"], "summary.json"),
+}
 
 
 class TestConfigFuzz:
     @settings(max_examples=60, deadline=None)
     @given(mutations=st.lists(config_mutation(), min_size=1, max_size=3))
     def test_solve_never_crashes_or_breaks_the_cap(self, mutations, tmp_path_factory):
-        raw = yaml.safe_load(DESK_CONFIG.read_text())
-        for path, value in mutations:
-            node = raw
-            for key in path[:-1]:
-                node = node.setdefault(key, {})
-            node[path[-1]] = value
+        raw = _mutated_desk(mutations)
         work = tmp_path_factory.mktemp("fuzz")
         cfg_path = work / "c.yaml"
         cfg_path.write_text(yaml.safe_dump(raw))
@@ -393,3 +480,46 @@ class TestConfigFuzz:
         )
         assert check_solution(sol, system, scfg, ctx) == []
         assert math.isfinite(sol.epsilon_achieved) and sol.epsilon_achieved <= scfg.eps_bar
+
+    @pytest.mark.parametrize("command", list(OTHER_COMMANDS))
+    def test_other_commands_never_crash_or_break_the_cap(self, command, tmp_path_factory):
+        argv, output = OTHER_COMMANDS[command]
+        mutation = config_mutation()
+        if command == "simulate":
+            mutation = st.one_of(mutation, sim_mutation(), sim_mutation())
+
+        @settings(max_examples=40, deadline=None)
+        @given(mutations=st.lists(mutation, min_size=1, max_size=2))
+        def check(mutations):
+            raw = _mutated_desk(mutations, sim=command == "simulate")
+            work = tmp_path_factory.mktemp("fuzz")
+            cfg_path = work / "c.yaml"
+            cfg_path.write_text(yaml.safe_dump(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(cfg_path), "--out", str(work / "o")])
+            assert code in DOCUMENTED_EXITS, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code != EXIT_OK:
+                assert err.getvalue().startswith("error: ")
+                return
+            eps_bar = raw["solver"]["eps_bar"]
+            if command == "simulate":
+                if raw["sim"].get("eps_bar") is not None:
+                    eps_bar = raw["sim"]["eps_bar"]
+                summary = json.loads((work / "o" / output).read_text())
+                written = [(summary["solution"]["epsilon_achieved"], float(eps_bar))]
+            else:
+                _, rows = read_csv(work / "o" / output)
+                if command == "qbar":
+                    assert all(r[1] in ("empty_domain", "all_infeasible") or int(r[1]) >= 2 for r in rows)
+                    return
+                # sweep rows hold the epsilon last, compare-eps rows second;
+                # the cap is the row's eps_bar except along the K axis
+                column = 1 if command == "compare-eps" else 5
+                written = [(float(r[column]), float(eps_bar if command == "sweep-K" else r[0]))
+                           for r in rows if r[1] != "infeasible"]
+            for eps, cap_value in written:
+                assert math.isfinite(eps) and eps <= cap_value
+
+        check()

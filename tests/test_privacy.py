@@ -17,16 +17,17 @@ from binomfl.privacy import (
     ALPHA,
     MechanismParams,
     PrivacyContext,
+    _s1,
+    _s2,
+    _sensitivity_triple,
     baseline_epsilon_value,
     dp_variance_feasible,
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
-    epsilon_tight_terms,
-    s1_term,
-    s2_value,
-    sensitivity_bounds,
+    tight_epsilon_lower,
     tight_epsilon_n_array,
+    tight_epsilon_terms_value,
     tight_epsilon_value,
 )
 
@@ -98,23 +99,22 @@ class TestTypes:
 
 
 class TestSensitivityBounds:
+    """The (L1, L2, Linf) sensitivity triple of the quantized, noise-shifted sum."""
+
     def test_linf_is_q_plus_one(self, rng):
         for _ in range(50):
             q = int(rng.integers(2, 10000))
-            mech, ctx = mech_ctx(q, 64, 0.5, 10, 1e-4, 100)
-            assert sensitivity_bounds(mech, ctx).delta_inf == q + 1
+            assert _sensitivity_triple(q, 10, 1e-4)[2] == q + 1
 
     def test_reference_point(self):
         # q=5, d=4, delta=0.02: 8 + sqrt(16 ln 100) + (4/3) ln 100
-        mech, ctx = mech_ctx(5, 64, 0.5, 4, 0.02, 100)
-        b = sensitivity_bounds(mech, ctx)
-        assert b.delta_1 == pytest.approx(22.724091019808177449, rel=1e-14)
-        assert b.delta_2 == pytest.approx(9.5953512065790442577, rel=1e-14)
+        d1, d2, _ = _sensitivity_triple(5, 4, 0.02)
+        assert d1 == pytest.approx(22.724091019808177449, rel=1e-14)
+        assert d2 == pytest.approx(9.5953512065790442577, rel=1e-14)
 
     def test_positive_everywhere(self, rng):
         for mech, ctx in sample_feasible(rng, 25):
-            b = sensitivity_bounds(mech, ctx)
-            assert b.delta_1 > 0 and b.delta_2 > 0 and b.delta_inf > 0
+            assert all(b > 0 for b in _sensitivity_triple(mech.q, ctx.d, ctx.delta))
 
 
 class TestVarianceFloor:
@@ -190,7 +190,8 @@ class TestTight:
     def test_golden_value_and_terms(self):
         mech, ctx = mech_ctx(**GOLDEN)
         assert epsilon_tight(mech, ctx) == pytest.approx(GOLDEN_TIGHT, rel=1e-13)
-        terms = epsilon_tight_terms(mech, ctx)
+        assert dp_variance_feasible(mech, ctx)
+        terms = tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
         for got, want in zip(terms, GOLDEN_TIGHT_TERMS):
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -273,7 +274,8 @@ class TestTight:
 
     def test_all_five_terms_positive(self, rng):
         for mech, ctx in sample_feasible(rng, 40):
-            assert all(t > 0.0 for t in epsilon_tight_terms(mech, ctx))
+            terms = tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+            assert all(t > 0.0 for t in terms)
 
     def test_alpha_constant(self):
         # exact formula, checked against the independent evaluation
@@ -309,21 +311,67 @@ class TestTight:
 
 
 class TestSTerms:
+    """The variance-shape factor s1 and the squared tail radius s2."""
+
     def test_s1_symmetric(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert s1_term(n, p) == pytest.approx(s1_term(n, 1.0 - p), rel=1e-12)
+            assert _s1(n, p) == pytest.approx(_s1(n, 1.0 - p), rel=1e-12)
 
     def test_s1_hand_value(self):
-        assert s1_term(2, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert _s1(2, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     def test_s2_above_one(self, rng):
-        ctx = PrivacyContext(d=12, delta=1e-6, K=10)
+        ln20d = math.log(20.0 * 12 / 1e-6)
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert s2_value(n, p, ctx.d, ctx.delta) > 1.0
+            assert _s2(n * p * (1.0 - p), max(p, 1.0 - p), ln20d) > 1.0
+
+
+class TestTightLower:
+    """The x-only lower bound against the kernel it bounds."""
+
+    # the bound holds in exact arithmetic; in floats a term that ties (p at
+    # or near 1/2, where p^2 + (1-p)^2 can round to just under 1/2) may land
+    # a few ulps above the kernel's
+    ULPS = 1.0 + 2.0**-50
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.integers(2, 2**16),
+        log_n=st.floats(math.log(2.0), math.log(2.0**24)),
+        p=st.one_of(st.just(0.5), st.floats(1e-4, 1.0 - 1e-4)),
+        log_slack=st.one_of(st.just(0.0), st.floats(0.0, math.log(1e3))),
+        log_d=st.floats(0.0, math.log(1e9)),
+        log_delta=st.floats(-15.0, -0.05),
+    )
+    def test_each_term_below_kernel_term(self, q, log_n, p, log_slack, log_d, log_delta):
+        n, d, delta = int(math.exp(log_n)), int(math.exp(log_d)), 10.0**log_delta
+        # at x = n*p*(1-p) itself, and at any larger x
+        x = n * (p * (1.0 - p)) * math.exp(log_slack)
+        kernel = tight_epsilon_terms_value(q, n, p, d, delta)
+        lower = tight_epsilon_lower(q, x, d, delta)
+        for i, (lo, k) in enumerate(zip(lower, kernel)):
+            assert 0.0 < lo <= k * self.ULPS, (i, lo, k)
+
+    @pytest.mark.parametrize("d, delta", [(1, 1e-15), (47_710, 1e-10), (10**7, 1e-2)])
+    def test_monotone_in_x_and_q(self, d, delta):
+        x = np.geomspace(1e-3, 1e8, 400)[None, :]
+        q = np.unique(np.geomspace(2, 2**20, 60).astype(np.int64))[:, None]
+        terms = np.array(np.broadcast_arrays(*tight_epsilon_lower(q, x, d, delta)))
+        assert np.all(np.diff(terms, axis=2) <= 0.0)  # non-increasing in x
+        assert np.all(np.diff(terms, axis=1) >= 0.0)  # non-decreasing in q
+
+    def test_arrays_match_scalar_calls(self, rng):
+        qs = rng.integers(2, 1000, size=200)
+        xs = 10.0 ** rng.uniform(-2, 7, size=200)
+        vec = tight_epsilon_lower(qs, xs, 47_710, 1e-10)
+        for i in range(qs.size):
+            one = tight_epsilon_lower(int(qs[i]), float(xs[i]), 47_710, 1e-10)
+            for got, want in zip(vec, one):
+                assert got[i] == pytest.approx(want, rel=2.0**-50)
 
 
 def _mp_sensitivity(q, d, delta):
@@ -351,6 +399,26 @@ def mp_tight(q, n, p, d, delta):
         + d2 / mpmath.sqrt(om) * mpmath.sqrt(2 * s1 * ln10)
         + mpmath.mpf(2) / 3 * alpha * s2 * psym * ln10 * dinf / x**2
         + 2 * ln125 * dinf / x
+    )
+
+
+def mp_tight_lower(q, x, d, delta):
+    """The five terms of the x-only lower bound from its printed closed form
+    (psym = max(p, 1-p) = 1/2, s1 at its lower bound), in mpmath arithmetic."""
+    q, x, d, delta = (mpmath.mpf(v) for v in (q, x, d, delta))
+    d1, d2, dinf = _mp_sensitivity(q, d, delta)
+    alpha = -3 - 9 * mpmath.log(mpmath.mpf(2) / 3)
+    half = mpmath.mpf(1) / 2
+    ln125, ln10, ln20d = mpmath.log(1.25 / delta), mpmath.log(10 / delta), mpmath.log(20 * d / delta)
+    om = 1 - delta / 10
+    s1 = min((x + 1) / (2 * x**3), (3 * x + 2) / (4 * x * (x + half / 2) * (x + half)))
+    s2 = (mpmath.sqrt(2 * x * ln20d) + 1 + ln20d / 3) ** 2
+    return (
+        d2 * mpmath.sqrt(2 * ln125) / mpmath.sqrt(x),
+        alpha * d1 * (x + 1) * half / (x**2 * om),
+        d2 / mpmath.sqrt(om) * mpmath.sqrt(2 * s1 * ln10),
+        mpmath.mpf(2) / 3 * alpha * s2 * half * ln10 * dinf / x**2,
+        2 * ln125 * dinf / x,
     )
 
 
@@ -417,6 +485,27 @@ class TestHighPrecisionReference:
                     assert rel <= self.REL, (path, q, n, p, d, delta, value, ref)
                     worst = max(worst, rel)
         assert worst > 0.0  # the grid does reach float rounding
+
+
+    # x runs across the s1 bound's switch near 1.95 and down to 1/100
+    LOWER_GRID = [
+        (q, x, d, delta)
+        for d in (1, 47_710, 10**7)
+        for delta in (1e-15, 1e-2)
+        for x in (0.01, 0.5, 1.95, 2.0, 16_383.5, 4.2e6)
+        for q in (2, 946, 2**16)
+    ]
+
+    def test_lower_bound_within_bound(self):
+        worst = 0.0
+        with mpmath.workdps(50):
+            for q, x, d, delta in self.LOWER_GRID:
+                refs = mp_tight_lower(q, x, d, delta)
+                for i, (value, ref) in enumerate(zip(tight_epsilon_lower(q, x, d, delta), refs)):
+                    rel = float(abs(mpmath.mpf(float(value)) / ref - 1))
+                    assert rel <= self.REL, (i, q, x, d, delta, value, ref)
+                    worst = max(worst, rel)
+        assert worst > 0.0
 
 
 def test_baseline_uses_unscaled_middle_denominator():

@@ -160,8 +160,7 @@ class TestTheoreticalBounds:
         # u_hi = 4*(5/10)^2*10 = 10, u_iid = 8*5/100*10/5 = 0.8,
         # b_lo = 4*10*25/(5*4) = 50, b_hi = 4*10*26/(5*4) = 52
         sys = flat_system(K=5, M=10, d=10)
-        conv = ConvergenceParams(L=1.0, G=1.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
-        b = theoretical_bounds(sys, make_solution(3, 100, 0.5, 5), conv)
+        b = theoretical_bounds(sys, make_solution(3, 100, 0.5, 5), 1.0)
         assert b.u_hi == pytest.approx(10.0, rel=1e-14)
         assert b.u_hi_iid == pytest.approx(0.8, rel=1e-14)
         assert b.b_lo == pytest.approx(50.0, rel=1e-14)
@@ -169,16 +168,14 @@ class TestTheoreticalBounds:
 
     def test_full_participation_kills_sampling_variance(self):
         sys = flat_system(K=10, M=10, d=3)
-        conv = ConvergenceParams(L=1.0, G=1.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
-        b = theoretical_bounds(sys, make_solution(3, 100, 0.5, 10), conv)
+        b = theoretical_bounds(sys, make_solution(3, 100, 0.5, 10), 1.0)
         assert b.u_hi == 0.0 and b.u_hi_iid == 0.0
 
     def test_bias_bounds_ratio_tends_to_one(self):
         sys = flat_system(K=5, M=10, d=10)
-        conv = ConvergenceParams(L=1.0, G=1.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
         prev_ratio = math.inf
         for n in (10, 100, 10_000, 1_000_000):
-            b = theoretical_bounds(sys, make_solution(3, n, 0.5, 5), conv)
+            b = theoretical_bounds(sys, make_solution(3, n, 0.5, 5), 1.0)
             ratio = b.b_hi / b.b_lo
             assert ratio < prev_ratio
             prev_ratio = ratio
@@ -254,7 +251,7 @@ class TestRunFsgd:
 
 
 class TestIterationsEstimate:
-    CONV = ConvergenceParams(L=2.0, G=1.0, G_f=3.0, theta=0.1, capital_lambda=0.05, gamma=0.1)
+    CONV = ConvergenceParams(L=2.0, G_f=3.0, theta=0.1, capital_lambda=0.05, gamma=0.1)
 
     def test_zero_noise_closed_form(self):
         # reduces to (L G_f)^2 / (theta Lambda)
@@ -273,7 +270,7 @@ class TestIterationsEstimate:
             prev = cur
 
     def test_scaling_with_accuracy_product(self):
-        tighter = ConvergenceParams(L=2.0, G=1.0, G_f=3.0, theta=0.2, capital_lambda=0.1, gamma=0.1)
+        tighter = ConvergenceParams(L=2.0, G_f=3.0, theta=0.2, capital_lambda=0.1, gamma=0.1)
         assert iterations_estimate(tighter, 1.0).exact < iterations_estimate(self.CONV, 1.0).exact
 
 
@@ -310,20 +307,20 @@ class TestTraceCsv:
 
 class TestConvergenceParams:
     def test_auto_gamma_caps_at_inverse_smoothness(self):
-        conv = ConvergenceParams.auto(L=4.0, G=1.0, G_f=1.0, theta=0.5,
+        conv = ConvergenceParams.auto(L=4.0, G_f=1.0, theta=0.5,
                                       capital_lambda=0.5, sigma_sq=0.0, rounds=100)
         assert conv.gamma == 0.25
 
     def test_auto_gamma_noise_branch(self):
-        conv = ConvergenceParams.auto(L=1.0, G=1.0, G_f=2.0, theta=0.5,
+        conv = ConvergenceParams.auto(L=1.0, G_f=2.0, theta=0.5,
                                       capital_lambda=0.5, sigma_sq=400.0, rounds=100)
         assert conv.gamma == pytest.approx(math.sqrt(4.0) / (20.0 * math.sqrt(100.0)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ConvergenceParams(L=0.0, G=1.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
+            ConvergenceParams(L=0.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
         with pytest.raises(ValueError):
-            ConvergenceParams(L=1.0, G=1.0, G_f=1.0, theta=1.5, capital_lambda=0.5, gamma=0.1)
+            ConvergenceParams(L=1.0, G_f=1.0, theta=1.5, capital_lambda=0.5, gamma=0.1)
 
 
 class TestRescaleModes:

@@ -1,5 +1,6 @@
 """Channel model: rates, feasibility, minimal power, domains, sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from binomfl.wireless import (
     domain_bound,
     min_snr,
     payload_bits_real,
-    required_power,
     sample_gains,
     shannon_rate,
     watts_to_dbm,
@@ -106,19 +106,21 @@ class TestCapacityFeasible:
 
 
 class TestRequiredPower:
+    """The power one device needs, through :func:`assign_powers` at K = 1."""
+
     def test_closed_form_point(self):
         # (q+n)^(d/TW) - 1 = 4^0.5 - 1 = 1 at omega0 = gain = 1
         sys = flat_system(K=1, d=1, T=1.0, W=2.0)
-        assert required_power(2, 2, 1.0, sys) == 1.0
+        assert assign_powers(2, 2, sys) == (1.0,)
 
     def test_clamps_to_p_min(self):
         sys = flat_system(K=1, d=1, T=1.0, W=2.0, p_min=5.0, p_max=100.0)
-        assert required_power(2, 2, 1.0, sys) == 5.0
+        assert assign_powers(2, 2, sys) == (5.0,)
 
     def test_signals_above_p_max(self):
         sys = flat_system(K=1, d=1, T=1.0, W=2.0, p_max=0.5)
         with pytest.raises(CapacityInfeasibleError):
-            required_power(2, 2, 1.0, sys)
+            assign_powers(2, 2, sys)
 
     def test_output_always_passes_capacity(self, rng):
         # randomized cross-check between the two operations
@@ -133,10 +135,10 @@ class TestRequiredPower:
             sys = SystemParams(K=1, M=1, d=d, delta=0.5, T=T, W=W, omega0=omega0,
                                p_min=1e-9, p_max=1e6, gains=(gain,))
             try:
-                power = required_power(q, n, gain, sys)
+                powers = assign_powers(q, n, sys)
             except CapacityInfeasibleError:
                 continue
-            assert capacity_feasible(q, n, [power], sys)
+            assert capacity_feasible(q, n, list(powers), sys)
 
 
 def _ref_required_power(q, n, gain, sys):
@@ -188,8 +190,10 @@ class TestAssignPowers:
         # same powers bit for bit, or the same error for the first failing
         # device in gain order
         assert _outcome(lambda: assign_powers(q, n, sys)) == _outcome(loop)
-        assert _outcome(lambda: required_power(q, n, gains[-1], sys)) == \
-            _outcome(lambda: _ref_required_power(q, n, gains[-1], sys))
+        # the last device alone, which the loop above may never reach
+        last = dataclasses.replace(sys, K=1, M=1, gains=gains[-1:])
+        assert _outcome(lambda: assign_powers(q, n, last)) == \
+            _outcome(lambda: (_ref_required_power(q, n, gains[-1], sys),))
 
     def test_overflow_names_the_first_gain(self):
         sys = SystemParams(K=2, M=2, d=10**6, delta=0.5, T=1.0, W=1.0, omega0=1.0,
@@ -237,7 +241,7 @@ class TestDomainBound:
             hi = min(bound + 2, 10**6)
             total = int(rng.integers(4, hi + 1))
             q = int(rng.integers(2, total - 1))
-            required_power(q, total - q, min(sys.gains), sys)
+            assign_powers(q, total - q, sys)
 
     def test_min_snr_uses_worst_gain(self):
         sys = SystemParams(K=3, M=3, d=1, delta=0.5, T=1, W=1, omega0=2.0,
