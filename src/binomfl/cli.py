@@ -21,8 +21,6 @@ import math
 import sys as _sys
 from pathlib import Path
 
-import numpy as np
-
 from . import sim as simmod
 from . import tasks as tasksmod
 from .config import (
@@ -78,13 +76,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_config(args) -> RunConfig:
-    cfg = RunConfig.from_yaml(args.config) if args.config else RunConfig.defaults()
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    return cfg
-
-
 def _parse_values(text: str) -> list[float]:
     try:
         values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -95,18 +86,14 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = Path(args.out if args.out else cfg.output_dir())
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def _build(cfg: RunConfig):
     system = cfg.build_system()
     ctx = cfg.build_context(system)
-    scfg = cfg.build_solver(ctx)
+    return system, ctx, cfg.build_solver(ctx)
+
+
+def cmd_solve(args, cfg: RunConfig, out: Path) -> int:
+    system, ctx, scfg = _build(cfg)
     sol, stats = solve_with_stats(system, scfg, ctx)
     report = {
         "spec_version": SPEC_VERSION,
@@ -145,11 +132,8 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _solve_row(cfg: RunConfig, **overrides):
-    eps_bar = overrides.pop("eps_bar", None)
-    system = cfg.build_system(**overrides)
-    ctx = cfg.build_context(system)
-    scfg = cfg.build_solver(ctx, eps_bar=eps_bar)
+def _solve_row(cfg: RunConfig):
+    system, ctx, scfg = _build(cfg)
     try:
         sol, _ = solve_with_stats(system, scfg, ctx)
         return sol
@@ -157,19 +141,20 @@ def _solve_row(cfg: RunConfig, **overrides):
         return None
 
 
-# sweep axis -> the override keyword of RunConfig.build_system or build_solver
-SWEEP_AXES = {"eps_bar": "eps_bar", "p_max": "p_max_dbm", "W": "W", "T": "T", "K": "K"}
+# sweep axis -> the (section, key) of the config it sets
+SWEEP_AXES = {"eps_bar": ("solver", "eps_bar"), "p_max": ("system", "power_max_dbm"),
+              "W": ("system", "bandwidth_hz"), "T": ("system", "transmission_time_s"),
+              "K": ("system", "selected")}
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
     values = _parse_values(args.values)
     if sorted(values) != values:
         raise ConfigError("--values must be ascending")
+    section, key = SWEEP_AXES[args.axis]
     rows = []
     for v in values:
-        sol = _solve_row(cfg, **{SWEEP_AXES[args.axis]: v})
+        sol = _solve_row(cfg.merged({section: {key: v}}))
         if sol is None:
             rows.append([v, "infeasible", None, None, None, None])
         else:
@@ -181,15 +166,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare_eps(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_compare_eps(args, cfg: RunConfig, out: Path) -> int:
     values = _parse_values(args.values) if args.values is not None else [float(v) for v in range(1, 11)]
     system = cfg.build_system()
     ctx = cfg.build_context(system)
     rows = []
     for eb in values:
-        sol = _solve_row(cfg, eps_bar=eb)
+        sol = _solve_row(cfg.merged({"solver": {"eps_bar": eb}}))
         if sol is None:
             rows.append([eb, "infeasible", None, None])
             continue
@@ -202,15 +185,11 @@ def cmd_compare_eps(args) -> int:
     return EXIT_OK
 
 
-def cmd_qbar(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_qbar(args, cfg: RunConfig, out: Path) -> int:
     values = _parse_values(args.values) if args.values is not None else [float(v) for v in range(1, 21)]
     rows = []
     for dbm in values:
-        system = cfg.build_system(p_max_dbm=dbm)
-        ctx = cfg.build_context(system)
-        scfg = cfg.build_solver(ctx)
+        system, ctx, scfg = _build(cfg.merged({"system": {"power_max_dbm": dbm}}))
         try:
             qb = qbar(system, scfg, ctx)
             rows.append([dbm, qb, math.log10(qb)])
@@ -225,26 +204,21 @@ def cmd_qbar(args) -> int:
 
 
 def _build_task(s: dict, seed: int):
-    kind = str(s["task"])
     data_seed = child_seed(seed, ROLE_SIM)
-    if kind == "logistic":
+    if s["task"] == "logistic":
         return tasksmod.LogisticRegressionTask(
             d=s["dimension"], M=s["population"], samples_per_device=s["samples_per_device"],
             seed=data_seed, l2=s["l2"],
         )
-    if kind == "quadratic":
-        return tasksmod.QuadraticBowlTask(d=s["dimension"], M=s["population"], seed=data_seed)
-    raise ConfigError(f"unknown task {kind!r}; expected 'logistic' or 'quadratic'")
+    return tasksmod.QuadraticBowlTask(d=s["dimension"], M=s["population"], seed=data_seed)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, cfg)
+def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
     s = cfg.sim_section()
     task = _build_task(s, cfg.seed)
-    system = cfg.build_system(K=s["selected"], M=s["population"], d=s["dimension"])
-    ctx = cfg.build_context(system)
-    scfg = cfg.build_solver(ctx, eps_bar=s["eps_bar"])
+    cfg = cfg.merged({"system": {key: s[key] for key in ("selected", "population", "dimension")},
+                      "solver": {} if s["eps_bar"] is None else {"eps_bar": s["eps_bar"]}})
+    system, ctx, scfg = _build(cfg)
     sol, _ = solve_with_stats(system, scfg, ctx)
     rounds = s["rounds"]
 
@@ -262,12 +236,9 @@ def cmd_simulate(args) -> int:
     )
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 
-    def arm_rng(index: int) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(ROLE_SIM, index)))
-
     arms: dict[str, Solution | None] = {"baseline": None, "optimized": sol}
     sub = None
-    if bool(s["compare_suboptimal"]):
+    if s["compare_suboptimal"]:
         sub = suboptimal_tuple(sol, system, scfg, ctx, s["subopt_factor"])
         if sub is not None:
             arms["suboptimal"] = sub
@@ -275,7 +246,7 @@ def cmd_simulate(args) -> int:
     traces = {}
     for index, (name, arm_sol) in enumerate(arms.items()):
         trace = simmod.run_fsgd(
-            task, system, arm_sol, rounds, arm_rng(index),
+            task, system, arm_sol, rounds, rng_for(cfg.seed, ROLE_SIM, index),
             gamma=conv.gamma, rescale=s["rescale"],
         )
         trace.to_csv(out / f"trace_{name}.csv")
@@ -365,7 +336,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = RunConfig.from_yaml(args.config) if args.config else RunConfig.defaults()
+        if args.seed is not None:
+            cfg = cfg.merged({"seed": args.seed})
+        out = cfg.output_dir()  # checked even when --out replaces it
+        out = Path(args.out or out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
+        return args.func(args, cfg, out)
     except BinomflError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return next((code for klass, code in _EXIT_BY_ERROR if isinstance(exc, klass)), 1)

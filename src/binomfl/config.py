@@ -2,13 +2,17 @@
 
 The config file is a single YAML document with ``system``, ``solver``,
 ``sim`` and ``output`` sections; every key has a default, so a partial
-file (or none at all) is valid.  dBm -> watt and dB -> linear conversions
-happen here and only here; the rest of the package sees linear units.
+file (or none at all) is valid.  It is the one way to set a run parameter:
+an override (``--seed``, a sweep value, the sim section's K, M, d and
+eps_bar) is merged in by :meth:`RunConfig.merged` and read by the same
+validators, so a boolean or a non-finite number is a config error.  dBm ->
+watt and dB -> linear conversions happen here and only here; the rest of
+the package sees linear units.
 
 Seed policy: one top-level ``seed`` drives everything.  Component streams
-are derived as SeedSequence(entropy=seed, spawn_key=(ROLE,)) with a fixed
-role index per purpose, so adding a new command never perturbs the streams
-of existing ones.
+are derived as SeedSequence(entropy=seed, spawn_key=(ROLE, ...)) with a
+fixed role index per purpose, so adding a new command never perturbs the
+streams of existing ones.
 """
 
 from __future__ import annotations
@@ -95,9 +99,10 @@ SIM_REALS = {
 }
 
 
-def rng_for(seed: int, role: int) -> np.random.Generator:
-    """Component generator under the documented splitting rule."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(role,)))
+def rng_for(seed: int, *roles: int) -> np.random.Generator:
+    """Component generator under the documented splitting rule; ``roles`` is
+    the spawn-key path, e.g. ``(ROLE_SIM, arm)``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=roles))
 
 
 def child_seed(seed: int, role: int) -> int:
@@ -152,58 +157,50 @@ class RunConfig:
     def seed(self) -> int:
         return int(self.raw["seed"])
 
-    def with_seed(self, seed: int) -> "RunConfig":
-        raw = dict(self.raw)
-        raw["seed"] = seed
-        return RunConfig(raw=raw)
+    def merged(self, override: dict) -> "RunConfig":
+        """This config with ``override`` merged in, checked like a file."""
+        return RunConfig(raw=_merge(self.raw, override))
 
     # system ---------------------------------------------------------------
 
     def channel_sampler(self) -> ChannelSampler:
         ch = self.raw["system"]["channel"]
-        seed = ch["seed"]
-        if seed is None:
-            seed = child_seed(self.seed, ROLE_GAINS)
+        seed = ch["seed"] if ch["seed"] is not None else child_seed(self.seed, ROLE_GAINS)
         try:
             return ChannelSampler(
-                g0=db_to_linear(float(ch["reference_gain_db"])),
-                d0=float(ch["reference_distance_m"]),
-                d_min=float(ch["distance_min_m"]),
-                d_max=float(ch["distance_max_m"]),
+                g0=db_to_linear(validate_real("system.channel.reference_gain_db", ch["reference_gain_db"])),
+                d0=validate_real("system.channel.reference_distance_m", ch["reference_distance_m"]),
+                d_min=validate_real("system.channel.distance_min_m", ch["distance_min_m"]),
+                d_max=validate_real("system.channel.distance_max_m", ch["distance_max_m"]),
                 seed=int(seed),
                 semantics=str(ch["gain_semantics"]),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad channel section: {exc}") from exc
 
-    def build_system(
-        self,
-        K: int | None = None,
-        M: int | None = None,
-        d: int | None = None,
-        p_max_dbm: float | None = None,
-        T: float | None = None,
-        W: float | None = None,
-    ) -> SystemParams:
+    def build_system(self) -> SystemParams:
         s = self.raw["system"]
         try:
-            K = validate_integer("system.selected", K if K is not None else s["selected"])
-            M = validate_integer("system.population", M if M is not None else s["population"])
-            d = validate_integer("system.dimension", d if d is not None else s["dimension"])
+            K = validate_integer("system.selected", s["selected"])
+            M = validate_integer("system.population", s["population"])
+            d = validate_integer("system.dimension", s["dimension"])
+            sampler = self.channel_sampler()  # checked even when explicit gains replace it
             gains = s["gains"]
             if gains is None:
-                gains = sample_gains(self.channel_sampler(), K)
+                gains = sample_gains(sampler, K)
             elif len(gains) != K:
                 raise ConfigError(f"system.gains has {len(gains)} entries, expected K={K}")
+            else:
+                gains = [validate_real("system.gains", g) for g in gains]
             return SystemParams(
                 K=K, M=M, d=d,
-                delta=float(s["delta"]),
-                T=float(T if T is not None else s["transmission_time_s"]),
-                W=float(W if W is not None else s["bandwidth_hz"]),
-                omega0=float(s["noise_power_w"]),
-                p_min=dbm_to_watts(float(s["power_min_dbm"])),
-                p_max=dbm_to_watts(float(p_max_dbm if p_max_dbm is not None else s["power_max_dbm"])),
-                gains=tuple(float(g) for g in gains),
+                delta=validate_real("system.delta", s["delta"]),
+                T=validate_real("system.transmission_time_s", s["transmission_time_s"]),
+                W=validate_real("system.bandwidth_hz", s["bandwidth_hz"]),
+                omega0=validate_real("system.noise_power_w", s["noise_power_w"]),
+                p_min=dbm_to_watts(validate_real("system.power_min_dbm", s["power_min_dbm"])),
+                p_max=dbm_to_watts(validate_real("system.power_max_dbm", s["power_max_dbm"])),
+                gains=gains,
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad system section: {exc}") from exc
@@ -214,24 +211,27 @@ class RunConfig:
     # solver ---------------------------------------------------------------
 
     def build_solver(self, ctx: PrivacyContext, eps_bar: float | None = None) -> SolverConfig:
+        # eps_bar= is kept for bench/make_refs.py only; it is a merge like any override
+        if eps_bar is not None:
+            return self.merged({"solver": {"eps_bar": eps_bar}}).build_solver(ctx)
         sv = self.raw["solver"]
         try:
-            eps = validate_real("eps_bar", eps_bar if eps_bar is not None else sv["eps_bar"])
+            eps = validate_real("eps_bar", sv["eps_bar"], "(0, inf)", lambda v: v > 0.0)
+            lambda_step = validate_real("solver.lambda_step", sv["lambda_step"])  # read even with rho
             n_cap = validate_integer("solver.n_cap", sv["n_cap"])
             bit_cap = sv["bit_cap"]
             bit_cap = None if bit_cap is None else validate_integer("solver.bit_cap", bit_cap)
             if sv["rho"] is not None:
-                return SolverConfig.for_target_error(eps, float(sv["rho"]), n_cap, ctx, bit_cap)
-            return SolverConfig(
-                eps_bar=eps, lambda_step=float(sv["lambda_step"]), n_cap=n_cap, bit_cap=bit_cap,
-            )
+                rho = validate_real("solver.rho", sv["rho"])
+                return SolverConfig.for_target_error(eps, rho, n_cap, ctx, bit_cap)
+            return SolverConfig(eps_bar=eps, lambda_step=lambda_step, n_cap=n_cap, bit_cap=bit_cap)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
 
     # sim ------------------------------------------------------------------
 
     def sim_section(self) -> dict:
-        """The sim section, checked: counts as ints, reals as floats in range."""
+        """The sim section, checked: counts, reals in range, and choices."""
         s = dict(self.raw["sim"])
         for key, minimum in SIM_COUNTS.items():
             s[key] = validate_integer(f"sim.{key}", s[key], minimum)
@@ -239,15 +239,24 @@ class RunConfig:
             s[key] = validate_real(f"sim.{key}", s[key], interval, ok)
         if s["rescale"] not in ("clip", "scale"):
             raise ConfigError(f"sim.rescale must be 'clip' or 'scale', got {s['rescale']!r}")
+        if s["task"] not in ("logistic", "quadratic"):
+            raise ConfigError(f"unknown task {str(s['task'])!r}; expected 'logistic' or 'quadratic'")
+        if not isinstance(s["compare_suboptimal"], bool):
+            raise ConfigError(f"sim.compare_suboptimal must be true or false, "
+                              f"got {s['compare_suboptimal']!r}")
         return s
 
     def output_dir(self) -> str:
-        return str(self.raw["output"]["dir"])
+        path = self.raw["output"]["dir"]
+        if not isinstance(path, str):
+            raise ConfigError(f"output.dir must be a string, got {path!r}")
+        return path
 
 
-def validate_real(name: str, value, interval: str = "(0, inf)", ok=lambda v: v > 0.0) -> float:
+def validate_real(name: str, value, interval: str = "(-inf, inf)", ok=lambda v: True) -> float:
     """``value`` as a float; raises :class:`ConfigError` unless it is a
-    finite number, not a boolean, for which ``ok`` holds."""
+    finite number, not a boolean, for which ``ok`` holds (by default any: the
+    type built from the value, e.g. SystemParams, checks its range)."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):

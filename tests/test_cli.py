@@ -20,6 +20,7 @@ from binomfl.cli import (
     EXIT_EMPTY_DOMAIN,
     EXIT_OK,
     EXIT_PRIVACY_INFEASIBLE,
+    SWEEP_AXES,
     main,
 )
 from binomfl.config import DEFAULTS, RunConfig
@@ -157,6 +158,26 @@ class TestSweepCommand:
             b_his.append(4.0 * d * g * g * (1.0 + n * p * (1.0 - p)) / (K * (q - 1) ** 2))
         assert len(b_his) >= 2
         assert all(b < a for a, b in zip(b_his, b_his[1:]))
+
+    # a value per axis whose solution differs from the config's own
+    AXIS_VALUES = {"eps_bar": 25.0, "p_max": 29.0, "W": 140.0, "T": 0.85, "K": 14.0}
+
+    @pytest.mark.parametrize("axis", list(SWEEP_AXES))
+    def test_sweep_row_equals_solve_on_file_with_key_set(self, axis, config_path, tmp_path):
+        value = self.AXIS_VALUES[axis]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "s"),
+                         "--axis", axis, "--values", repr(value)]) == EXIT_OK
+            section, key = SWEEP_AXES[axis]
+            raw = yaml.safe_load(SMALL_CONFIG)
+            raw[section][key] = value
+            edited = tmp_path / "edited.yaml"
+            edited.write_text(yaml.safe_dump(raw))
+            assert main(["solve", "--config", str(edited), "--out", str(tmp_path / "f")]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "s" / f"sweep_{axis}.csv")
+        report = json.loads((tmp_path / "f" / "solution.json").read_text())
+        assert rows == [[repr(value), repr(report["objective"]), str(report["q"]), str(report["n"]),
+                         repr(report["p"]), repr(report["epsilon_achieved"])]]
 
 
 class TestCompareEpsCommand:
@@ -350,6 +371,38 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert len(json.loads((tmp_path / "o" / "solution.json").read_text())["powers_w"]) == 12
 
+    @pytest.mark.parametrize("command, line, value", [
+        # booleans once ran as 1.0: exit 8, exit 0, exit 0, exit 3 and exit 8
+        ("solve", "  power_max_dbm: 30.0\n", "  power_max_dbm: true\n"),
+        ("solve", "  lambda_step: 0.02\n", "  lambda_step: 0.02\n  rho: true\n"),
+        ("solve", "  transmission_time_s: 1.0\n", "  transmission_time_s: true\n"),
+        ("solve", "  power_max_dbm: 30.0\n", "  power_max_dbm: 30.0\n  gains: [true" + ", 1.0" * 11 + "]\n"),
+        ("solve", "    reference_gain_db: 20.0\n", "    reference_gain_db: true\n"),
+        # any value once turned the suboptimal arm on
+        ("simulate", "  rounds: 40\n", "  rounds: 40\n  compare_suboptimal: abc\n"),
+        # once written into a directory named "[1, 2]"
+        ("solve", "  dir: out\n", "  dir: [1, 2]\n"),
+    ])
+    def test_boolean_real_or_junk_key(self, command, line, value, tmp_path):
+        assert line in SMALL_CONFIG
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), command)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["--out", "output.dir"])
+    def test_output_under_a_regular_file(self, where, tmp_path):
+        # once a NotADirectoryError traceback with exit 1
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("  dir: out\n", f"  dir: {blocker / 'o'}\n"))
+        argv = ["solve", "--config", str(cfg)] + (["--out", str(blocker / "o")] if where == "--out" else [])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_CONFIG
+        assert err.getvalue().startswith("error: cannot create output directory")
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
     def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
         # the built-in sim dimension is far below the full-scale d, so the
         # capacity ceiling on q + n overflows the float range
@@ -430,6 +483,28 @@ def sim_mutation(draw):
     return path, draw(value)
 
 
+# keys each command sets itself, so the file's value is never read
+SET_BY_COMMAND = {
+    "solve": set(),
+    "sweep-eps_bar": {("solver", "eps_bar")},
+    "sweep-K": {("system", "selected")},
+    "compare-eps": {("solver", "eps_bar")},
+    "qbar": {("system", "power_max_dbm")},
+    "simulate": {("system", "selected"), ("system", "population"), ("system", "dimension")},
+}
+
+
+def assert_booleans_rejected(command, raw, code, err):
+    """A boolean on a leaf the command reads, other than the one boolean key
+    sim.compare_suboptimal, is a config error."""
+    unread = SET_BY_COMMAND[command] | {("sim", "compare_suboptimal")}
+    if command == "simulate" and raw["sim"].get("eps_bar") is not None:
+        unread = unread | {("solver", "eps_bar")}
+    booleans = [p for p in _leaf_paths(raw) if isinstance(get_in(raw, p), bool) and p not in unread]
+    if booleans:
+        assert code == EXIT_CONFIG, (booleans, err)
+
+
 def _mutated_desk(mutations, sim=False):
     raw = yaml.safe_load(DESK_CONFIG.read_text())
     if sim:
@@ -466,6 +541,7 @@ class TestConfigFuzz:
             code = main(["solve", "--config", str(cfg_path), "--out", str(work / "o")])
         assert code in DOCUMENTED_EXITS, err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert_booleans_rejected("solve", raw, code, err.getvalue())
         if code != EXIT_OK:
             assert err.getvalue().startswith("error: ")
             return
@@ -480,6 +556,21 @@ class TestConfigFuzz:
         )
         assert check_solution(sol, system, scfg, ctx) == []
         assert math.isfinite(sol.epsilon_achieved) and sol.epsilon_achieved <= scfg.eps_bar
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("path", [p for p in _leaf_paths(DEFAULTS) if p != ("sim", "compare_suboptimal")],
+                             ids=".".join)
+    def test_boolean_on_any_leaf_is_a_config_error(self, path, value, tmp_path):
+        # every leaf, one at a time; the random mutations above hit each only rarely
+        command = "simulate" if path[0] == "sim" else "solve"
+        raw = _mutated_desk([(path, value)], sim=command == "simulate")
+        cfg_path = tmp_path / "c.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG, err.getvalue()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     @pytest.mark.parametrize("command", list(OTHER_COMMANDS))
     def test_other_commands_never_crash_or_break_the_cap(self, command, tmp_path_factory):
@@ -500,6 +591,7 @@ class TestConfigFuzz:
                 code = main([*argv, "--config", str(cfg_path), "--out", str(work / "o")])
             assert code in DOCUMENTED_EXITS, err.getvalue()
             assert "Traceback" not in err.getvalue()
+            assert_booleans_rejected(command, raw, code, err.getvalue())
             if code != EXIT_OK:
                 assert err.getvalue().startswith("error: ")
                 return

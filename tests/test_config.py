@@ -1,5 +1,6 @@
 """Configuration layer: merging, unit conversion, seed splitting."""
 
+import numpy as np
 import pytest
 
 from binomfl.config import (
@@ -47,7 +48,7 @@ class TestMergeAndDefaults:
         path = tmp_path / "c.yaml"
         path.write_text("solver:\n  rho: 0.1\n  n_cap: 4096\n")
         cfg = RunConfig.from_yaml(path)
-        system = cfg.build_system(K=50, d=10)
+        system = cfg.merged({"system": {"selected": 50, "dimension": 10}}).build_system()
         ctx = cfg.build_context(system)
         scfg = cfg.build_solver(ctx)
         assert scfg.rho == 0.1
@@ -64,6 +65,11 @@ class TestSeedSplitting:
         b = rng_for(7, ROLE_SIM).random(4)
         assert (a == b).all()
 
+    def test_spawn_key_path(self):
+        # the stream of simulate's training arm 2
+        expected = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(ROLE_SIM, 2)))
+        assert (rng_for(7, ROLE_SIM, 2).random(4) == expected.random(4)).all()
+
     def test_adding_roles_never_perturbs_existing(self):
         # spawn keys are fixed per role, not positional
         before = child_seed(7, ROLE_GAINS)
@@ -71,11 +77,17 @@ class TestSeedSplitting:
         assert child_seed(7, ROLE_GAINS) == before
 
     def test_seed_override(self):
-        cfg = RunConfig.defaults().with_seed(99)
+        cfg = RunConfig.defaults().merged({"seed": 99})
         assert cfg.seed == 99
         assert RunConfig.defaults().seed == 2024
+
+    def test_merge_checked_like_a_file(self):
+        with pytest.raises(ConfigError, match="unknown config key 'system.K'"):
+            RunConfig.defaults().merged({"system": {"K": 5}})
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            RunConfig.defaults().merged({"solver": 5})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "abc", True, None])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ConfigError):
-            RunConfig.defaults().with_seed(seed)
+            RunConfig.defaults().merged({"seed": seed})

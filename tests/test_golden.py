@@ -1,4 +1,5 @@
-"""Desk outputs pinned byte for byte: solve, sweep, compare-eps and qbar.
+"""Desk outputs pinned byte for byte: solve, sweep on every axis, compare-eps
+and qbar.
 
 The files under data/golden/ are what these commands write on
 configs/desk.yaml.  A change that alters them on purpose rewrites them (run
@@ -17,15 +18,19 @@ from binomfl.cli import EXIT_OK, main
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
-COMMANDS = [
-    (["solve"], "solution.json"),
-    (["sweep", "--axis", "eps_bar", "--values", "5,10,20,30"], "sweep_eps_bar.csv"),
-    (["compare-eps", "--values", "20,25,30"], "compare_eps.csv"),
-    (["qbar", "--values", "0,10,20,30"], "qbar_sweep.csv"),
-]
+COMMANDS = {
+    "solve": (["solve"], "solution.json"),
+    "sweep": (["sweep", "--axis", "eps_bar", "--values", "5,10,20,30"], "sweep_eps_bar.csv"),
+    "sweep-p_max": (["sweep", "--axis", "p_max", "--values", "20,26,28,30"], "sweep_p_max.csv"),
+    "sweep-K": (["sweep", "--axis", "K", "--values", "4,6,12.0,20"], "sweep_K.csv"),
+    "sweep-W": (["sweep", "--axis", "W", "--values", "100,150,200"], "sweep_W.csv"),
+    "sweep-T": (["sweep", "--axis", "T", "--values", "0.5,1,2"], "sweep_T.csv"),
+    "compare-eps": (["compare-eps", "--values", "20,25,30"], "compare_eps.csv"),
+    "qbar": (["qbar", "--values", "0,10,20,30"], "qbar_sweep.csv"),
+}
 
 
-@pytest.mark.parametrize("argv, name", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+@pytest.mark.parametrize("argv, name", list(COMMANDS.values()), ids=list(COMMANDS))
 def test_desk_output_matches_golden(argv, name, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--config", str(DESK_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
