@@ -1,11 +1,14 @@
 """Batch front-end: solve / sweep / compare-eps / qbar / simulate.
 
-Every command reads one YAML config (all keys optional), writes CSV/JSON
-into --out, and prints a short human summary.  Exit codes:
+Every command reads one YAML config (all keys optional), prints a short
+human summary and returns its CSV/JSON files by name; ``main`` then writes
+them into --out in order, through one writer, and prints ``wrote <path>``
+after each.  A command that fails writes no file.  Exit codes:
 
     0  success
-    2  config error
-    3  infeasible (grid searched, nothing feasible)
+    2  config error, or an output file that cannot be written
+    3  infeasible (nothing feasible on the grid, or a tuple's powers
+       cannot carry its payload)
     4  all quantization levels ruled out by the budget cap
     5  privacy bound unreachable within the trial-count cap
     6  relative-error machinery unavailable (eta >= 1/4)
@@ -34,6 +37,7 @@ from .config import (
 from .errors import (
     AllInfeasibleError,
     BinomflError,
+    CapacityInfeasibleError,
     ConfigError,
     DivergedError,
     EmptyDomainError,
@@ -62,18 +66,19 @@ _EXIT_BY_ERROR = [
     (DivergedError, EXIT_DIVERGED),
     (EmptyDomainError, EXIT_EMPTY_DOMAIN),
     (InfeasibleError, EXIT_INFEASIBLE),
+    (CapacityInfeasibleError, EXIT_INFEASIBLE),
 ]
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_values(text: str) -> list[float]:
@@ -92,7 +97,7 @@ def _build(cfg: RunConfig):
     return system, ctx, cfg.build_solver(ctx)
 
 
-def cmd_solve(args, cfg: RunConfig, out: Path) -> int:
+def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     system, ctx, scfg = _build(cfg)
     sol, stats = solve_with_stats(system, scfg, ctx)
     report = {
@@ -118,7 +123,6 @@ def cmd_solve(args, cfg: RunConfig, out: Path) -> int:
         "eps_evaluations": stats.eps_evaluations,
         "seed": cfg.seed,
     }
-    _write_json(out / "solution.json", report)
     print(f"q={sol.q}  n={sol.n}  p={sol.p:.6g}  objective={sol.objective:.6g}")
     print(f"epsilon achieved {sol.epsilon_achieved:.6g} of budget {scfg.eps_bar:.6g}")
     if stats.mu is not None:
@@ -128,8 +132,7 @@ def cmd_solve(args, cfg: RunConfig, out: Path) -> int:
           f"{stats.eps_evaluations} budget evaluations")
     print(f"power range [{min(sol.powers):.4g}, {max(sol.powers):.4g}] W "
           f"({watts_to_dbm(min(sol.powers)):.2f} to {watts_to_dbm(max(sol.powers)):.2f} dBm)")
-    print(f"wrote {out / 'solution.json'}")
-    return EXIT_OK
+    return {"solution.json": _json(report)}
 
 
 def _solve_row(cfg: RunConfig):
@@ -137,7 +140,8 @@ def _solve_row(cfg: RunConfig):
     try:
         sol, _ = solve_with_stats(system, scfg, ctx)
         return sol
-    except (InfeasibleError, AllInfeasibleError, EmptyDomainError, PrivacyInfeasibleError):
+    except (InfeasibleError, AllInfeasibleError, EmptyDomainError, PrivacyInfeasibleError,
+            CapacityInfeasibleError):
         return None
 
 
@@ -147,7 +151,7 @@ SWEEP_AXES = {"eps_bar": ("solver", "eps_bar"), "p_max": ("system", "power_max_d
               "K": ("system", "selected")}
 
 
-def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
+def cmd_sweep(args, cfg: RunConfig) -> dict[str, str]:
     values = _parse_values(args.values)
     if sorted(values) != values:
         raise ConfigError("--values must be ascending")
@@ -159,14 +163,12 @@ def cmd_sweep(args, cfg: RunConfig, out: Path) -> int:
             rows.append([v, "infeasible", None, None, None, None])
         else:
             rows.append([v, sol.objective, sol.q, sol.n, sol.p, sol.epsilon_achieved])
-    path = out / f"sweep_{args.axis}.csv"
-    _write_csv(path, ["axis_value", "objective", "q", "n", "p", "epsilon"], rows)
     feasible = sum(1 for r in rows if r[1] != "infeasible")
-    print(f"{args.axis} sweep: {feasible}/{len(rows)} feasible rows -> {path}")
-    return EXIT_OK
+    print(f"{args.axis} sweep: {feasible}/{len(rows)} feasible rows")
+    return {f"sweep_{args.axis}.csv": _csv(["axis_value", "objective", "q", "n", "p", "epsilon"], rows)}
 
 
-def cmd_compare_eps(args, cfg: RunConfig, out: Path) -> int:
+def cmd_compare_eps(args, cfg: RunConfig) -> dict[str, str]:
     values = _parse_values(args.values) if args.values is not None else [float(v) for v in range(1, 11)]
     system = cfg.build_system()
     ctx = cfg.build_context(system)
@@ -179,13 +181,10 @@ def cmd_compare_eps(args, cfg: RunConfig, out: Path) -> int:
         tight = sol.epsilon_achieved
         base = baseline_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
         rows.append([eb, tight, base, base / tight])
-    path = out / "compare_eps.csv"
-    _write_csv(path, ["eps_bar", "epsilon_tight", "epsilon_baseline", "ratio"], rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {"compare_eps.csv": _csv(["eps_bar", "epsilon_tight", "epsilon_baseline", "ratio"], rows)}
 
 
-def cmd_qbar(args, cfg: RunConfig, out: Path) -> int:
+def cmd_qbar(args, cfg: RunConfig) -> dict[str, str]:
     values = _parse_values(args.values) if args.values is not None else [float(v) for v in range(1, 21)]
     rows = []
     for dbm in values:
@@ -197,10 +196,7 @@ def cmd_qbar(args, cfg: RunConfig, out: Path) -> int:
             rows.append([dbm, "empty_domain", None])
         except AllInfeasibleError:
             rows.append([dbm, "all_infeasible", None])
-    path = out / "qbar_sweep.csv"
-    _write_csv(path, ["p_max_dbm", "qbar", "log10_qbar"], rows)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {"qbar_sweep.csv": _csv(["p_max_dbm", "qbar", "log10_qbar"], rows)}
 
 
 def _build_task(s: dict, seed: int):
@@ -213,7 +209,7 @@ def _build_task(s: dict, seed: int):
     return tasksmod.QuadraticBowlTask(d=s["dimension"], M=s["population"], seed=data_seed)
 
 
-def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
+def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     s = cfg.sim_section()
     task = _build_task(s, cfg.seed)
     cfg = cfg.merged({"system": {key: s[key] for key in ("selected", "population", "dimension")},
@@ -245,12 +241,10 @@ def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
 
     traces = {}
     for index, (name, arm_sol) in enumerate(arms.items()):
-        trace = simmod.run_fsgd(
+        traces[name] = simmod.run_fsgd(
             task, system, arm_sol, rounds, rng_for(cfg.seed, ROLE_SIM, index),
             gamma=conv.gamma, rescale=s["rescale"],
         )
-        trace.to_csv(out / f"trace_{name}.csv")
-        traces[name] = trace
 
     summary = {
         "spec_version": SPEC_VERSION,
@@ -277,7 +271,6 @@ def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
         "iterations_estimate": {"exact": iters.exact, "order_form": iters.order_form},
         "sigma_sq": sigma_sq,
     }
-    _write_json(out / "summary.json", summary)
     base_final = traces["baseline"].loss[-1]
     opt_final = traces["optimized"].loss[-1]
     print(f"tuple q={sol.q} n={sol.n} p={sol.p:.4g}; gamma={conv.gamma:.4g}")
@@ -288,8 +281,10 @@ def cmd_simulate(args, cfg: RunConfig, out: Path) -> int:
               f"(objective x{summary['suboptimal']['objective_ratio']:.2f})")
     print(f"bias {bias.mean:.6g} +/- {bias.stderr:.2g} vs bounds "
           f"[{bounds.b_lo:.6g}, {bounds.b_hi:.6g}] -> {'PASS' if in_sandwich else 'FAIL'}")
-    print(f"wrote {out / 'summary.json'}")
-    return EXIT_OK
+    files = {f"trace_{name}.csv": _csv(simmod.TRACE_COLUMNS, zip(range(tr.rounds), tr.loss, tr.grad_norm_sq,
+                                                                  tr.bias_sample, tr.bits))
+             for name, tr in traces.items()}
+    return {**files, "summary.json": _json(summary)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +340,13 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        return args.func(args, cfg, out)
+        for name, text in args.func(args, cfg).items():
+            try:
+                (out / name).write_text(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file: {exc}") from exc
+            print(f"wrote {out / name}")
+        return EXIT_OK
     except BinomflError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return next((code for klass, code in _EXIT_BY_ERROR if isinstance(exc, klass)), 1)

@@ -15,6 +15,9 @@ costs ``payload.size * bits_per_coord(q, n)`` bits.
 Randomness: every routine takes an explicit ``numpy.random.Generator``;
 two runs with equal generators produce bit-identical traces.
 
+``TRACE_COLUMNS`` is the trace schema: the CLI writes a ``SimTrace`` as one
+CSV row per round under that header; this module writes no file.
+
 A round is bit-reproducible, and the trace CSVs are pinned byte for byte,
 so a rewrite for speed must keep every value's IEEE operations.  Three
 things must not change:
@@ -30,7 +33,6 @@ things must not change:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -132,28 +134,6 @@ class SimTrace:
         self.grad_norm_sq.append(float(grad_norm_sq))
         self.bias_sample.append(float(bias_sample))
         self.bits.append(int(bits))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for t in range(self.rounds):
-                writer.writerow(
-                    [t, repr(self.loss[t]), repr(self.grad_norm_sq[t]),
-                     repr(self.bias_sample[t]), self.bits[t]]
-                )
-
-    @classmethod
-    def from_csv(cls, path) -> "SimTrace":
-        trace = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != TRACE_COLUMNS:
-                raise ValueError(f"unexpected trace header {header}")
-            for row in reader:
-                trace.append(float(row[1]), float(row[2]), float(row[3]), int(row[4]))
-        return trace
 
 
 def bits_per_coord(q: int, n: int) -> int:

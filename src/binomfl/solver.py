@@ -234,7 +234,7 @@ def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
     :class:`ErrorBoundUnavailableError` at eta >= 1/4, where no feasible
     point exists even at p = 1/2 with n = n_cap and the machinery breaks.
     """
-    eta = max(23.0 * math.log(10.0 * ctx.d / ctx.delta), 6.0) / (ctx.K * n_cap)
+    eta = dp_variance_threshold(2, ctx.d, ctx.delta) / (ctx.K * n_cap)
     return eta, mu_from_eta(eta)
 
 
@@ -376,10 +376,7 @@ def solve_with_stats(
     # cells run q-major over the ascending p grid and hold one n each, so the
     # first minimum is the (objective, q, p, n) tie-break
     best = np.argmin(objective(q_f, n_f, p_f))
-    sol = _solution(int(q_f[best]), int(n_f[best]), float(p_f[best]), sys, ctx)
-    if not capacity_feasible(sol.q, sol.n, list(sol.powers), sys):
-        raise InfeasibleError("final power assignment failed the capacity re-check")
-    return sol, stats
+    return _solution(int(q_f[best]), int(n_f[best]), float(p_f[best]), sys, ctx), stats
 
 
 def solve(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution:
@@ -388,7 +385,8 @@ def solve(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution
     Deterministic: ties are broken by smallest objective, then smallest q,
     then smallest p, then smallest n.  Raises :class:`EmptyDomainError`,
     :class:`AllInfeasibleError` or :class:`InfeasibleError` depending on
-    which stage ruled everything out.
+    which stage ruled everything out, and :class:`CapacityInfeasibleError`
+    when the chosen tuple's powers cannot carry its payload.
     """
     sol, _ = solve_with_stats(sys, cfg, ctx)
     return sol

@@ -132,7 +132,9 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
     Clamps to [p_min, p_max]; raises :class:`CapacityInfeasibleError` for
     the first device that even p_max cannot serve.  A power is nudged up by
     at most a few ulps where rounding would otherwise leave the capacity
-    check failing by one bit of precision.
+    check failing by one bit of precision; a device whose nudged power still
+    misses the payload raises too, so every returned power passes
+    :func:`capacity_feasible`.
     """
     if q + n < 4:
         raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
@@ -153,7 +155,9 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
             )
         power = max(sys.p_min, unclamped)
         bump = 2.0**-50
-        while need > sys.T * shannon_rate(power, gain, sys) and power < sys.p_max and bump < 2.0**-20:
+        while need > sys.T * shannon_rate(power, gain, sys):
+            if power >= sys.p_max or bump >= 2.0**-20:
+                raise CapacityInfeasibleError(f"payload at (q={q}, n={n}) exceeds capacity on gain {gain:.6g}")
             power = min(sys.p_max, max(sys.p_min, unclamped) * (1.0 + bump))
             bump *= 4.0
         powers.append(power)

@@ -17,13 +17,18 @@ from hypothesis import strategies as st
 from binomfl.cli import (
     EXIT_ALL_INFEASIBLE,
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_EMPTY_DOMAIN,
+    EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PRIVACY_INFEASIBLE,
     SWEEP_AXES,
     main,
 )
+from binomfl import sim as simmod
+from binomfl import wireless
 from binomfl.config import DEFAULTS, RunConfig
+from binomfl.errors import DivergedError
 from binomfl.solver import Solution, check_solution, objective
 
 SMALL_CONFIG = """\
@@ -402,6 +407,51 @@ class TestExitCodes:
             assert main(argv) == EXIT_CONFIG
         assert err.getvalue().startswith("error: cannot create output directory")
         assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve"], "solution.json"),
+        (["sweep", "--axis", "eps_bar", "--values", "20,30"], "sweep_eps_bar.csv"),
+        (["simulate"], "summary.json"),
+    ])
+    def test_output_file_is_a_directory(self, argv, name, config_path, tmp_path):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+        assert err.getvalue().startswith("error: cannot write output file")
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+    def test_simulate_that_diverges_writes_no_file(self, config_path, tmp_path, monkeypatch):
+        # the last arm diverges after the first two traces are computed
+        run_fsgd = simmod.run_fsgd
+        calls = []
+
+        def diverge_on_last_arm(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise DivergedError("loss became non-finite")
+            return run_fsgd(*args, **kwargs)
+
+        monkeypatch.setattr(simmod, "run_fsgd", diverge_on_last_arm)
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == EXIT_DIVERGED
+        assert len(calls) == 3
+        assert list(out.iterdir()) == []
+
+    def test_unmet_capacity_is_infeasible(self, config_path, tmp_path, monkeypatch):
+        # with every rate zero no power carries the payload
+        monkeypatch.setattr(wireless, "shannon_rate", lambda power, gain, sys: 0.0)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["solve", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+            code = main(["sweep", "--axis", "eps_bar", "--values", "20,30",
+                         "--config", str(config_path), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert err.getvalue().startswith("error: payload at") and err.getvalue().count("\n") == 1
+        _, rows = read_csv(tmp_path / "sweep_eps_bar.csv")
+        assert [r[1] for r in rows] == ["infeasible", "infeasible"]
 
     def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
         # the built-in sim dimension is far below the full-scale d, so the

@@ -1,5 +1,5 @@
-"""Desk outputs pinned byte for byte: solve, sweep on every axis, compare-eps
-and qbar.
+"""Desk outputs pinned byte for byte: solve, sweep on every axis, compare-eps,
+qbar, and simulate's summary and three traces.
 
 The files under data/golden/ are what these commands write on
 configs/desk.yaml.  A change that alters them on purpose rewrites them (run
@@ -30,8 +30,27 @@ COMMANDS = {
 }
 
 
+SIMULATE_FILES = ["summary.json", "trace_baseline.csv", "trace_optimized.csv", "trace_suboptimal.csv"]
+
+
+def _run_desk(argv, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--config", str(DESK_CONFIG), "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("argv, name", list(COMMANDS.values()), ids=list(COMMANDS))
 def test_desk_output_matches_golden(argv, name, tmp_path):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--config", str(DESK_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+    _run_desk(argv, tmp_path)
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def desk_simulate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("simulate")
+    _run_desk(["simulate"], out)
+    return out
+
+
+@pytest.mark.parametrize("name", SIMULATE_FILES)
+def test_desk_simulate_matches_golden(name, desk_simulate):
+    assert (desk_simulate / name).read_bytes() == (GOLDEN / name).read_bytes()

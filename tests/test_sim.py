@@ -1,15 +1,20 @@
 """Quantizer, wire payload, server mean, bounds, and the training loop."""
 
+import contextlib
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from binomfl import sim as simmod
+from binomfl.cli import EXIT_OK, main
 from binomfl.errors import DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import (
+    TRACE_COLUMNS,
     ConvergenceParams,
-    SimTrace,
     _mean_rows,
     _privatized_mean,
     bits_per_coord,
@@ -291,18 +296,34 @@ class TestCommCost:
                 assert comm_cost(5, 3, 11, q, n) < 5 * 3 * 11 * 32
 
 
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+
+
 class TestTraceCsv:
-    def test_roundtrip_exact(self, tmp_path, rng):
-        task = QuadraticBowlTask(d=8, M=20, seed=4)
-        sys = flat_system(K=5, M=20, d=8)
-        trace = run_fsgd(task, sys, make_solution(9, 32, 0.5, 5), 15, rng)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        back = SimTrace.from_csv(path)
-        assert back.loss == trace.loss
-        assert back.grad_norm_sq == trace.grad_norm_sq
-        assert back.bias_sample == trace.bias_sample
-        assert back.bits == trace.bits
+    def test_roundtrip_exact(self, tmp_path, monkeypatch):
+        # every trace desk simulate writes reads back to the exact floats
+        # and bits it ran with
+        traces = []
+
+        def recording_run_fsgd(*args, **kwargs):
+            traces.append(run_fsgd(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(simmod, "run_fsgd", recording_run_fsgd)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+        names = ["baseline", "optimized", "suboptimal"]
+        assert len(traces) == len(names)
+        for name, trace in zip(names, traces):
+            text = (tmp_path / f"trace_{name}.csv").read_bytes().decode("ascii")
+            header, *lines = text.split("\n")[:-1]
+            rows = [line.split(",") for line in lines]
+            assert header == ",".join(TRACE_COLUMNS)
+            assert [int(r[0]) for r in rows] == list(range(trace.rounds))
+            assert [float(r[1]) for r in rows] == trace.loss
+            assert [float(r[2]) for r in rows] == trace.grad_norm_sq
+            assert [float(r[3]) for r in rows] == trace.bias_sample
+            assert [int(r[4]) for r in rows] == trace.bits
 
 
 class TestConvergenceParams:

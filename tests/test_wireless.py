@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binomfl import wireless
 from binomfl.errors import CapacityInfeasibleError, EmptyDomainError
 from binomfl.wireless import (
     ChannelSampler,
@@ -120,6 +121,15 @@ class TestRequiredPower:
     def test_signals_above_p_max(self):
         sys = flat_system(K=1, d=1, T=1.0, W=2.0, p_max=0.5)
         with pytest.raises(CapacityInfeasibleError):
+            assign_powers(2, 2, sys)
+
+    def test_signals_when_the_bump_cannot_meet_capacity(self, monkeypatch):
+        # every rate one ulp short of the payload, so no nudge closes the gap
+        sys = flat_system(K=1, d=1, T=1.0, W=2.0)
+        need = payload_bits_real(1, 2, 2)
+        monkeypatch.setattr(wireless, "shannon_rate",
+                            lambda power, gain, s: math.nextafter(need, 0.0) / s.T)
+        with pytest.raises(CapacityInfeasibleError, match="exceeds capacity"):
             assign_powers(2, 2, sys)
 
     def test_output_always_passes_capacity(self, rng):
