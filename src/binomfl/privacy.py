@@ -8,8 +8,15 @@ n*p*(1-p) is not small (see :func:`epsilon_tight` for where it is not).
 Both are certified only while the aggregate noise variance K*n*p*(1-p)
 clears a dimension-dependent floor; below that floor they raise
 :class:`NotApplicableError` instead of returning a number.
-``tight_epsilon_lower`` is the tight estimator's lower bound over every
-(n, p) with n*p*(1-p) <= x: the same five terms at the worst noise shape.
+The tight estimator is written once, as five terms of the n-free factors
+(``tight_epsilon_factors``: everything q, p, d and delta fix), x = n*p*(1-p)
+and the variance factor s1.  Its entry points all go through it:
+``tight_epsilon_at_n`` evaluates built factors at a trial count (the search
+builds the factors once per cell and calls this on every step),
+``tight_epsilon_terms_value``, ``tight_epsilon_value`` and
+``tight_epsilon_n_array`` build and evaluate in one call, and
+``tight_epsilon_lower`` is the lower bound over every (n, p) with
+n*p*(1-p) <= x: the same five terms at the worst noise shape.
 
 All logarithms here are natural logs (``math.log``).  Channel-capacity math
 elsewhere in the package uses ``math.log2``; the two must never be mixed.
@@ -161,50 +168,99 @@ def baseline_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> fl
     )
 
 
-def _s1(n, p):
-    # squares are written as products: numpy squares arrays by multiplying,
-    # while a Python float's ** 2 goes through libm pow, which can differ
-    # from the product in the last bit
-    pq = p * (1.0 - p)
-    return (3.0 * (p * p) - 3.0 * p + 1.0) / (n * (n + 1) * (n + 2) * pq * pq) * (
-        3.0 * n + 2.0 + 2.0 / pq
-    )
+def tight_epsilon_factors(q, p, d: int, delta: float) -> tuple:
+    """The n-free stage of the tight estimate: every factor q, p, d and delta fix.
 
-
-def _s2(x, pmax, ln20d: float):
-    # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
-    # array operation fewer
-    radius = _sqrt(x * (2.0 * ln20d)) + 1.0 + (2.0 / 3.0) * pmax * ln20d
-    return radius * radius
-
-
-def _tight_terms(q, x, psym, pmax, s1, d: int, delta: float):
-    # the five summands from the noise shape: x = n*p*(1-p),
-    # psym = p^2 + (1-p)^2, pmax = max(p, 1-p) and the variance factor s1
+    Returns a flat tuple for :func:`tight_epsilon_at_n`, in this order:
+    d2*sqrt(2 ln(1.25/delta)), ALPHA*d1, d2/sqrt(1 - delta/10), dinf and
+    2 ln(1.25/delta)*dinf, shaped like q; p(1-p), p^2 + (1-p)^2,
+    3p^2 - 3p + 1, 2/(p(1-p)) and (2/3)*max(p, 1-p)*ln(20d/delta), shaped
+    like p; then the scalars 1 - delta/10, ln(10/delta), 2 ln(10/delta) and
+    2 ln(20d/delta).  On a (Q, 1) column of q and a (1, P) row of p each
+    factor is thus computed once per axis value.  A caller that holds the
+    factors of a 1-D array of cells may index every array entry with one
+    mask to drop cells.
+    """
     d1, d2, dinf = _sensitivity_triple(q, d, delta)
-    xx = x * x
     ln125 = math.log(1.25 / delta)
     ln10 = math.log(10.0 / delta)
     ln20d = math.log(20.0 * d / delta)
     one_minus = 1.0 - delta / 10.0
-    t1 = d2 * math.sqrt(2.0 * ln125) / _sqrt(x)
-    t2 = ALPHA * d1 * (x + 1.0) * psym / (xx * one_minus)
-    t3 = d2 / math.sqrt(one_minus) * _sqrt(s1 * (2.0 * ln10))
-    t4 = (2.0 / 3.0) * ALPHA * _s2(x, pmax, ln20d) * psym * ln10 * dinf / xx
-    t5 = 2.0 * ln125 * dinf / x
-    return t1, t2, t3, t4, t5
+    # squares are written as products: numpy squares arrays by multiplying,
+    # while a Python float's ** 2 goes through libm pow, which can differ
+    # from the product in the last bit
+    pq = p * (1.0 - p)
+    return (
+        d2 * math.sqrt(2.0 * ln125),
+        ALPHA * d1,
+        d2 / math.sqrt(one_minus),
+        dinf,
+        2.0 * ln125 * dinf,
+        pq,
+        p * p + (1.0 - p) * (1.0 - p),
+        3.0 * (p * p) - 3.0 * p + 1.0,
+        2.0 / pq,
+        (2.0 / 3.0) * _max(p, 1.0 - p) * ln20d,
+        one_minus,
+        ln10,
+        2.0 * ln10,
+        2.0 * ln20d,
+    )
+
+
+def _s1(n, f):
+    # the variance factor at trial count n from the factors f
+    pq, s1_num, two_over_pq = f[5], f[7], f[8]
+    # n + 1.0 and n + 2.0 turn an integer n to float before the product, so
+    # an int64 array of trial counts cannot overflow and gives the bits of
+    # the same counts in float64
+    return s1_num / (n * (n + 1.0) * (n + 2.0) * pq * pq) * (3.0 * n + 2.0 + two_over_pq)
+
+
+def _s2(x, f):
+    # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
+    # array operation fewer
+    radius = _sqrt(x * f[13]) + 1.0 + f[9]
+    return radius * radius
+
+
+def _tight_terms(f, x, s1):
+    # the five summands from the factors f, x = n*p*(1-p) and the variance
+    # factor s1; the one place the tight formula is written
+    k1, k2, k3, dinf, k5, _, psym, _, _, _, one_minus, ln10, two_ln10, _ = f
+    xx = x * x
+    return (
+        k1 / _sqrt(x),
+        k2 * (x + 1.0) * psym / (xx * one_minus),
+        k3 * _sqrt(s1 * two_ln10),
+        (2.0 / 3.0) * ALPHA * _s2(x, f) * psym * ln10 * dinf / xx,
+        k5 / x,
+    )
+
+
+def _n_terms(f, n):
+    return _tight_terms(f, n * f[5], _s1(n, f))
+
+
+def tight_epsilon_at_n(f, n) -> np.ndarray:
+    """The n stage of the tight estimate: the budget at trial count n.
+
+    ``f`` is the tuple :func:`tight_epsilon_factors` built, n a scalar or
+    an array (integer or float) that broadcasts against its entries.  The
+    result is 1-D, flattened in C order of the broadcast shape.
+    """
+    t1, t2, t3, t4, t5 = _n_terms(f, n)
+    return np.ravel(t1 + t2 + t3 + t4 + t5)
 
 
 def tight_epsilon_terms_value(q, n, p, d: int, delta: float):
     """The five summands of the tight estimate, ungated.
 
-    The one implementation of the tight estimator: q, n and p may each be a
-    scalar or an array, and arrays broadcast against each other.  Scalars
-    stay Python floats throughout, so a scalar call returns plain floats.
+    q, n and p may each be a scalar or an array, and arrays broadcast
+    against each other.  Scalars stay Python floats throughout, so a scalar
+    call returns plain floats.
     """
-    x = n * (p * (1.0 - p))
-    psym = p * p + (1.0 - p) * (1.0 - p)
-    return _tight_terms(q, x, psym, _max(p, 1.0 - p), _s1(n, p), d, delta)
+    return _n_terms(tight_epsilon_factors(q, p, d, delta), n)
 
 
 def tight_epsilon_lower(q, x, d: int, delta: float):
@@ -217,7 +273,7 @@ def tight_epsilon_lower(q, x, d: int, delta: float):
     non-decreasing in q.  q and x broadcast like the kernel's arguments.
     """
     s1 = _min((x + 1.0) / (2.0 * x**3), (3.0 * x + 2.0) / (4.0 * x * (x + 0.25) * (x + 0.5)))
-    return _tight_terms(q, x, 0.5, 0.5, s1, d, delta)
+    return _tight_terms(tight_epsilon_factors(q, 0.5, d, delta), x, s1)
 
 
 def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
@@ -256,5 +312,5 @@ def tight_epsilon_n_array(q, n, p, d: int, delta: float) -> np.ndarray:
     shape, and element i is bit-identical to :func:`tight_epsilon_value` at
     the i-th (q, n, p) of that order.
     """
-    t1, t2, t3, t4, t5 = tight_epsilon_terms_value(q, np.asarray(n, dtype=np.float64), p, d, delta)
-    return (t1 + t2 + t3 + t4 + t5).ravel()
+    factors = tight_epsilon_factors(q, p, d, delta)
+    return tight_epsilon_at_n(factors, np.asarray(n, dtype=np.float64))

@@ -7,14 +7,18 @@ power limits.  The cells form a Cartesian grid, a column of q values
 against a row of p values, and every (q, p) cell needs the smallest trial
 count whose (monotone in n) budget estimate meets the cap.
 ``lockstep_min_n`` runs the doubling-plus-bisection search for all cells at
-once, about 2*log2(n_cap) calls of the broadcast budget kernel per solve.
-Its two bracket probes (n = 2 and n = n_cap) each make one call on the q
-and p axes with a scalar n, so the q-only and p-only factors are computed
-once per axis value and only the terms that mix the axes run on every
-cell; each later step is one call on the cells still searching.  The
-variance-floor ceiling, the trial-count, capacity and bit caps broadcast
-over the same axes, and the tie-break is an argmin over the cells in
-q-major order.  The q range is pre-pruned by the q-bar envelope,
+once on the budget kernel's two stages: ``privacy.tight_epsilon_factors``
+builds the n-free factors (the sensitivity triple, p(1-p) and the like)
+and ``privacy.tight_epsilon_at_n`` evaluates the rest at a trial count.
+Per solve the factors are built twice: on the q and p axes for the two
+bracket probes (n = 2 and n = n_cap, one call each with a scalar n, so
+q-only and p-only factors are computed once per axis value), then on the
+cells still searching.  Each later step is one n-stage call on those
+cells, about 2*log2(n_cap) calls per solve, and the cell arrays, factors
+included, are compacted only on steps where some cell finishes.  Only the
+cells whose budget n_cap reaches go on to the variance-floor ceiling and
+the trial-count, capacity and bit caps, and the tie-break is an argmin
+over them in q-major order.  The q range is pre-pruned by the q-bar envelope,
 ``privacy.tight_epsilon_lower`` at x = (cap - q)/4, and p is restricted to
 [1/2, 1) because every constraint and the objective are symmetric around
 1/2.  ``payload_caps`` is the one place that turns the channel and the bit
@@ -42,6 +46,8 @@ from .errors import (
 from .privacy import (
     PrivacyContext,
     dp_variance_threshold,
+    tight_epsilon_at_n,
+    tight_epsilon_factors,
     tight_epsilon_lower,
     tight_epsilon_n_array,
     tight_epsilon_value,
@@ -155,7 +161,8 @@ def objective(q, n, p):
 def lockstep_min_n(
     q,
     p,
-    eps_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    factors_fn: Callable[[np.ndarray, np.ndarray], tuple],
+    eps_fn: Callable[[tuple, np.ndarray], np.ndarray],
     eps_bar: float,
     n_cap: int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +173,18 @@ def lockstep_min_n(
     C order of the broadcast shape.  Per cell this is the doubling-plus-
     bisection search on the budget estimate, which must be non-increasing
     in n: probe n = 2, then n_cap, then double from 2 until the budget is
-    met (n_cap ends the doubling), then bisect.  The two bracket probes are
-    one call ``eps_fn(q, n, p)`` each, on q and p as given and a scalar n;
-    every later step is one call on 1-D arrays of the cells still
-    searching.  ``eps_fn`` returns the budget flattened in C order of the
-    broadcast shape of its arguments.
+    met (n_cap ends the doubling), then bisect.
+
+    The budget comes in two stages: ``factors_fn(q, p)`` builds the n-free
+    factors, a tuple whose array entries broadcast like q and p, and
+    ``eps_fn(factors, n)`` evaluates the budget at n, flattened in C order
+    of the broadcast shape.  The factors are built twice: once on q and p
+    as given, for the two bracket probes (each one ``eps_fn`` call with a
+    scalar n), and once on 1-D arrays of the cells left searching; every
+    later step is one ``eps_fn`` call on those cells with an int64 array of
+    n.  Cells that finish leave the arrays, factors included, on the step
+    they finish, so the arrays are compacted only on steps where some cell
+    does.
 
     Returns ``(n1, evals)``, both flat over the cells: n1[i] is the trial
     count, or 0 where even n_cap misses the budget; evals[i] counts the
@@ -178,33 +192,39 @@ def lockstep_min_n(
     """
     shape = np.broadcast_shapes(np.shape(q), np.shape(p))
     size = math.prod(shape)
-    met = eps_fn(q, 2, p) <= eps_bar
+    axes = factors_fn(q, p)
+    met = eps_fn(axes, 2) <= eps_bar
     n1 = np.zeros(size, dtype=np.int64)
     n1[met] = 2
     if n_cap == 2 or met.all():
         return n1, np.ones(size, dtype=np.int64)
     evals = np.where(met, 1, 2)
-    cells = np.flatnonzero((eps_fn(q, n_cap, p) <= eps_bar) & ~met)
+    cells = np.flatnonzero((eps_fn(axes, n_cap) <= eps_bar) & ~met)
     at = np.unravel_index(cells, shape)
-    q, p = np.broadcast_to(q, shape)[at], np.broadcast_to(p, shape)[at]
-    # eps(lo) > eps_bar >= eps(hi) holds for every searching cell
+    factors = factors_fn(np.broadcast_to(q, shape)[at], np.broadcast_to(p, shape)[at])
+    # eps(lo) > eps_bar >= eps(hi) holds for every searching cell, and each
+    # has probed 2, n_cap and one new trial count per step since
     lo = np.full(cells.size, 2, dtype=np.int64)
     hi = np.full(cells.size, n_cap, dtype=np.int64)
     doubling = 2 * lo < n_cap
+    probes = 2
     while True:
         done = hi - lo <= 1
-        n1[cells[done]] = hi[done]
-        keep = ~done
-        cells, q, p = cells[keep], q[keep], p[keep]
-        lo, hi, doubling = lo[keep], hi[keep], doubling[keep]
+        if done.any():
+            finished = cells[done]
+            n1[finished] = hi[done]
+            evals[finished] = probes
+            keep = ~done
+            cells, lo, hi, doubling = cells[keep], lo[keep], hi[keep], doubling[keep]
+            factors = tuple(f[keep] if isinstance(f, np.ndarray) else f for f in factors)
         if cells.size == 0:
             return n1, evals
         probe = np.where(doubling, 2 * lo, (lo + hi) // 2)
-        evals[cells] += 1
-        above = eps_fn(q, probe, p) > eps_bar
+        above = eps_fn(factors, probe) > eps_bar
         lo = np.where(above, probe, lo)
         hi = np.where(above, hi, probe)
         doubling &= above & (2 * lo < n_cap)
+        probes += 1
 
 
 def n_from_constraints(q, p, n1, ctx: PrivacyContext):
@@ -349,30 +369,33 @@ def solve_with_stats(
     q = np.arange(2, q_hi + 1)[:, None]
     p = np.array(grid)[None, :]
     n1, evals = lockstep_min_n(
-        q, p, lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, ctx.d, ctx.delta),
-        cfg.eps_bar, cfg.n_cap,
+        q, p, lambda qs, ps: tight_epsilon_factors(qs, ps, ctx.d, ctx.delta),
+        tight_epsilon_at_n, cfg.eps_bar, cfg.n_cap,
     )
-    n1 = n1.reshape(q.size, p.size)
-    n = n_from_constraints(q, p, n1, ctx)
-    feasible = np.flatnonzero((n1 > 0) & (n <= cfg.n_cap) & (n <= cap_real - q))
+    # only cells whose budget n_cap reaches (n1 > 0) can be feasible; the
+    # floor, n_cap and capacity checks run on those alone
+    reached = np.flatnonzero(n1)
+    iq, ip = np.unravel_index(reached, (q.size, p.size))
+    q_r, p_r = q[iq, 0], p[0, ip]
+    n_r = n_from_constraints(q_r, p_r, n1[reached], ctx)
+    feasible = (n_r <= cfg.n_cap) & (n_r <= cap_real - q_r)
+    q_f, n_f, p_f = q_r[feasible], n_r[feasible], p_r[feasible]
     stats = SolveStats(
         eta=eta, mu=mu, lambda_step=cfg.lambda_step,
         p_grid_size=len(grid), q_lo=2, q_hi=q_hi,
         cells_total=int(n1.size),
-        cells_feasible=int(feasible.size),
+        cells_feasible=int(q_f.size),
         eps_evaluations=int(evals.sum()),
         max_evals_per_cell=int(evals.max()),
     )
 
-    if feasible.size == 0:
-        if not n1.any():
+    if q_f.size == 0:
+        if reached.size == 0:
             raise PrivacyInfeasibleError(
                 f"budget {cfg.eps_bar} unreachable within n_cap={cfg.n_cap} "
                 "at every grid point"
             )
         raise InfeasibleError("no feasible grid point")
-    iq, ip = np.unravel_index(feasible, n1.shape)
-    q_f, n_f, p_f = q[iq, 0], n[iq, ip], p[0, ip]
     # cells run q-major over the ascending p grid and hold one n each, so the
     # first minimum is the (objective, q, p, n) tie-break
     best = np.argmin(objective(q_f, n_f, p_f))

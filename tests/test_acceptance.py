@@ -20,7 +20,8 @@ from binomfl.privacy import (
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
-    tight_epsilon_n_array,
+    tight_epsilon_at_n,
+    tight_epsilon_factors,
     tight_epsilon_value,
 )
 from binomfl.sim import (
@@ -124,7 +125,7 @@ def test_criterion_03_binary_search_equals_linear_scan():
                     break
             n1, _ = lockstep_min_n(
                 np.array([q]), np.array([p]),
-                lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, d, delta),
+                lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta), tight_epsilon_at_n,
                 eps_bar, n_cap,
             )
             assert n1[0] == expected

@@ -25,6 +25,8 @@ from binomfl.privacy import (
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
+    tight_epsilon_at_n,
+    tight_epsilon_factors,
     tight_epsilon_lower,
     tight_epsilon_n_array,
     tight_epsilon_terms_value,
@@ -310,24 +312,74 @@ class TestTight:
                     assert vec[i] == tight_epsilon_value(int(qi), n, float(pi), d, delta)
 
 
+class TestSplitKernel:
+    """The n-free factors built once, then evaluated at any n."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 10**7),
+        log_delta=st.floats(-15.0, -0.1),
+        qs=st.lists(st.integers(2, 70_000), min_size=1, max_size=5),
+        # both sides of 1/2, 1/2 itself, and within 1e-9 of 0 and of 1
+        ps=st.lists(
+            st.one_of(
+                st.floats(0.01, 0.99),
+                st.sampled_from([0.5]),
+                st.floats(1e-9, 1e-4),
+                st.floats(1e-9, 1e-4).map(lambda v: 1.0 - v),
+            ),
+            min_size=1, max_size=5,
+        ),
+        # n*(n+1) stays below 2^53, where the scalar path's Python-int
+        # product and the array path's float product are both exact
+        ns=st.lists(st.integers(2, 10**7), min_size=1, max_size=4),
+    )
+    def test_matches_scalar_bitwise(self, d, log_delta, qs, ps, ns):
+        delta = 10.0**log_delta
+        q_axis, p_axis = np.array(qs), np.array(ps)
+        cells = [(q, p) for q in qs for p in ps]
+        axes = tight_epsilon_factors(q_axis[:, None], p_axis[None, :], d, delta)
+        flat = tight_epsilon_factors(
+            np.array([q for q, _ in cells]), np.array([p for _, p in cells]), d, delta
+        )
+        for n in ns:
+            expected = [tight_epsilon_value(q, n, p, d, delta) for q, p in cells]
+            for f in (axes, flat):
+                assert tight_epsilon_at_n(f, n).tolist() == expected
+            # an int64 array of n, one count per flat cell
+            at = tight_epsilon_at_n(flat, np.full(len(cells), n, dtype=np.int64))
+            assert at.tolist() == expected
+        # one factor tuple per cell, evaluated at scalar n, with every n at once
+        for q, p in cells:
+            one = tight_epsilon_factors(q, p, d, delta)
+            expected = [tight_epsilon_value(q, n, p, d, delta) for n in ns]
+            assert [float(tight_epsilon_at_n(one, n)[0]) for n in ns] == expected
+            assert tight_epsilon_at_n(one, np.array(ns, dtype=np.float64)).tolist() == expected
+
+
 class TestSTerms:
     """The variance-shape factor s1 and the squared tail radius s2."""
+
+    # s1 depends on n and p only and s2 on x, p, d and delta, so the
+    # factors' q is arbitrary
+    @staticmethod
+    def factors(p):
+        return tight_epsilon_factors(2, p, 12, 1e-6)
 
     def test_s1_symmetric(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert _s1(n, p) == pytest.approx(_s1(n, 1.0 - p), rel=1e-12)
+            assert _s1(n, self.factors(p)) == pytest.approx(_s1(n, self.factors(1.0 - p)), rel=1e-12)
 
     def test_s1_hand_value(self):
-        assert _s1(2, 0.5) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert _s1(2, self.factors(0.5)) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     def test_s2_above_one(self, rng):
-        ln20d = math.log(20.0 * 12 / 1e-6)
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert _s2(n * p * (1.0 - p), max(p, 1.0 - p), ln20d) > 1.0
+            assert _s2(n * p * (1.0 - p), self.factors(p)) > 1.0
 
 
 class TestTightLower:

@@ -16,6 +16,8 @@ from binomfl.config import RunConfig
 from binomfl.privacy import (
     PrivacyContext,
     dp_variance_threshold,
+    tight_epsilon_at_n,
+    tight_epsilon_factors,
     tight_epsilon_n_array,
     tight_epsilon_value,
 )
@@ -52,20 +54,22 @@ def linear_scan_min_n(q, p, eps_bar, d, delta, n_hi):
     return None
 
 
-def single_cell_min_n(q, p, eps_bar, n_cap, eps_fn):
+def single_cell_min_n(q, p, eps_bar, n_cap, kernel):
     """Trial count of the one cell (q, p) from lockstep_min_n; 0 when even
     n_cap misses the budget."""
-    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), eps_fn, eps_bar, n_cap)
+    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), *kernel, eps_bar, n_cap)
     return int(n1[0])
 
 
-def tight_eps_fn(d, delta):
-    return lambda qs, ns, ps: tight_epsilon_n_array(qs, ns, ps, d, delta)
+def tight_kernel(d, delta):
+    """The tight budget's two stages, as lockstep_min_n takes them."""
+    return lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta), tight_epsilon_at_n
 
 
-def curve_eps_fn(curve):
-    """Budget kernel of a synthetic curve in n alone, flat over the cells."""
-    return lambda qs, ns, ps: np.ravel(curve(ns + 0.0 * qs + 0.0 * ps))
+def curve_kernel(curve):
+    """Two-stage budget of a synthetic curve in n alone, flat over the cells:
+    the n-free stage is a zero per cell."""
+    return lambda qs, ps: (0.0 * qs + 0.0 * ps,), lambda f, ns: np.ravel(curve(ns + f[0]))
 
 
 def scalar_search(eps, eps_bar, n_cap):
@@ -128,17 +132,17 @@ class TestMinNForPrivacy:
     """The smallest trial count meeting the budget, one cell of the search."""
 
     def test_synthetic_hyperbola(self):
-        assert single_cell_min_n(2, 0.5, 4.0, 4096, curve_eps_fn(lambda n: 100.0 / n)) == 25
+        assert single_cell_min_n(2, 0.5, 4.0, 4096, curve_kernel(lambda n: 100.0 / n)) == 25
 
     def test_already_feasible_at_two(self):
         n1, evals = lockstep_min_n(
-            np.array([2]), np.array([0.5]), curve_eps_fn(lambda n: 1.0 + 0.0 * n), 4.0, 4096
+            np.array([2]), np.array([0.5]), *curve_kernel(lambda n: 1.0 + 0.0 * n), 4.0, 4096
         )
         assert (int(n1[0]), int(evals[0])) == (2, 1)
 
     def test_unreachable_budget_signals(self):
         n1, evals = lockstep_min_n(
-            np.array([2]), np.array([0.5]), curve_eps_fn(lambda n: 100.0 / n), 0.001, 512
+            np.array([2]), np.array([0.5]), *curve_kernel(lambda n: 100.0 / n), 0.001, 512
         )
         assert (int(n1[0]), int(evals[0])) == (0, 2)
         # every cell unreachable: the solve raises instead of returning
@@ -159,7 +163,7 @@ class TestMinNForPrivacy:
             hi = tight_epsilon_value(q, 2, p, d, delta)
             eps_bar = math.exp(rng.uniform(math.log(lo * 0.8), math.log(hi * 1.2)))
             expected = linear_scan_min_n(q, p, eps_bar, d, delta, 4096)
-            got = single_cell_min_n(q, p, eps_bar, 4096, tight_eps_fn(d, delta))
+            got = single_cell_min_n(q, p, eps_bar, 4096, tight_kernel(d, delta))
             assert got == (0 if expected is None else expected)
 
     def test_minimality_invariant(self, rng):
@@ -169,7 +173,7 @@ class TestMinNForPrivacy:
             d = int(rng.integers(1, 500))
             delta = 10.0 ** rng.uniform(-6, -1)
             eps_bar = tight_epsilon_value(q, int(rng.integers(3, 2000)), p, d, delta)
-            n1 = single_cell_min_n(q, p, eps_bar, 4096, tight_eps_fn(d, delta))
+            n1 = single_cell_min_n(q, p, eps_bar, 4096, tight_kernel(d, delta))
             assert tight_epsilon_value(q, n1, p, d, delta) <= eps_bar
             if n1 > 2:
                 assert tight_epsilon_value(q, n1 - 1, p, d, delta) > eps_bar
@@ -222,10 +226,7 @@ class TestLockstepSearch:
         q = np.array([cells[i][0] for i in order])
         p = np.array([cells[i][1] for i in order])
 
-        def kernel(qs, ns, ps):
-            return tight_epsilon_n_array(qs, ns, ps, d, delta)
-
-        n1, evals = lockstep_min_n(q, p, kernel, eps_bar, n_cap)
+        n1, evals = lockstep_min_n(q, p, *tight_kernel(d, delta), eps_bar, n_cap)
         for i in range(len(cells)):
             qi, pi = int(q[i]), float(p[i])
             expected = linear_scan_min_n(qi, pi, eps_bar, d, delta, n_cap)
@@ -255,23 +256,38 @@ class TestLockstepSearch:
             lambda q: tight_epsilon_value(q, n_cap, float(p_axis[0]), d, delta) > eps_bar, 2
         )
         q_axis = np.array(sorted({2, q_blocked, *q_extra}))
-        shapes = []
+        built, probed = [], []
 
-        def kernel(qs, ns, ps):
-            shapes.append((np.shape(qs), np.shape(ns), np.shape(ps)))
-            return tight_epsilon_n_array(qs, ns, ps, d, delta)
+        def factors_fn(qs, ps):
+            factors = tight_epsilon_factors(qs, ps, d, delta)
+            built.append((np.shape(qs), np.shape(ps), factors))
+            return factors
 
-        grid = lockstep_min_n(q_axis[:, None], p_axis[None, :], kernel, eps_bar, n_cap)
-        grid_shapes, shapes[:] = list(shapes), []
+        def eps_fn(factors, ns):
+            probed.append((factors, np.shape(ns)))
+            return tight_epsilon_at_n(factors, ns)
+
+        grid = lockstep_min_n(q_axis[:, None], p_axis[None, :], factors_fn, eps_fn, eps_bar, n_cap)
+        grid_built, grid_probed = list(built), list(probed)
+        built[:], probed[:] = [], []
         flat = lockstep_min_n(
-            np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size), kernel, eps_bar, n_cap
+            np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size),
+            factors_fn, eps_fn, eps_bar, n_cap,
         )
         assert np.array_equal(grid[0], flat[0]) and np.array_equal(grid[1], flat[1])
         assert grid[0][0] == 2
         assert grid[0][list(q_axis).index(q_blocked) * p_axis.size] == 0
         # both bracket probes run on the axes with a scalar n
-        assert grid_shapes[:2] == [((q_axis.size, 1), (), (1, p_axis.size))] * 2
-        assert len(grid_shapes) == len(shapes)
+        axes = grid_built[0][2]
+        assert grid_built[0][:2] == ((q_axis.size, 1), (1, p_axis.size))
+        assert [(f is axes, shape) for f, shape in grid_probed[:2]] == [(True, ())] * 2
+        # the factors are built once more, on the 1-D searching cells, and
+        # every later probe is an array of n over those cells
+        assert len(grid_built) <= 2
+        for q_shape, p_shape, _ in grid_built[1:]:
+            assert len(q_shape) == 1 and p_shape == q_shape
+        assert all(len(shape) == 1 for _, shape in grid_probed[2:])
+        assert len(grid_probed) == len(probed)
 
     def test_builtin_solve_pinned(self):
         cfg = RunConfig.defaults()
@@ -285,6 +301,27 @@ class TestLockstepSearch:
         assert stats.cells_feasible == 1_546
         assert stats.eps_evaluations == 137_428
         assert stats.max_evals_per_cell == 31
+
+    @pytest.mark.parametrize(
+        "eps_bar, tuple_, cells_total, cells_feasible, eps_evaluations, max_evals",
+        [
+            (5.0, (17, 64978, 0.5), 20_200, 497, 54_361, 31),
+            (7.5, (31, 63369, 0.5), 33_450, 983, 94_286, 31),
+        ],
+    )
+    def test_builtin_solve_pinned_at_eps_bar(
+        self, eps_bar, tuple_, cells_total, cells_feasible, eps_evaluations, max_evals
+    ):
+        # a change to the probe sequence moves these work counts
+        cfg = RunConfig.defaults()
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        sol, stats = solve_with_stats(system, cfg.build_solver(ctx, eps_bar=eps_bar), ctx)
+        assert (sol.q, sol.n, sol.p) == tuple_
+        assert stats.cells_total == cells_total
+        assert stats.cells_feasible == cells_feasible
+        assert stats.eps_evaluations == eps_evaluations
+        assert stats.max_evals_per_cell == max_evals
 
 
 class TestNFromConstraints:
