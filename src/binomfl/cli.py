@@ -58,6 +58,9 @@ EXIT_ERROR_BOUND = 6
 EXIT_DIVERGED = 7
 EXIT_EMPTY_DOMAIN = 8
 
+# floats one simulate may hold: M*S*d samples and M d-by-d Gram matrices (logistic), M*d (quadratic)
+MAX_SIM_FLOATS = 2**24
+
 _EXIT_BY_ERROR = [
     (ConfigError, EXIT_CONFIG),
     (AllInfeasibleError, EXIT_ALL_INFEASIBLE),
@@ -199,22 +202,23 @@ def cmd_qbar(args, cfg: RunConfig) -> dict[str, str]:
     return {"qbar_sweep.csv": _csv(["p_max_dbm", "qbar", "log10_qbar"], rows)}
 
 
-def _build_task(s: dict, seed: int):
+def _build_task(s: dict, system, seed: int):
+    M, d, S = system.M, system.d, s["samples_per_device"]
+    floats = M * d * max(S, d) if s["task"] == "logistic" else M * d
+    if floats > MAX_SIM_FLOATS:  # before any array exists
+        raise ConfigError(
+            f"simulate would hold {floats:.3g} floats (M={M}, d={d}, samples_per_device={S}), above the "
+            f"{MAX_SIM_FLOATS} one run may hold; configs/desk.yaml is a desk-scale deployment")
     data_seed = child_seed(seed, ROLE_SIM)
     if s["task"] == "logistic":
-        return tasksmod.LogisticRegressionTask(
-            d=s["dimension"], M=s["population"], samples_per_device=s["samples_per_device"],
-            seed=data_seed, l2=s["l2"],
-        )
-    return tasksmod.QuadraticBowlTask(d=s["dimension"], M=s["population"], seed=data_seed)
+        return tasksmod.LogisticRegressionTask(d=d, M=M, samples_per_device=S, seed=data_seed, l2=s["l2"])
+    return tasksmod.QuadraticBowlTask(d=d, M=M, seed=data_seed)
 
 
 def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     s = cfg.sim_section()
-    task = _build_task(s, cfg.seed)
-    cfg = cfg.merged({"system": {key: s[key] for key in ("selected", "population", "dimension")},
-                      "solver": {} if s["eps_bar"] is None else {"eps_bar": s["eps_bar"]}})
     system, ctx, scfg = _build(cfg)
+    task = _build_task(s, system, cfg.seed)
     sol, _ = solve_with_stats(system, scfg, ctx)
     rounds = s["rounds"]
 

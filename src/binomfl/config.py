@@ -2,12 +2,12 @@
 
 The config file is a single YAML document with ``system``, ``solver``,
 ``sim`` and ``output`` sections; every key has a default, so a partial
-file (or none at all) is valid.  It is the one way to set a run parameter:
-an override (``--seed``, a sweep value, the sim section's K, M, d and
-eps_bar) is merged in by :meth:`RunConfig.merged` and read by the same
-validators, so a boolean or a non-finite number is a config error.  dBm ->
-watt and dB -> linear conversions happen here and only here; the rest of
-the package sees linear units.
+file (or none at all) is valid.  It describes one deployment, whose K, M, d
+and eps_bar every command reads, and is the one way to set a run parameter:
+an override (``--seed``, a sweep value) is merged in by :meth:`RunConfig.merged`
+and read by the same validators, so a boolean or a non-finite number is a
+config error.  dBm -> watt and dB -> linear conversions happen here and only
+here; the rest of the package sees linear units.
 
 Seed policy: one top-level ``seed`` drives everything.  Component streams
 are derived as SeedSequence(entropy=seed, spawn_key=(ROLE, ...)) with a
@@ -67,16 +67,12 @@ DEFAULTS: dict[str, Any] = {
     },
     "sim": {
         "task": "logistic",
-        "dimension": 100,
-        "population": 100,
-        "selected": 20,
         "samples_per_device": 25,
         "l2": 0.05,
         "rounds": 500,
         "theta": 0.1,
         "confidence": 0.1,           # capital lambda
         "rescale": "clip",
-        "eps_bar": None,             # defaults to solver.eps_bar
         "compare_suboptimal": True,
         "bias_trials": 400,
         "subopt_factor": 4.0,
@@ -89,8 +85,7 @@ DEFAULTS: dict[str, Any] = {
 
 # sim counts and their smallest valid value: run_fsgd needs a round, and
 # measure_bias two trials for a standard error
-SIM_COUNTS = {"dimension": 1, "population": 1, "selected": 1,
-              "samples_per_device": 1, "rounds": 1, "bias_trials": 2}
+SIM_COUNTS = {"samples_per_device": 1, "rounds": 1, "bias_trials": 2}
 SIM_REALS = {
     "l2": ("[0, inf)", lambda v: v >= 0.0),
     "theta": ("(0, 1]", lambda v: 0.0 < v <= 1.0),

@@ -88,8 +88,8 @@ class SolverConfig:
             raise ValueError(f"eps_bar must be positive and finite, got {self.eps_bar}")
         if not (0.0 < self.lambda_step < 0.5):
             raise ValueError(f"lambda_step must lie in (0, 1/2), got {self.lambda_step}")
-        if self.n_cap < 2:
-            raise ValueError(f"n_cap must be >= 2, got {self.n_cap}")
+        if not 2 <= self.n_cap <= 2**62:  # lockstep_min_n forms lo + hi in int64
+            raise ValueError(f"n_cap must lie in [2, 2^62], got {self.n_cap}")
         if self.rho is not None and self.rho <= 0.0:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.bit_cap is not None and not (2 <= self.bit_cap <= 63):
@@ -238,12 +238,12 @@ def n_from_constraints(q, p, n1, ctx: PrivacyContext):
 
 
 def mu_from_eta(eta: float) -> float:
-    """Error amplification 2 / (1 - sqrt(1 - 4*eta)); ~1/eta for small eta."""
+    """Error amplification 2 / (1 - sqrt(1 - 4*eta)) ~ 1/eta, in a form free of cancellation."""
     if not (0.0 < eta < 0.25):
         raise ErrorBoundUnavailableError(
             f"eta = {eta:.4g} outside (0, 1/4): no relative-error factor can be quoted"
         )
-    return 2.0 / (1.0 - math.sqrt(1.0 - 4.0 * eta))
+    return (1.0 + math.sqrt(1.0 - 4.0 * eta)) / (2.0 * eta)
 
 
 def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:

@@ -25,7 +25,9 @@ from binomfl.cli import (
     SWEEP_AXES,
     main,
 )
+from binomfl import cli
 from binomfl import sim as simmod
+from binomfl import tasks as tasksmod
 from binomfl import wireless
 from binomfl.config import DEFAULTS, RunConfig
 from binomfl.errors import DivergedError
@@ -35,7 +37,7 @@ SMALL_CONFIG = """\
 seed: 7
 system:
   selected: 12
-  population: 600
+  population: 60
   dimension: 40
   delta: 1.0e-4
   transmission_time_s: 1.0
@@ -55,9 +57,6 @@ solver:
   bit_cap: null
 sim:
   task: logistic
-  dimension: 40
-  population: 60
-  selected: 12
   samples_per_device: 20
   rounds: 40
   bias_trials: 150
@@ -243,6 +242,25 @@ class TestSimulateCommand:
         assert summary["suboptimal"]["objective_ratio"] >= 4.0
         assert (out / "trace_suboptimal.csv").exists()
 
+    @pytest.mark.parametrize("system", [{}, {"selected": 10, "dimension": 30}], ids=["desk", "desk-K10-d30"])
+    def test_simulate_solves_the_configured_deployment(self, system, tmp_path):
+        # simulate solves and trains the K, M, d and eps_bar of the system and
+        # solver sections, as solve does, and no shadow of them
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["system"].update(system)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == EXIT_OK
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == EXIT_OK
+        report = json.loads((tmp_path / "solve" / "solution.json").read_text())
+        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+        keys = ("q", "n", "p", "objective", "epsilon_achieved")
+        assert summary["solution"] == {key: report[key] for key in keys}
+        K, d = raw["system"]["selected"], raw["system"]["dimension"]
+        bits = summary["rounds"] * K * d * math.ceil(math.log2(report["q"] + report["n"]))
+        assert summary["comm_cost_formula_bits"] == bits
+
 
 class TestExitCodes:
     def test_bad_yaml(self, tmp_path):
@@ -305,6 +323,9 @@ class TestExitCodes:
         ("  selected: 12\n", "  selected: null\n"),
         ("  dimension: 40\n", "  dimension: abc\n"),
         ("  bit_cap: null\n", "  bit_cap: 1100\n"),
+        # once a ZeroDivisionError traceback; lockstep_min_n needs lo + hi in int64
+        ("  n_cap: 256\n", "  n_cap: 9223372036854775808\n"),
+        ("  n_cap: 256\n", "  n_cap: 4611686018427387905\n"),
         ("    reference_gain_db: 20.0\n", "    reference_gain_db: 1100\n"),
         ("    distance_max_m: 2.0\n", "    distance_max_m: .inf\n"),
         # no bit cap and a wide channel, or a fine pitch: a grid too big to hold
@@ -345,13 +366,13 @@ class TestExitCodes:
         # a bool once ran as K = 1 and exited 3; fractions were truncated
         ("solve", "  selected: 12\n", "  selected: true\n"),
         ("solve", "  selected: 12\n", "  selected: 12.9\n"),
-        ("solve", "  population: 600\n", "  population: 600.5\n"),
+        ("solve", "  population: 60\n", "  population: 60.5\n"),
         ("solve", "  dimension: 40\n", "  dimension: false\n"),
         ("solve", "  n_cap: 256\n", "  n_cap: 255.7\n"),
         ("solve", "  bit_cap: null\n", "  bit_cap: 15.5\n"),
-        ("simulate", "  dimension: 40\n  population: 60\n", "  dimension: 40.5\n  population: 60\n"),
+        ("simulate", "  dimension: 40\n", "  dimension: 40.5\n"),
         ("simulate", "  population: 60\n", "  population: true\n"),
-        ("simulate", "  selected: 12\n  samples", "  selected: 12.9\n  samples"),
+        ("simulate", "  selected: 12\n", "  selected: 12.9\n"),
         ("simulate", "  samples_per_device: 20\n", "  samples_per_device: 19.5\n"),
         ("simulate", "  rounds: 40\n", "  rounds: true\n"),
         ("simulate", "  rounds: 40\n", "  rounds: 0\n"),
@@ -454,11 +475,63 @@ class TestExitCodes:
         assert [r[1] for r in rows] == ["infeasible", "infeasible"]
 
     def test_simulate_builtin_defaults_overflow_is_config_error(self, tmp_path):
-        # the built-in sim dimension is far below the full-scale d, so the
-        # capacity ceiling on q + n overflows the float range
+        # the built-in defaults are full scale: M*S*d = 1.2e12 training
+        # floats, far above cli.MAX_SIM_FLOATS, so the size guard stops the run
         proc = run_module(["simulate", "--out", str(tmp_path / "o")])
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["selected", "population", "dimension", "eps_bar"])
+    def test_sim_section_has_no_deployment_keys(self, key, tmp_path):
+        text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: 12\n")
+        code, err = self.run_in_process(tmp_path, text, "simulate")
+        assert code == EXIT_CONFIG
+        assert err == f"error: unknown config key 'sim.{key}'\n"
+
+    @staticmethod
+    def refuse_to_build(monkeypatch, error):
+        """Make the task constructors and the solve raise ``error``."""
+        def refuse(*args, **kwargs):
+            raise error
+
+        for name in ("LogisticRegressionTask", "QuadraticBowlTask"):
+            monkeypatch.setattr(tasksmod, name, refuse)
+        monkeypatch.setattr(cli, "solve_with_stats", refuse)
+
+    @pytest.mark.parametrize("config", [
+        None,
+        {"sim": {"task": "quadratic"}},
+        {"system": {"population": 1e6}},
+        {"system": {"dimension": 1100}},
+    ], ids=["defaults", "defaults-quadratic", "desk-M1e6", "desk-d1100"])
+    def test_simulate_above_the_size_guard_allocates_nothing(self, config, tmp_path, monkeypatch):
+        self.refuse_to_build(monkeypatch, AssertionError("built above the size guard"))
+        argv = ["simulate", "--out", str(tmp_path / "o")]
+        if config is not None:
+            raw = yaml.safe_load(DESK_CONFIG.read_text()) if "system" in config else {}
+            for section, values in config.items():
+                raw.setdefault(section, {}).update(values)
+            (tmp_path / "c.yaml").write_text(yaml.safe_dump(raw))
+            argv += ["--config", str(tmp_path / "c.yaml")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_CONFIG
+        assert err.getvalue().startswith("error: simulate would hold")
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_size_guard_admits_the_fuzz_range(self, tmp_path, monkeypatch):
+        # desk with M, d and S each scaled by 4, the fuzz's largest: 6.1e6 floats
+        class Built(Exception):
+            pass
+
+        self.refuse_to_build(monkeypatch, Built())
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["system"].update(population=240, dimension=160)
+        raw["sim"]["samples_per_device"] = 80
+        (tmp_path / "c.yaml").write_text(yaml.safe_dump(raw))
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(Built):
+            main(["simulate", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "o")])
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
@@ -540,7 +613,7 @@ SET_BY_COMMAND = {
     "sweep-K": {("system", "selected")},
     "compare-eps": {("solver", "eps_bar")},
     "qbar": {("system", "power_max_dbm")},
-    "simulate": {("system", "selected"), ("system", "population"), ("system", "dimension")},
+    "simulate": set(),
 }
 
 
@@ -548,8 +621,6 @@ def assert_booleans_rejected(command, raw, code, err):
     """A boolean on a leaf the command reads, other than the one boolean key
     sim.compare_suboptimal, is a config error."""
     unread = SET_BY_COMMAND[command] | {("sim", "compare_suboptimal")}
-    if command == "simulate" and raw["sim"].get("eps_bar") is not None:
-        unread = unread | {("solver", "eps_bar")}
     booleans = [p for p in _leaf_paths(raw) if isinstance(get_in(raw, p), bool) and p not in unread]
     if booleans:
         assert code == EXIT_CONFIG, (booleans, err)
@@ -612,7 +683,17 @@ class TestConfigFuzz:
                              ids=".".join)
     def test_boolean_on_any_leaf_is_a_config_error(self, path, value, tmp_path):
         # every leaf, one at a time; the random mutations above hit each only rarely
-        command = "simulate" if path[0] == "sim" else "solve"
+        self.assert_boolean_rejected("simulate" if path[0] == "sim" else "solve", path, value, tmp_path)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("path", [("system", "selected"), ("system", "population"),
+                                      ("system", "dimension"), ("solver", "eps_bar")], ids=".".join)
+    def test_boolean_on_a_deployment_key_fails_simulate(self, path, value, tmp_path):
+        # simulate reads the deployment from the system and solver sections too
+        self.assert_boolean_rejected("simulate", path, value, tmp_path)
+
+    @staticmethod
+    def assert_boolean_rejected(command, path, value, tmp_path):
         raw = _mutated_desk([(path, value)], sim=command == "simulate")
         cfg_path = tmp_path / "c.yaml"
         cfg_path.write_text(yaml.safe_dump(raw))
@@ -647,8 +728,6 @@ class TestConfigFuzz:
                 return
             eps_bar = raw["solver"]["eps_bar"]
             if command == "simulate":
-                if raw["sim"].get("eps_bar") is not None:
-                    eps_bar = raw["sim"]["eps_bar"]
                 summary = json.loads((work / "o" / output).read_text())
                 written = [(summary["solution"]["epsilon_achieved"], float(eps_bar))]
             else:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +413,24 @@ class TestErrorMachinery:
     def test_mu_reference_points(self):
         assert mu_from_eta(3.0 / 16.0) == 4.0
         assert mu_from_eta(0.09) == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [1e-19, 1e-9, 1.27e-5, 0.1138, 0.2499])
+    def test_mu_matches_50_digit_reference(self, eta):
+        # 2 / (1 - sqrt(1 - 4*eta)) as written cancels: 2.6e-8 off at 1e-9,
+        # a division by zero at 1e-19
+        with mpmath.workdps(50):
+            ref = 2 / (1 - mpmath.sqrt(1 - 4 * mpmath.mpf(eta)))
+            assert abs(mu_from_eta(eta) - ref) / ref <= 2.0**-52
+
+    def test_n_cap_bounded_by_the_int64_search(self):
+        # lockstep_min_n forms lo + hi in int64
+        with pytest.raises(ValueError, match="n_cap"):
+            small_cfg(n_cap=2**62 + 1)
+        cfg = RunConfig.defaults().merged({"solver": {"n_cap": 2**62}})
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        sol = solve(system, cfg.build_solver(ctx), ctx)
+        assert (sol.q, sol.n, sol.p) == (48, 64592, 0.5)
 
     def test_mu_approaches_inverse_eta(self):
         eta = 1e-4
