@@ -179,6 +179,8 @@ class RunConfig:
             K = validate_integer("system.selected", s["selected"])
             M = validate_integer("system.population", s["population"])
             d = validate_integer("system.dimension", s["dimension"])
+            if not 1 <= K <= M:  # before the K gains are drawn
+                raise ValueError(f"need 1 <= K <= M, got K={K}, M={M}")
             sampler = self.channel_sampler()  # checked even when explicit gains replace it
             gains = s["gains"]
             if gains is None:

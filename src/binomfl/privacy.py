@@ -8,15 +8,16 @@ n*p*(1-p) is not small (see :func:`epsilon_tight` for where it is not).
 Both are certified only while the aggregate noise variance K*n*p*(1-p)
 clears a dimension-dependent floor; below that floor they raise
 :class:`NotApplicableError` instead of returning a number.
-The tight estimator is written once, as five terms of the n-free factors
-(``tight_epsilon_factors``: everything q, p, d and delta fix), x = n*p*(1-p)
-and the variance factor s1.  Its entry points all go through it:
-``tight_epsilon_at_n`` evaluates built factors at a trial count (the search
-builds the factors once per cell and calls this on every step),
-``tight_epsilon_terms_value``, ``tight_epsilon_value`` and
-``tight_epsilon_n_array`` build and evaluate in one call, and
+The tight estimator is written once, as five terms of the n-free factors,
+x = n*p*(1-p) and the variance factor s1, in one numpy code path for
+scalars and arrays alike.  It has four entry points:
+``tight_epsilon_factors`` builds the n-free factors (everything q, p, d and
+delta fix), ``tight_epsilon_at_n`` evaluates built factors at a trial count
+(the search builds the factors once per cell and calls this on every step),
 ``tight_epsilon_lower`` is the lower bound over every (n, p) with
-n*p*(1-p) <= x: the same five terms at the worst noise shape.
+n*p*(1-p) <= x (the same five terms at the worst noise shape), and
+``tight_epsilon_value`` is the scalar estimate at one (q, n, p), a Python
+float bit-identical to the matching ``tight_epsilon_at_n`` element.
 
 All logarithms here are natural logs (``math.log``).  Channel-capacity math
 elsewhere in the package uses ``math.log2``; the two must never be mixed.
@@ -88,30 +89,12 @@ class MechanismParams:
         object.__setattr__(self, "s", 2.0 * self.D / (self.q - 1))
 
 
-def _sqrt(x):
-    # math.sqrt keeps scalar arguments plain Python floats; both round
-    # correctly, so scalar and array evaluations agree bit for bit
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _max(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def _min(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
 def _sensitivity_triple(q, d: int, delta: float):
     # 2D/s == q - 1 exactly, so the bounds depend on (q, d, delta) only.
     ln2d = math.log(2.0 / delta)
-    root = _sqrt(2.0 * math.sqrt(d) * (q - 1) * ln2d)
+    root = np.sqrt(2.0 * math.sqrt(d) * (q - 1) * ln2d)
     d1 = math.sqrt(d) * (q - 1) + root + (4.0 / 3.0) * ln2d
-    d2 = (q - 1) + _sqrt(d1 + root)
+    d2 = (q - 1) + np.sqrt(d1 + root)
     return d1, d2, q + 1.0
 
 
@@ -120,7 +103,7 @@ def dp_variance_threshold(q, d: int, delta: float):
 
     Broadcasts over an array of quantization levels.
     """
-    return _max(23.0 * math.log(10.0 * d / delta), 2.0 * (q + 1))
+    return np.maximum(23.0 * math.log(10.0 * d / delta), 2.0 * (q + 1))
 
 
 def dp_variance_feasible(mech: MechanismParams, ctx: PrivacyContext) -> bool:
@@ -129,7 +112,7 @@ def dp_variance_feasible(mech: MechanismParams, ctx: PrivacyContext) -> bool:
     The comparison is non-strict: exact equality counts as feasible.
     """
     lhs = ctx.K * mech.n * mech.p * (1.0 - mech.p)
-    return lhs >= dp_variance_threshold(mech.q, ctx.d, ctx.delta)
+    return bool(lhs >= dp_variance_threshold(mech.q, ctx.d, ctx.delta))
 
 
 def _require_applicable(mech: MechanismParams, ctx: PrivacyContext) -> None:
@@ -161,7 +144,7 @@ def baseline_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> fl
     ln125 = math.log(1.25 / delta)
     ln10 = math.log(10.0 / delta)
     ln20d = math.log(20.0 * d / delta)
-    return (
+    return float(
         d2 * math.sqrt(2.0 * ln125) / math.sqrt(x)
         + (d2 * cp * math.sqrt(ln10) + d1 * bp) / (x * (1.0 - delta / 10.0))
         + ((2.0 / 3.0) * dinf * ln125 + dinf * dp_ * ln20d * ln10) / x
@@ -200,7 +183,7 @@ def tight_epsilon_factors(q, p, d: int, delta: float) -> tuple:
         p * p + (1.0 - p) * (1.0 - p),
         3.0 * (p * p) - 3.0 * p + 1.0,
         2.0 / pq,
-        (2.0 / 3.0) * _max(p, 1.0 - p) * ln20d,
+        (2.0 / 3.0) * np.maximum(p, 1.0 - p) * ln20d,
         one_minus,
         ln10,
         2.0 * ln10,
@@ -220,7 +203,7 @@ def _s1(n, f):
 def _s2(x, f):
     # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
     # array operation fewer
-    radius = _sqrt(x * f[13]) + 1.0 + f[9]
+    radius = np.sqrt(x * f[13]) + 1.0 + f[9]
     return radius * radius
 
 
@@ -230,9 +213,9 @@ def _tight_terms(f, x, s1):
     k1, k2, k3, dinf, k5, _, psym, _, _, _, one_minus, ln10, two_ln10, _ = f
     xx = x * x
     return (
-        k1 / _sqrt(x),
+        k1 / np.sqrt(x),
         k2 * (x + 1.0) * psym / (xx * one_minus),
-        k3 * _sqrt(s1 * two_ln10),
+        k3 * np.sqrt(s1 * two_ln10),
         (2.0 / 3.0) * ALPHA * _s2(x, f) * psym * ln10 * dinf / xx,
         k5 / x,
     )
@@ -253,16 +236,6 @@ def tight_epsilon_at_n(f, n) -> np.ndarray:
     return np.ravel(t1 + t2 + t3 + t4 + t5)
 
 
-def tight_epsilon_terms_value(q, n, p, d: int, delta: float):
-    """The five summands of the tight estimate, ungated.
-
-    q, n and p may each be a scalar or an array, and arrays broadcast
-    against each other.  Scalars stay Python floats throughout, so a scalar
-    call returns plain floats.
-    """
-    return _n_terms(tight_epsilon_factors(q, p, d, delta), n)
-
-
 def tight_epsilon_lower(q, x, d: int, delta: float):
     """Lower bound on each tight summand over every (n, p) with n*p*(1-p) <= x.
 
@@ -272,15 +245,14 @@ def tight_epsilon_lower(q, x, d: int, delta: float):
     >= 1/4 and p(1-p) <= 1/4).  Every term is non-increasing in x and
     non-decreasing in q.  q and x broadcast like the kernel's arguments.
     """
-    s1 = _min((x + 1.0) / (2.0 * x**3), (3.0 * x + 2.0) / (4.0 * x * (x + 0.25) * (x + 0.5)))
+    s1 = np.minimum((x + 1.0) / (2.0 * x**3), (3.0 * x + 2.0) / (4.0 * x * (x + 0.25) * (x + 0.5)))
     return _tight_terms(tight_epsilon_factors(q, 0.5, d, delta), x, s1)
 
 
 def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
     """Tight budget estimate without the variance-floor gate (see caveat on
     :func:`baseline_epsilon_value`)."""
-    t1, t2, t3, t4, t5 = tight_epsilon_terms_value(q, n, p, d, delta)
-    return t1 + t2 + t3 + t4 + t5
+    return tight_epsilon_at_n(tight_epsilon_factors(q, p, d, delta), n).item()
 
 
 def epsilon_baseline(mech: MechanismParams, ctx: PrivacyContext) -> float:
@@ -301,16 +273,3 @@ def epsilon_tight(mech: MechanismParams, ctx: PrivacyContext) -> float:
     _require_applicable(mech, ctx)
     return tight_epsilon_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
 
-
-def tight_epsilon_n_array(q, n, p, d: int, delta: float) -> np.ndarray:
-    """Tight estimate over broadcast arrays of (q, n, p), ungated.
-
-    q, n and p are scalars or arrays that broadcast against each other,
-    e.g. a (Q, 1) column of q values, a scalar n and a (1, P) row of p
-    values; factors that depend on one axis only are then computed once per
-    axis value.  The result is 1-D, flattened in C order of the broadcast
-    shape, and element i is bit-identical to :func:`tight_epsilon_value` at
-    the i-th (q, n, p) of that order.
-    """
-    factors = tight_epsilon_factors(q, p, d, delta)
-    return tight_epsilon_at_n(factors, np.asarray(n, dtype=np.float64))

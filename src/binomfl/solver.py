@@ -26,6 +26,9 @@ cap into limits on q and on q + n.
 
 ``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
 p grid and every single n, sharing nothing with the search logic above.
+Per (q, p) it builds the kernel's factors and evaluates them at every
+admissible n in one ``privacy.tight_epsilon_at_n`` call; it calls none of
+``lockstep_min_n``, ``qbar``, ``qbar_envelope`` or ``p_grid``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .privacy import (
     tight_epsilon_at_n,
     tight_epsilon_factors,
     tight_epsilon_lower,
-    tight_epsilon_n_array,
     tight_epsilon_value,
 )
 from .wireless import (
@@ -254,7 +256,7 @@ def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
     :class:`ErrorBoundUnavailableError` at eta >= 1/4, where no feasible
     point exists even at p = 1/2 with n = n_cap and the machinery breaks.
     """
-    eta = dp_variance_threshold(2, ctx.d, ctx.delta) / (ctx.K * n_cap)
+    eta = float(dp_variance_threshold(2, ctx.d, ctx.delta)) / (ctx.K * n_cap)
     return eta, mu_from_eta(eta)
 
 
@@ -478,7 +480,7 @@ def brute_force_solve(
             if not mask.any():
                 continue
             n_sub = n_all[mask]
-            eps = tight_epsilon_n_array(q, n_sub, p, ctx.d, ctx.delta)
+            eps = tight_epsilon_at_n(tight_epsilon_factors(q, p, ctx.d, ctx.delta), n_sub)
             ok = eps <= cfg.eps_bar
             if not ok.any():
                 continue

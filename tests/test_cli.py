@@ -26,6 +26,7 @@ from binomfl.cli import (
     main,
 )
 from binomfl import cli
+from binomfl import config as config_module
 from binomfl import sim as simmod
 from binomfl import tasks as tasksmod
 from binomfl import wireless
@@ -497,6 +498,21 @@ class TestExitCodes:
         for name in ("LogisticRegressionTask", "QuadraticBowlTask"):
             monkeypatch.setattr(tasksmod, name, refuse)
         monkeypatch.setattr(cli, "solve_with_stats", refuse)
+
+    def test_oversized_k_rejected_before_sampling_gains(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gains drawn for an invalid K")
+
+        monkeypatch.setattr(config_module, "sample_gains", refuse)
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["system"].update(selected=10**9, population=60)
+        (tmp_path / "c.yaml").write_text(yaml.safe_dump(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "need 1 <= K <= M, got K=1000000000, M=60" in err.getvalue()
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("config", [
         None,

@@ -17,6 +17,7 @@ from binomfl.privacy import (
     ALPHA,
     MechanismParams,
     PrivacyContext,
+    _n_terms,
     _s1,
     _s2,
     _sensitivity_triple,
@@ -28,8 +29,6 @@ from binomfl.privacy import (
     tight_epsilon_at_n,
     tight_epsilon_factors,
     tight_epsilon_lower,
-    tight_epsilon_n_array,
-    tight_epsilon_terms_value,
     tight_epsilon_value,
 )
 
@@ -48,6 +47,16 @@ GOLDEN_TIGHT_TERMS = (
 GOLDEN2 = dict(q=5, n=300, p=0.7, d=100, delta=1e-6, K=50)
 GOLDEN2_BASELINE = 40.817531243392050057
 GOLDEN2_TIGHT = 39.133276861495438629
+
+
+def tight_terms(q, n, p, d, delta):
+    """The five summands of the tight estimate, ungated."""
+    return _n_terms(tight_epsilon_factors(q, p, d, delta), n)
+
+
+def tight_at(q, n, p, d, delta):
+    """The tight estimate over broadcast (q, n, p), flat in C order."""
+    return tight_epsilon_at_n(tight_epsilon_factors(q, p, d, delta), n)
 
 
 def mech_ctx(q, n, p, d, delta, K, D=1.0):
@@ -193,7 +202,7 @@ class TestTight:
         mech, ctx = mech_ctx(**GOLDEN)
         assert epsilon_tight(mech, ctx) == pytest.approx(GOLDEN_TIGHT, rel=1e-13)
         assert dp_variance_feasible(mech, ctx)
-        terms = tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+        terms = tight_terms(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
         for got, want in zip(terms, GOLDEN_TIGHT_TERMS):
             assert got == pytest.approx(want, rel=1e-13)
 
@@ -276,7 +285,7 @@ class TestTight:
 
     def test_all_five_terms_positive(self, rng):
         for mech, ctx in sample_feasible(rng, 40):
-            terms = tight_epsilon_terms_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+            terms = tight_terms(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
             assert all(t > 0.0 for t in terms)
 
     def test_alpha_constant(self):
@@ -287,7 +296,7 @@ class TestTight:
     def test_vectorized_matches_scalar_bitwise(self, rng):
         for mech, ctx in sample_feasible(rng, 20):
             ns = np.arange(mech.n, mech.n + 17, dtype=np.float64)
-            vec = tight_epsilon_n_array(mech.q, ns, mech.p, ctx.d, ctx.delta)
+            vec = tight_at(mech.q, ns, mech.p, ctx.d, ctx.delta)
             for i, n in enumerate(range(mech.n, mech.n + 17)):
                 assert vec[i] == tight_epsilon_value(mech.q, n, mech.p, ctx.d, ctx.delta)
         # array q and p as well; 2000 random p include the ~0.1% where libm
@@ -297,7 +306,7 @@ class TestTight:
         ns = rng.integers(2, 65535, size=count)
         ps = rng.uniform(0.01, 0.99, size=count)
         for d, delta in ((47710, 1e-10), (12, 1e-3)):
-            vec = tight_epsilon_n_array(qs, ns, ps, d, delta)
+            vec = tight_at(qs, ns, ps, d, delta)
             for i in range(count):
                 assert vec[i] == tight_epsilon_value(int(qs[i]), int(ns[i]), float(ps[i]), d, delta)
         # a (Q, 1) column of q, a scalar n and a (1, P) row of p: the result
@@ -306,7 +315,7 @@ class TestTight:
         p_axis = rng.uniform(0.01, 0.99, size=40)
         for d, delta in ((47710, 1e-10), (12, 1e-3)):
             for n in (2, 65534, int(rng.integers(3, 65534))):
-                vec = tight_epsilon_n_array(q_axis[:, None], n, p_axis[None, :], d, delta)
+                vec = tight_at(q_axis[:, None], n, p_axis[None, :], d, delta)
                 assert vec.shape == (q_axis.size * p_axis.size,)
                 for i, (qi, pi) in enumerate((qi, pi) for qi in q_axis for pi in p_axis):
                     assert vec[i] == tight_epsilon_value(int(qi), n, float(pi), d, delta)
@@ -403,7 +412,7 @@ class TestTightLower:
         n, d, delta = int(math.exp(log_n)), int(math.exp(log_d)), 10.0**log_delta
         # at x = n*p*(1-p) itself, and at any larger x
         x = n * (p * (1.0 - p)) * math.exp(log_slack)
-        kernel = tight_epsilon_terms_value(q, n, p, d, delta)
+        kernel = tight_terms(q, n, p, d, delta)
         lower = tight_epsilon_lower(q, x, d, delta)
         for i, (lo, k) in enumerate(zip(lower, kernel)):
             assert 0.0 < lo <= k * self.ULPS, (i, lo, k)
@@ -529,7 +538,7 @@ class TestHighPrecisionReference:
                 ref_base = mp_baseline(q, n, p, d, delta)
                 got = {
                     "tight scalar": (tight_epsilon_value(q, n, p, d, delta), ref_tight),
-                    "tight array": (tight_epsilon_n_array(q, np.array([n]), p, d, delta)[0], ref_tight),
+                    "tight array": (tight_at(q, np.array([n]), p, d, delta)[0], ref_tight),
                     "baseline scalar": (baseline_epsilon_value(q, n, p, d, delta), ref_base),
                 }
                 for path, (value, ref) in got.items():
@@ -558,6 +567,19 @@ class TestHighPrecisionReference:
                     assert rel <= self.REL, (i, q, x, d, delta, value, ref)
                     worst = max(worst, rel)
         assert worst > 0.0
+
+
+def test_scalar_calls_return_python_types():
+    # one numpy code path serves scalars and arrays; scalar inputs still
+    # give plain Python values, which the CSV writer prints with repr()
+    for point in (GOLDEN, GOLDEN2):
+        mech, ctx = mech_ctx(**point)
+        args = (mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+        for value in (tight_epsilon_value(*args), baseline_epsilon_value(*args),
+                      epsilon_tight(mech, ctx), epsilon_baseline(mech, ctx)):
+            assert type(value) is float
+        assert dp_variance_feasible(mech, ctx) is True
+    assert dp_variance_feasible(*mech_ctx(2, 2, 0.5, 47710, 1e-10, 1000)) is False
 
 
 def test_baseline_uses_unscaled_middle_denominator():

@@ -1,6 +1,7 @@
 """Joint optimizer: search pieces, envelope cap, grid machinery, oracle."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -13,13 +14,13 @@ from binomfl.errors import (
     ErrorBoundUnavailableError,
     PrivacyInfeasibleError,
 )
+from binomfl import solver as solver_module
 from binomfl.config import RunConfig
 from binomfl.privacy import (
     PrivacyContext,
     dp_variance_threshold,
     tight_epsilon_at_n,
     tight_epsilon_factors,
-    tight_epsilon_n_array,
     tight_epsilon_value,
 )
 from binomfl.solver import (
@@ -41,6 +42,8 @@ from binomfl.solver import (
 from binomfl.wireless import SystemParams, capacity_base, domain_bound
 
 from conftest import make_context, make_system
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 
 def small_cfg(eps_bar=25.0, lam=0.01, n_cap=64, **kw):
@@ -385,7 +388,8 @@ class TestQbar:
         q = np.arange(2, domain_bound(system) + 1)[:, None, None]
         n = np.arange(2, math.floor(cap) + 1)[None, :, None]
         p = np.array([0.5, *ps])[None, None, :]
-        eps = tight_epsilon_n_array(q, n, p, ctx.d, ctx.delta).reshape(q.size, n.size, p.size)
+        factors = tight_epsilon_factors(q, p, ctx.d, ctx.delta)
+        eps = tight_epsilon_at_n(factors, n).reshape(q.size, n.size, p.size)
         env = np.array([qbar_envelope(int(qq), system, ctx) for qq in q.ravel()])
         admitted = np.broadcast_to(n <= cap - q, eps.shape)
         assert np.all(env[:, None, None] <= np.where(admitted, eps, np.inf))
@@ -494,6 +498,16 @@ class TestSolve:
         sol = solve(system, cfg, ctx)
         assert sol.epsilon_achieved <= cfg.eps_bar
 
+    def test_scalar_results_are_python_floats(self):
+        # the budget kernel runs on numpy for scalars too; what a solve
+        # reports stays plain Python, which the CSV writer prints with repr()
+        cfg = RunConfig.from_yaml(DESK_CONFIG)
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        sol, stats = solve_with_stats(system, cfg.build_solver(ctx), ctx)
+        assert type(sol.epsilon_achieved) is float
+        assert type(stats.eta) is float and type(stats.mu) is float
+
     def test_complexity_counters(self):
         system = make_system()
         ctx = make_context(system)
@@ -589,6 +603,23 @@ class TestBruteForce:
             assert sol.objective == oracle.objective
             assert (sol.q, sol.n) == (oracle.q, oracle.n)
             assert sol.p in (oracle.p, 1.0 - oracle.p)
+
+    def test_independent_of_the_search(self, monkeypatch):
+        # the oracle may call the budget kernel, never the search it checks
+        system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
+        ctx = make_context(system)
+        _, mu = eta_and_mu_values(64, ctx)
+        cfg = SolverConfig(eps_bar=40.0, lambda_step=lambda_for_rho(0.1, mu), n_cap=64, rho=0.1)
+        expected = brute_force_solve(system, cfg, ctx, fine_factor=3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("search code called")
+
+        for name in ("lockstep_min_n", "qbar", "qbar_envelope", "p_grid"):
+            monkeypatch.setattr(solver_module, name, forbidden)
+        with pytest.raises(AssertionError, match="search code called"):
+            solve(system, cfg, ctx)
+        assert brute_force_solve(system, cfg, ctx, fine_factor=3) == expected
 
     def test_guarantee_on_one_instance(self):
         system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
