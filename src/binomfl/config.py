@@ -139,7 +139,8 @@ class RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
-            raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+            # the parser's message spans lines; every error prints on one
+            raise ConfigError(f"config file is not valid YAML: {' '.join(str(exc).split())}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
         return cls(raw=_merge(DEFAULTS, data))

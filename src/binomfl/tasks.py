@@ -32,13 +32,13 @@ class QuadraticBowlTask:
     descent on the average must never increase the loss.
     """
 
-    def __init__(self, d: int, M: int, seed: int, curvature_max: float = 1.0):
+    def __init__(self, d: int, M: int, seed: int):
         if d < 1 or M < 1:
             raise ValueError("d and M must be >= 1")
         rng = np.random.default_rng(seed)
         self.d = d
         self.M = M
-        self.curvatures = rng.uniform(0.2 * curvature_max, curvature_max, size=d)
+        self.curvatures = rng.uniform(0.2, 1.0, size=d)
         self.centers = rng.normal(0.0, 1.0, size=(M, d))
         # from w0 = 0 the iterates stay inside the centers' envelope
         self._grad_bound = 1.5 * float(np.max(self.curvatures * np.max(np.abs(self.centers), axis=0)))

@@ -269,6 +269,24 @@ class TestExitCodes:
         bad.write_text("system: [not, a, mapping]")
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid YAML", "list root"])
+    def test_unreadable_config_file(self, kind, tmp_path):
+        # the parser's own message spans several lines; the error takes one
+        path = tmp_path / "c.yaml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "invalid YAML":
+            path.write_text("system:\n  selected: [12,\n  population: {60\n")
+        elif kind == "list root":
+            path.write_text("- seed: 7\n- solver: {}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("solver:\n  epsbar: 3\n")
@@ -385,6 +403,14 @@ class TestExitCodes:
         code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), command)
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tiny_theta_overflows_the_round_count(self, tmp_path):
+        text = SMALL_CONFIG.replace("  rounds: 40\n", "  rounds: 40\n  theta: 1.0e-300\n", 1)
+        code, err = self.run_in_process(tmp_path, text, "simulate")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "round count overflows" in err
+        assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_fractional_sweep_k_rejected(self, tmp_path):
         code, err = self.run_in_process(tmp_path, SMALL_CONFIG, "sweep", "--axis", "K", "--values", "12.9")

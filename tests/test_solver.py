@@ -1,5 +1,6 @@
 """Joint optimizer: search pieces, envelope cap, grid machinery, oracle."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from binomfl.errors import (
     AllInfeasibleError,
     ErrorBoundUnavailableError,
+    InfeasibleError,
     PrivacyInfeasibleError,
 )
 from binomfl import solver as solver_module
@@ -38,6 +40,7 @@ from binomfl.solver import (
     qbar_envelope,
     solve,
     solve_with_stats,
+    suboptimal_tuple,
 )
 from binomfl.wireless import SystemParams, capacity_base, domain_bound
 
@@ -394,6 +397,14 @@ class TestQbar:
         admitted = np.broadcast_to(n <= cap - q, eps.shape)
         assert np.all(env[:, None, None] <= np.where(admitted, eps, np.inf))
 
+    def test_whole_domain_when_the_envelope_allows_it(self):
+        system = make_system(K=5, d=10, delta=1e-2, base_target=30.0)
+        ctx = make_context(system)
+        cfg = small_cfg(eps_bar=1e6)
+        bound = domain_bound(system)
+        assert qbar_envelope(bound, system, ctx) <= cfg.eps_bar
+        assert qbar(system, cfg, ctx) == bound
+
     def test_monotone_in_p_max(self):
         ctx = PrivacyContext(d=20, delta=1e-4, K=10)
         cfg = small_cfg(eps_bar=40.0)
@@ -534,6 +545,17 @@ class TestSolve:
         assert sol.q + sol.n <= 2**8
         assert check_solution(sol, system, cfg, ctx) == []
 
+    def test_suboptimal_tuple_doubles_n_at_q_2(self):
+        # q = 2 cannot shrink, so the worse tuple inflates n instead
+        system = make_system(K=10, d=6, delta=1e-3, base_target=1000.0)
+        ctx = make_context(system)
+        cfg = small_cfg(n_cap=1024)
+        sol = solver_module._solution(2, 40, 0.5, system, ctx)
+        bad = suboptimal_tuple(sol, system, cfg, ctx, 4.0)
+        assert (bad.q, bad.n, bad.p) == (2, 320, 0.5)
+        assert bad.objective >= 4.0 * sol.objective
+        assert bad == solver_module._solution(2, 320, 0.5, system, ctx)
+
     def test_mirror_feasibility_equal_value(self, rng):
         # any feasible tuple with p < 1/2 mirrors to a feasible tuple with
         # the same objective and the same budget
@@ -621,6 +643,12 @@ class TestBruteForce:
             solve(system, cfg, ctx)
         assert brute_force_solve(system, cfg, ctx, fine_factor=3) == expected
 
+    def test_nothing_feasible_raises(self):
+        system = make_system(K=5, d=10, delta=1e-2, base_target=30.0)
+        ctx = make_context(system)
+        with pytest.raises(InfeasibleError, match="exhaustive scan"):
+            brute_force_solve(system, small_cfg(eps_bar=1e-3), ctx)
+
     def test_guarantee_on_one_instance(self):
         system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
         ctx = make_context(system)
@@ -632,3 +660,55 @@ class TestBruteForce:
         oracle = brute_force_solve(system, cfg, ctx, fine_factor=3)
         assert sol.objective <= oracle.objective * (1.0 + mu * lam)
         assert sol.objective <= oracle.objective * 1.1
+
+
+@pytest.fixture(scope="module")
+def desk_instance():
+    cfg = RunConfig.from_yaml(DESK_CONFIG)
+    system = cfg.build_system()
+    ctx = cfg.build_context(system)
+    scfg = cfg.build_solver(ctx)
+    sol = solve(system, scfg, ctx)
+    assert (sol.q, sol.n, sol.p) == (8, 241, 0.5)
+    return sol, system, scfg, ctx
+
+
+@pytest.mark.parametrize("broken, config, message", [
+    # one field of the desk solution changed, or one setting the tuple must meet
+    ({"q": 1}, {}, "q=1 outside"),
+    ({"q": 289}, {}, "q=289 outside {2..288}"),
+    ({"n": 0}, {}, "n=0 outside"),
+    ({"n": 289}, {}, "n=289 outside {2..288}"),
+    ({}, {"n_cap": 240}, "n=241 above n_cap=240"),
+    ({"p": 0.0}, {}, "p=0.0 outside (0, 1)"),
+    ({"p": 1.0}, {}, "p=1.0 outside (0, 1)"),
+    ({"p": 1.5}, {}, "p=1.5 outside (0, 1)"),
+    ({"p": math.nan}, {}, "p=nan outside (0, 1)"),
+    ({"p": 1e-3}, {}, "noise variance below its required floor"),
+    ({}, {"eps_bar": 29.0}, "budget 29.9672 exceeds eps_bar=29.0"),
+    ({"epsilon_achieved": math.inf}, {}, "non-finite budget"),
+    ({"epsilon_achieved": 29.9}, {}, "stored epsilon_achieved disagrees"),
+    ({}, {"bit_cap": 7}, "q + n = 249 breaks the 7-bit cap"),
+    ({"powers": "drop one"}, {}, "11 powers for K=12 devices"),
+    ({"powers": "add one"}, {}, "13 powers for K=12 devices"),
+    ({"powers": "first at zero"}, {}, "power of device 0 outside [p_min, p_max]"),
+    ({"powers": "first above p_max"}, {}, "power of device 0 outside [p_min, p_max]"),
+    ({"powers": "all at p_min"}, {}, "capacity constraint violated"),
+    ({"objective": 1.5}, {}, "stored objective disagrees"),
+])
+def test_check_solution_reports_each_broken_constraint(desk_instance, broken, config, message):
+    sol, system, scfg, ctx = desk_instance
+    assert check_solution(sol, system, scfg, ctx) == []
+    powers = {
+        "drop one": sol.powers[:-1],
+        "add one": sol.powers + (sol.powers[-1],),
+        "first at zero": (0.0,) + sol.powers[1:],
+        "first above p_max": (2.0 * system.p_max,) + sol.powers[1:],
+        "all at p_min": (system.p_min,) * system.K,
+    }
+    if "powers" in broken:
+        broken = {"powers": powers[broken["powers"]]}
+    problems = check_solution(
+        dataclasses.replace(sol, **broken), system, dataclasses.replace(scfg, **config), ctx
+    )
+    assert any(message in problem for problem in problems), problems
