@@ -73,14 +73,50 @@ _EXIT_BY_ERROR = [
 ]
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+# indent=None selects the C encoder; json.dumps(indent=2) runs the pure-Python one
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json(payload) -> str:
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
+
+    The layout is written here, and every key and leaf goes through the C
+    encoder.  A list of numbers, booleans and nulls is encoded in one call
+    and split at its commas, which only strings and containers can hold.
+    """
+    return _indented(payload, "\n") + "\n"
+
+
+def _indented(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + ",".join(inner + _COMPACT.encode(_json_key(k)) + ": " + _indented(v, inner)
+                              for k, v in sorted(value.items())) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        flat = _COMPACT.encode(value)
+        if '"' in flat or "{" in flat or "[" in flat[1:]:
+            return "[" + ",".join(inner + _indented(v, inner) for v in value) + newline + "]"
+        return "[" + inner + flat[1:-1].replace(",", "," + inner) + newline + "]"
+    return _COMPACT.encode(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _COMPACT.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join("" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row))
+        lines.append(",".join("" if v is None else (float.__repr__(v) if isinstance(v, float) else str(v))
+                              for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -133,8 +169,8 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
               f"relative error < {stats.mu * stats.lambda_step:.4g}")
     print(f"grid {stats.q_hi - stats.q_lo + 1} q-values x {stats.p_grid_size} p-values, "
           f"{stats.eps_evaluations} budget evaluations")
-    print(f"power range [{min(sol.powers):.4g}, {max(sol.powers):.4g}] W "
-          f"({watts_to_dbm(min(sol.powers)):.2f} to {watts_to_dbm(max(sol.powers)):.2f} dBm)")
+    lo, hi = min(sol.powers), max(sol.powers)
+    print(f"power range [{lo:.4g}, {hi:.4g}] W ({watts_to_dbm(lo):.2f} to {watts_to_dbm(hi):.2f} dBm)")
     return {"solution.json": _json(report)}
 
 

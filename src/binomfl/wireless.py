@@ -22,6 +22,8 @@ class SystemParams:
 
     K devices are selected out of a population of M; ``gains`` holds the
     channel gain of each selected device, so it must have length K.
+    ``worst_gain`` is ``min(gains)``, stored once at construction for the
+    capacity bounds that every solve evaluates many times.
     """
 
     K: int
@@ -50,9 +52,13 @@ class SystemParams:
             raise ValueError(f"p_min={self.p_min} exceeds p_max={self.p_max}")
         if len(self.gains) != self.K:
             raise ValueError(f"gains has length {len(self.gains)}, expected K={self.K}")
-        if not all(math.isfinite(g) and g > 0.0 for g in self.gains):
+        gains = np.fromiter(self.gains, dtype=np.float64, count=self.K)
+        worst = gains.min()  # NaN if any gain is NaN
+        if not (worst > 0.0 and gains.max() < math.inf):
             raise ValueError("all channel gains must be positive and finite")
-        object.__setattr__(self, "gains", tuple(float(g) for g in self.gains))
+        object.__setattr__(self, "gains", tuple(gains.tolist()))
+        # not a field: stays out of ==, repr and fields(); replace() recomputes it
+        object.__setattr__(self, "worst_gain", float(worst))
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
 
 def min_snr(sys: SystemParams) -> float:
     """Worst-device SNR at full power, the binding term of every capacity bound."""
-    return sys.p_max * min(sys.gains) / sys.omega0
+    return sys.p_max * sys.worst_gain / sys.omega0
 
 
 def capacity_base(sys: SystemParams) -> float:

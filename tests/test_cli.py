@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binomfl.cli import (
@@ -84,6 +85,45 @@ def read_csv(path):
         return header, list(reader)
 
 
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]
+json_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+# quotes, backslashes, control characters and non-ASCII, in keys and in strings
+json_text = st.text(st.one_of(st.characters(), st.sampled_from('"\\,\n\t\x00\x1f\x7fé\u2028😀')))
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), json_floats,
+                        json_floats.map(np.float64), json_text)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(json_text, children)),
+    max_leaves=25,
+)
+
+
+class TestWriters:
+    @settings(max_examples=100, deadline=None)
+    @given(payload=json_trees)
+    @example(payload={"powers_w": EDGE_FLOATS + [np.float64(0.1)], "empty": {"d": {}, "l": []},
+                      "mixed": [1, True, None, "a,b", 2.5, False], "t": (1.5, (), [[]])})
+    # non-string keys, converted as the stdlib converts them
+    @example(payload={1: "a", 2.5: "b", -3: "c"})
+    @example(payload={True: [], False: 0})
+    @example(payload={None: {}})
+    @example(payload={math.nan: 1.0, math.inf: [1, 2], np.float64(0.5): "x"})
+    def test_json_matches_the_stdlib_indented_encoder(self, payload):
+        assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_json_rejects_what_the_stdlib_rejects(self):
+        for payload in ({(1, 2): 0}, {"a": object()}, [np.int64(1)]):
+            with pytest.raises(TypeError):
+                json.dumps(payload, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                cli._json(payload)
+
+    def test_csv_prints_numpy_floats_as_plain_floats(self):
+        text = cli._csv(["a", "b", "c", "d"], [[np.float64(0.1), 0.1, 2, None], [np.float64(-0.0), 1e16, "x", 5e-324]])
+        assert text == "a,b,c,d\n0.1,0.1,2,\n-0.0,1e+16,x,5e-324\n"
+
+
 class TestSolveCommand:
     def test_report_contents(self, config_path, tmp_path, capsys):
         out = tmp_path / "a"
@@ -109,7 +149,10 @@ class TestSolveCommand:
         # full-scale preset: K=1000, M=1e6, delta=1e-10, 16-bit cap, eps_bar=10
         monkeypatch.chdir(tmp_path)
         assert main(["solve"]) == EXIT_OK
-        report = json.loads((tmp_path / "out" / "solution.json").read_text())
+        text = (tmp_path / "out" / "solution.json").read_text()
+        report = json.loads(text)
+        assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert len(report["powers_w"]) == 1000
         assert report["epsilon_achieved"] <= 10.0
         assert report["q"] + report["n"] <= 2**16
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binomfl import wireless
-from binomfl.errors import CapacityInfeasibleError, EmptyDomainError
+from binomfl.errors import CapacityInfeasibleError, ConfigError, EmptyDomainError
 from binomfl.wireless import (
     ChannelSampler,
     SystemParams,
@@ -51,13 +51,56 @@ class TestSystemParams:
                          p_min=2.0, p_max=1.0, gains=(1.0,))
 
     @pytest.mark.parametrize("name", ["T", "W", "omega0", "p_min", "p_max", "gains"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, -2.0])
     def test_rejects_non_finite_channel_parameters(self, name, value):
-        fields = dict(K=2, M=2, d=1, delta=0.5, T=1.0, W=1.0, omega0=1.0,
-                      p_min=0.1, p_max=1.0, gains=(1.0, 2.0))
-        fields[name] = (1.0, value) if name == "gains" else value
-        with pytest.raises(ValueError, match="finite"):
+        fields = dict(K=3, M=3, d=1, delta=0.5, T=1.0, W=1.0, omega0=1.0,
+                      p_min=0.1, p_max=1.0, gains=(1.0, 2.0, 3.0))
+        if name == "gains":
+            for gains in ((value, 2.0, 3.0), (1.0, value, 3.0), (1.0, 2.0, value)):
+                with pytest.raises(ValueError, match="^all channel gains must be positive and finite$"):
+                    SystemParams(**{**fields, "gains": gains})
+            return
+        fields[name] = value
+        with pytest.raises(ValueError, match="must be positive and finite"):
             SystemParams(**fields)
+
+    def test_worst_gain_is_stored_outside_the_fields(self):
+        kw = dict(K=3, M=3, d=1, delta=0.5, T=1.0, W=1.0, omega0=2.0, p_min=0.1, p_max=4.0)
+        sys = SystemParams(**kw, gains=(3.0, 1.0, 2.0))
+        assert sys.worst_gain == 1.0
+        assert sys.gains == (3.0, 1.0, 2.0) and all(type(g) is float for g in sys.gains)
+        assert "worst_gain" not in {f.name for f in dataclasses.fields(sys)}
+        assert "worst_gain" not in repr(sys)
+        twin = SystemParams(**kw, gains=(3.0, 1.0, 2.0))
+        object.__setattr__(twin, "worst_gain", 5.0)
+        assert twin == sys and hash(twin) == hash(sys)  # == and hash see the fields only
+        assert dataclasses.replace(sys, gains=(4.0, 0.5, 9.0)).worst_gain == 0.5
+
+    def test_capacity_bounds_match_the_min_gain_formulas(self, rng):
+        def check(sys):
+            snr = sys.p_max * min(sys.gains) / sys.omega0
+            assert min_snr(sys) == snr
+            base = (1.0 + snr) ** (sys.T * sys.W / sys.d)
+            assert capacity_base(sys) == base
+            if base > 1e100:
+                with pytest.raises(ConfigError):
+                    domain_bound(sys)
+            elif math.floor(base) - 2 < 2:
+                with pytest.raises(EmptyDomainError):
+                    domain_bound(sys)
+            else:
+                assert domain_bound(sys) == math.floor(base) - 2
+
+        for _ in range(200):
+            K = int(rng.integers(1, 40))
+            sys = SystemParams(
+                K=K, M=K, d=int(rng.integers(1, 10)), delta=0.5, T=float(rng.uniform(0.5, 2.0)),
+                W=float(rng.uniform(1.0, 30.0)), omega0=float(rng.uniform(0.1, 10.0)), p_min=1e-6,
+                p_max=float(rng.uniform(1.0, 100.0)), gains=tuple(rng.lognormal(0.0, 2.0, K).tolist()),
+            )
+            check(sys)
+            check(dataclasses.replace(sys, gains=tuple(rng.lognormal(0.0, 2.0, K).tolist())))
+            check(dataclasses.replace(sys, p_max=float(rng.uniform(1.0, 100.0))))
 
 
 class TestShannonRate:
