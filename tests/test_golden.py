@@ -1,10 +1,14 @@
-"""Desk outputs pinned byte for byte: solve, sweep on every axis, compare-eps,
-qbar, and simulate's summary and three traces.
+"""Outputs pinned byte for byte: at desk, solve, sweep on every axis,
+compare-eps, qbar, and simulate's summary and three traces; at the built-in
+full scale, solve at three budgets.
 
 The files under data/golden/ are what these commands write on
 configs/desk.yaml.  A change that alters them on purpose rewrites them (run
 each command with ``--config configs/desk.yaml --out tests/data/golden``)
-and says why.
+and says why.  The files under data/golden/full_scale/ are the
+solution.json that ``binomfl solve`` writes at the built-in defaults with
+``solver: {eps_bar: E}`` as the only config key, one per budget E; they pin
+all 1,000 powers bit for bit.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import pytest
 from binomfl.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+FULL_SCALE_EPS_BARS = ["5.00", "7.50", "10.00"]
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 COMMANDS = {
@@ -54,3 +59,13 @@ def desk_simulate(tmp_path_factory):
 @pytest.mark.parametrize("name", SIMULATE_FILES)
 def test_desk_simulate_matches_golden(name, desk_simulate):
     assert (desk_simulate / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("eps_bar", FULL_SCALE_EPS_BARS)
+def test_full_scale_solve_matches_golden(eps_bar, tmp_path):
+    config = tmp_path / "config.yaml"
+    config.write_text(f"solver:\n  eps_bar: {eps_bar}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+    golden = GOLDEN / "full_scale" / f"solution_eps_bar_{eps_bar}.json"
+    assert (tmp_path / "solution.json").read_bytes() == golden.read_bytes()
