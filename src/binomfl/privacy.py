@@ -10,14 +10,16 @@ clears a dimension-dependent floor; below that floor they raise
 :class:`NotApplicableError` instead of returning a number.
 The tight estimator is written once, as five terms of the n-free factors,
 x = n*p*(1-p) and the variance factor s1, in one numpy code path for
-scalars and arrays alike.  It has four entry points:
+scalars and arrays alike.  It has five entry points:
 ``tight_epsilon_factors`` builds the n-free factors (everything q, p, d and
 delta fix), ``tight_epsilon_at_n`` evaluates built factors at a trial count
 (the search builds the factors once per cell and calls this on every step),
-``tight_epsilon_lower`` is the lower bound over every (n, p) with
-n*p*(1-p) <= x (the same five terms at the worst noise shape), and
-``tight_epsilon_value`` is the scalar estimate at one (q, n, p), a Python
-float bit-identical to the matching ``tight_epsilon_at_n`` element.
+``tight_epsilon_lead`` is the first of the five terms alone, bit for bit
+the one the sum holds (the search rules out cells with it before building
+their factors), ``tight_epsilon_lower`` is the lower bound over every
+(n, p) with n*p*(1-p) <= x (the same five terms at the worst noise shape),
+and ``tight_epsilon_value`` is the scalar estimate at one (q, n, p), a
+Python float bit-identical to the matching ``tight_epsilon_at_n`` element.
 
 All logarithms here are natural logs (``math.log``).  Channel-capacity math
 elsewhere in the package uses ``math.log2``; the two must never be mixed.
@@ -207,13 +209,19 @@ def _s2(x, f):
     return radius * radius
 
 
+def _lead(f, x):
+    # the first summand, d2*sqrt(2 ln(1.25/delta))/sqrt(x): the Gaussian-like
+    # leading term of the Binomial mechanism's bound
+    return f[0] / np.sqrt(x)
+
+
 def _tight_terms(f, x, s1):
     # the five summands from the factors f, x = n*p*(1-p) and the variance
     # factor s1; the one place the tight formula is written
-    k1, k2, k3, dinf, k5, _, psym, _, _, _, one_minus, ln10, two_ln10, _ = f
+    _, k2, k3, dinf, k5, _, psym, _, _, _, one_minus, ln10, two_ln10, _ = f
     xx = x * x
     return (
-        k1 / np.sqrt(x),
+        _lead(f, x),
         k2 * (x + 1.0) * psym / (xx * one_minus),
         k3 * np.sqrt(s1 * two_ln10),
         (2.0 / 3.0) * ALPHA * _s2(x, f) * psym * ln10 * dinf / xx,
@@ -223,6 +231,19 @@ def _tight_terms(f, x, s1):
 
 def _n_terms(f, n):
     return _tight_terms(f, n * f[5], _s1(n, f))
+
+
+def tight_epsilon_lead(f, n):
+    """The first of the five summands at trial count n, bit for bit.
+
+    ``f`` and n as for :func:`tight_epsilon_at_n`; the result keeps the
+    broadcast shape of n against the factors.  The other four summands are
+    non-negative and rounding is monotone, so this never exceeds the
+    matching :func:`tight_epsilon_at_n` element, and it is non-increasing
+    in n: where it exceeds a cap at some n, the budget exceeds that cap at
+    every smaller n too.
+    """
+    return _lead(f, n * f[5])
 
 
 def tight_epsilon_at_n(f, n) -> np.ndarray:

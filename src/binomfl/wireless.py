@@ -105,11 +105,24 @@ def sample_gains(sampler: ChannelSampler, count: int) -> list[float]:
     return h_sq.tolist()
 
 
-def shannon_rate(power: float, gain: float, sys: SystemParams) -> float:
-    """Achievable rate in bits/s at the given transmit power."""
-    if power <= 0.0:
+def shannon_rate(power, gain, sys: SystemParams):
+    """Achievable rate in bits/s at the given transmit power.
+
+    Two scalars give a float.  numpy arrays broadcast and give an array whose
+    every element has the bits of the scalar call: the SNR arithmetic runs
+    in numpy, but its log is ``math.log2`` per element, because ``np.log2``
+    differs from it in the last bit on some inputs.
+    """
+    if not isinstance(power, np.ndarray) and not isinstance(gain, np.ndarray):
+        if power <= 0.0:
+            raise ValueError(f"power must be positive, got {power}")
+        return sys.W * math.log2(1.0 + power * gain / sys.omega0)
+    if np.any(np.less_equal(power, 0.0)):
         raise ValueError(f"power must be positive, got {power}")
-    return sys.W * math.log2(1.0 + power * gain / sys.omega0)
+    with np.errstate(all="ignore"):
+        snr = 1.0 + np.multiply(power, gain) / sys.omega0
+    log2 = np.fromiter(map(math.log2, snr.ravel().tolist()), np.float64, snr.size)
+    return sys.W * log2.reshape(snr.shape)
 
 
 def payload_bits_real(d: int, q: int, n: int) -> float:
@@ -125,10 +138,8 @@ def capacity_feasible(q: int, n: int, powers: list[float], sys: SystemParams) ->
     if len(powers) != sys.K:
         raise ValueError(f"powers has length {len(powers)}, expected K={sys.K}")
     need = payload_bits_real(sys.d, q, n)
-    return all(
-        need <= sys.T * shannon_rate(p_k, h_k, sys)
-        for p_k, h_k in zip(powers, sys.gains)
-    )
+    rates = shannon_rate(np.array(powers, dtype=np.float64), np.array(sys.gains), sys)
+    return bool(np.all(need <= sys.T * rates))
 
 
 def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
@@ -140,7 +151,9 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
     at most a few ulps where rounding would otherwise leave the capacity
     check failing by one bit of precision; a device whose nudged power still
     misses the payload raises too, so every returned power passes
-    :func:`capacity_feasible`.
+    :func:`capacity_feasible`.  The powers and the capacity check run as one
+    array pass over the devices; only the devices it finds short go through
+    the nudge, in device order.
     """
     if q + n < 4:
         raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
@@ -151,23 +164,31 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
             f"payload at (q={q}, n={n}) needs a power beyond float range on gain {sys.gains[0]:.6g}"
         ) from None
     need = payload_bits_real(sys.d, q, n)
-    powers = []
-    for gain in sys.gains:
-        unclamped = factor / gain
-        if unclamped > sys.p_max:
-            raise CapacityInfeasibleError(
-                f"payload at (q={q}, n={n}) needs {unclamped:.6g} W on gain "
-                f"{gain:.6g}, above the {sys.p_max:.6g} W limit"
-            )
-        power = max(sys.p_min, unclamped)
-        bump = 2.0**-50
-        while need > sys.T * shannon_rate(power, gain, sys):
+    gains = np.array(sys.gains)
+    with np.errstate(all="ignore"):
+        unclamped = factor / gains
+    over = np.flatnonzero(unclamped > sys.p_max)
+    # devices before the first one above p_max raise first, if any does
+    first_over = over[0] if over.size else sys.K
+    powers = np.maximum(sys.p_min, unclamped)
+    short = np.flatnonzero(need > sys.T * shannon_rate(powers, gains, sys))
+    for k in short[short < first_over].tolist():
+        gain, base = sys.gains[k], float(powers[k])
+        power, bump = base, 2.0**-50
+        while True:  # short at power
             if power >= sys.p_max or bump >= 2.0**-20:
                 raise CapacityInfeasibleError(f"payload at (q={q}, n={n}) exceeds capacity on gain {gain:.6g}")
-            power = min(sys.p_max, max(sys.p_min, unclamped) * (1.0 + bump))
+            power = min(sys.p_max, base * (1.0 + bump))
             bump *= 4.0
-        powers.append(power)
-    return tuple(powers)
+            if not need > sys.T * shannon_rate(power, gain, sys):
+                break
+        powers[k] = power
+    if over.size:
+        raise CapacityInfeasibleError(
+            f"payload at (q={q}, n={n}) needs {float(unclamped[first_over]):.6g} W on gain "
+            f"{sys.gains[first_over]:.6g}, above the {sys.p_max:.6g} W limit"
+        )
+    return tuple(powers.tolist())
 
 
 def min_snr(sys: SystemParams) -> float:

@@ -22,6 +22,7 @@ from binomfl.privacy import (
     epsilon_tight,
     tight_epsilon_at_n,
     tight_epsilon_factors,
+    tight_epsilon_lead,
     tight_epsilon_value,
 )
 from binomfl.sim import (
@@ -126,7 +127,7 @@ def test_criterion_03_binary_search_equals_linear_scan():
             n1, _ = lockstep_min_n(
                 np.array([q]), np.array([p]),
                 lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta), tight_epsilon_at_n,
-                eps_bar, n_cap,
+                tight_epsilon_lead, eps_bar, n_cap,
             )
             assert n1[0] == expected
 

@@ -28,6 +28,7 @@ from binomfl.privacy import (
     epsilon_tight,
     tight_epsilon_at_n,
     tight_epsilon_factors,
+    tight_epsilon_lead,
     tight_epsilon_lower,
     tight_epsilon_value,
 )
@@ -364,6 +365,50 @@ class TestSplitKernel:
             expected = [tight_epsilon_value(q, n, p, d, delta) for n in ns]
             assert [float(tight_epsilon_at_n(one, n)[0]) for n in ns] == expected
             assert tight_epsilon_at_n(one, np.array(ns, dtype=np.float64)).tolist() == expected
+
+
+class TestLead:
+    """The first summand alone, which the search compares against eps_bar to
+    rule out cells before it builds their factors.  That is sound because of
+    two facts, as floats: the lead never exceeds the budget, and it is
+    non-increasing in n."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 10**7),
+        log_delta=st.floats(-15.0, -0.1),
+        qs=st.lists(st.integers(2, 2**20), min_size=1, max_size=4),
+        ps=st.lists(
+            st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.sampled_from([0.5])), min_size=1, max_size=4
+        ),
+        # n and n + 1, where rounding decides the order, and counts up to 2^62
+        ns=st.lists(st.one_of(st.integers(2, 10**6), st.integers(2, 2**62)), min_size=1, max_size=3),
+    )
+    def test_below_the_budget_and_non_increasing_in_n(self, d, log_delta, qs, ps, ns):
+        delta = 10.0**log_delta
+        ns = sorted({m for n in ns for m in (n, min(n + 1, 2**62))})
+        shape = (len(qs), len(ps))
+        axes = tight_epsilon_factors(np.array(qs)[:, None], np.array(ps)[None, :], d, delta)
+        leads = []
+        for n in ns:
+            lead = tight_epsilon_lead(axes, n)
+            assert np.shape(lead) == shape
+            assert np.all(lead.ravel() <= tight_epsilon_at_n(axes, n))
+            t1, *rest = _n_terms(axes, n)
+            assert np.array_equal(lead, np.broadcast_to(t1, shape))
+            for t in rest:
+                assert np.all(t >= 0.0)
+            leads.append(lead)
+        assert np.all(np.diff(leads, axis=0) <= 0.0)
+        # scalar calls, and one cell's factors at an int64 array of n
+        for q in qs:
+            for p in ps:
+                one = tight_epsilon_factors(q, p, d, delta)
+                for n in ns:
+                    assert tight_epsilon_lead(one, n) <= tight_epsilon_value(q, n, p, d, delta)
+                along = tight_epsilon_lead(one, np.array(ns, dtype=np.int64))
+                assert np.all(along <= tight_epsilon_at_n(one, np.array(ns, dtype=np.int64)))
+                assert np.all(np.diff(along) <= 0.0)
 
 
 class TestSTerms:

@@ -23,6 +23,7 @@ from binomfl.privacy import (
     dp_variance_threshold,
     tight_epsilon_at_n,
     tight_epsilon_factors,
+    tight_epsilon_lead,
     tight_epsilon_value,
 )
 from binomfl.solver import (
@@ -69,14 +70,23 @@ def single_cell_min_n(q, p, eps_bar, n_cap, kernel):
 
 
 def tight_kernel(d, delta):
-    """The tight budget's two stages, as lockstep_min_n takes them."""
-    return lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta), tight_epsilon_at_n
+    """The tight budget's three stages, as lockstep_min_n takes them."""
+    return (
+        lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta),
+        tight_epsilon_at_n,
+        tight_epsilon_lead,
+    )
 
 
 def curve_kernel(curve):
-    """Two-stage budget of a synthetic curve in n alone, flat over the cells:
-    the n-free stage is a zero per cell."""
-    return lambda qs, ps: (0.0 * qs + 0.0 * ps,), lambda f, ns: np.ravel(curve(ns + f[0]))
+    """Three-stage budget of a synthetic curve in n alone, flat over the
+    cells: the n-free stage is a zero per cell, and the curve, non-increasing
+    in n, is its own lead."""
+    return (
+        lambda qs, ps: (0.0 * qs + 0.0 * ps,),
+        lambda f, ns: np.ravel(curve(ns + f[0])),
+        lambda f, n: curve(n + f[0]),
+    )
 
 
 def scalar_search(eps, eps_bar, n_cap):
@@ -263,7 +273,7 @@ class TestLockstepSearch:
             lambda q: tight_epsilon_value(q, n_cap, float(p_axis[0]), d, delta) > eps_bar, 2
         )
         q_axis = np.array(sorted({2, q_blocked, *q_extra}))
-        built, probed = [], []
+        built, probed, led = [], [], []
 
         def factors_fn(qs, ps):
             factors = tight_epsilon_factors(qs, ps, d, delta)
@@ -274,27 +284,127 @@ class TestLockstepSearch:
             probed.append((factors, np.shape(ns)))
             return tight_epsilon_at_n(factors, ns)
 
-        grid = lockstep_min_n(q_axis[:, None], p_axis[None, :], factors_fn, eps_fn, eps_bar, n_cap)
-        grid_built, grid_probed = list(built), list(probed)
+        def lead_fn(factors, n):
+            led.append((factors, n))
+            return tight_epsilon_lead(factors, n)
+
+        grid = lockstep_min_n(
+            q_axis[:, None], p_axis[None, :], factors_fn, eps_fn, lead_fn, eps_bar, n_cap
+        )
+        grid_built, grid_probed, grid_led = list(built), list(probed), list(led)
         built[:], probed[:] = [], []
         flat = lockstep_min_n(
             np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size),
-            factors_fn, eps_fn, eps_bar, n_cap,
+            factors_fn, eps_fn, lead_fn, eps_bar, n_cap,
         )
         assert np.array_equal(grid[0], flat[0]) and np.array_equal(grid[1], flat[1])
         assert grid[0][0] == 2
         assert grid[0][list(q_axis).index(q_blocked) * p_axis.size] == 0
-        # both bracket probes run on the axes with a scalar n
+        # the lead runs once, on the axes with the scalar n_cap
         axes = grid_built[0][2]
         assert grid_built[0][:2] == ((q_axis.size, 1), (1, p_axis.size))
-        assert [(f is axes, shape) for f, shape in grid_probed[:2]] == [(True, ())] * 2
-        # the factors are built once more, on the 1-D searching cells, and
-        # every later probe is an array of n over those cells
-        assert len(grid_built) <= 2
-        for q_shape, p_shape, _ in grid_built[1:]:
-            assert len(q_shape) == 1 and p_shape == q_shape
+        assert [(f is axes, n) for f, n in grid_led] == [(True, n_cap)]
+        # the factors are built once more, on 1-D cells, and every budget
+        # evaluation runs on 1-D cells: the two bracket probes with a scalar
+        # n, every later probe with an array of n
+        assert len(grid_built) == 2
+        q_shape, p_shape, cells = grid_built[1]
+        assert len(q_shape) == 1 and p_shape == q_shape
+        assert [(f is cells, shape) for f, shape in grid_probed[:2]] == [(True, ())] * 2
+        for factors, _ in grid_probed:
+            assert all(np.ndim(f) in (0, 1) for f in factors)
+            assert np.ndim(factors[0]) == 1
         assert all(len(shape) == 1 for _, shape in grid_probed[2:])
         assert len(grid_probed) == len(probed)
+
+    @staticmethod
+    def whole_grid_bracket(q_axis, p_axis, d, delta, eps_bar, n_cap):
+        """Reference (n1, evals) on the (q, p) grid: both bracket probes on the
+        full kernel of every cell, then the one-cell search on each cell they
+        leave open."""
+        axes = tight_epsilon_factors(q_axis[:, None], p_axis[None, :], d, delta)
+        met = tight_epsilon_at_n(axes, 2) <= eps_bar
+        reached = tight_epsilon_at_n(axes, n_cap) <= eps_bar
+        n1 = np.where(met, 2, 0)
+        evals = np.where(met | (n_cap == 2), 1, 2)
+        for i in np.flatnonzero(reached & ~met):
+            q, p = int(q_axis[i // p_axis.size]), float(p_axis[i % p_axis.size])
+            n1[i], evals[i] = scalar_search(
+                lambda n: tight_epsilon_value(q, n, p, d, delta), eps_bar, n_cap
+            )
+        return n1, evals
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2000),
+        log_delta=st.floats(-8.0, -0.7),
+        n_cap=st.integers(3, 300),
+        anchor_frac=st.floats(0.0, 1.0),
+        p_anchor=st.floats(0.05, 0.95),
+        p_two=st.floats(0.05, 0.95),
+        q_extra=st.lists(st.integers(2, 5000), max_size=4),
+        p_extra=st.lists(st.floats(0.02, 0.98), max_size=3),
+    )
+    def test_lead_pass_matches_whole_grid_bracket(
+        self, d, log_delta, n_cap, anchor_frac, p_anchor, p_two, q_extra, p_extra
+    ):
+        delta = 10.0**log_delta
+
+        def eps(q, n, p):
+            return tight_epsilon_value(q, n, p, d, delta)
+
+        def lead(q, n, p):
+            return tight_epsilon_lead(tight_epsilon_factors(q, p, d, delta), n)
+
+        # (q_anchor, p_anchor) searches, (2, p_two) is met at n = 2,
+        # (q_blocked, p_anchor) is blocked at n_cap, and the lead alone rules
+        # out (q_far, p_anchor)
+        n_anchor = 3 + int(anchor_frac * (n_cap - 3))
+        q_anchor = _first_q(lambda q: eps(q, n_anchor, p_anchor) >= eps(2, 2, p_two), 2)
+        eps_bar = eps(q_anchor, n_anchor, p_anchor)
+        q_blocked = _first_q(lambda q: eps(q, n_cap, p_anchor) > eps_bar, q_anchor)
+        q_far = _first_q(lambda q: lead(q, n_cap, p_anchor) > eps_bar, q_blocked)
+        q_axis = np.array(sorted({2, q_anchor, q_blocked, q_far, *q_extra}))
+        p_axis = np.array(sorted({p_anchor, p_two, *p_extra}))
+
+        n1, evals = lockstep_min_n(
+            q_axis[:, None], p_axis[None, :], *tight_kernel(d, delta), eps_bar, n_cap
+        )
+        ref_n1, ref_evals = self.whole_grid_bracket(q_axis, p_axis, d, delta, eps_bar, n_cap)
+        assert n1.tolist() == ref_n1.tolist() and evals.tolist() == ref_evals.tolist()
+
+        def cell(q, p):
+            return list(q_axis).index(q) * p_axis.size + list(p_axis).index(p)
+
+        assert n1[cell(q_anchor, p_anchor)] == n_anchor
+        assert n1[cell(2, p_two)] == 2
+        assert n1[cell(q_blocked, p_anchor)] == 0
+        assert (n1[cell(q_far, p_anchor)], evals[cell(q_far, p_anchor)]) == (0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 10**6),
+        log_delta=st.floats(-12.0, -0.7),
+        n_cap=st.one_of(st.integers(2, 300), st.sampled_from([2, 2**16, 2**40])),
+        q_axis=st.lists(st.integers(2, 5000), min_size=1, max_size=5, unique=True),
+        p_axis=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=5, unique=True),
+        below=st.floats(0.0, 1.0),
+    )
+    def test_no_candidates_matches_whole_grid_bracket(
+        self, d, log_delta, n_cap, q_axis, p_axis, below
+    ):
+        # eps_bar under every cell's lead at n_cap: the lead rules out all
+        delta = 10.0**log_delta
+        q_axis, p_axis = np.array(sorted(q_axis)), np.array(sorted(p_axis))
+        axes = tight_epsilon_factors(q_axis[:, None], p_axis[None, :], d, delta)
+        least = float(tight_epsilon_lead(axes, n_cap).min())
+        eps_bar = below * math.nextafter(least, 0.0)
+        n1, evals = lockstep_min_n(
+            q_axis[:, None], p_axis[None, :], *tight_kernel(d, delta), eps_bar, n_cap
+        )
+        ref_n1, ref_evals = self.whole_grid_bracket(q_axis, p_axis, d, delta, eps_bar, n_cap)
+        assert n1.tolist() == ref_n1.tolist() == [0] * n1.size
+        assert evals.tolist() == ref_evals.tolist() == [1 if n_cap == 2 else 2] * n1.size
 
     def test_builtin_solve_pinned(self):
         cfg = RunConfig.defaults()

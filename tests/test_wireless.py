@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ class TestShannonRate:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             shannon_rate(0.0, 1.0, flat_system())
+        with pytest.raises(ValueError):
+            shannon_rate(np.array([1.0, 0.0]), np.array([1.0, 1.0]), flat_system())
+
+    def test_array_matches_scalar_calls_bitwise(self, rng):
+        # np.log2 differs from math.log2 in the last bit on some of these
+        # SNRs; every element must carry the scalar call's bits
+        sys = flat_system(W=3.0, omega0=0.7)
+        powers = rng.uniform(1e-3, 1e3, 20_000) * 10.0 ** rng.uniform(-6, 6, 20_000)
+        gains = rng.uniform(0.01, 10.0, 20_000)
+        expected = [shannon_rate(p, g, sys) for p, g in zip(powers.tolist(), gains.tolist())]
+        assert shannon_rate(powers, gains, sys).tolist() == expected
+        # one gain against a column of powers
+        grid = shannon_rate(powers[:50, None], 2.5, sys)
+        assert grid.shape == (50, 1)
+        assert grid.ravel().tolist() == [shannon_rate(p, 2.5, sys) for p in powers[:50].tolist()]
 
 
 class TestCapacityFeasible:
@@ -247,6 +263,16 @@ class TestAssignPowers:
         last = dataclasses.replace(sys, K=1, M=1, gains=gains[-1:])
         assert _outcome(lambda: assign_powers(q, n, last)) == \
             _outcome(lambda: (_ref_required_power(q, n, gains[-1], sys),))
+
+    def test_power_overflow_raises_no_warning(self):
+        # factor / gain overflows to inf on the tiny gain; that is a capacity
+        # error naming it, never a RuntimeWarning
+        sys = SystemParams(K=2, M=2, d=1, delta=0.5, T=1.0, W=1.0, omega0=1.0,
+                           p_min=1e-3, p_max=1.0, gains=(4.0, 1e-308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapacityInfeasibleError, match="needs inf W on gain 1e-308,"):
+                assign_powers(2, 2, sys)
 
     def test_overflow_names_the_first_gain(self):
         sys = SystemParams(K=2, M=2, d=10**6, delta=0.5, T=1.0, W=1.0, omega0=1.0,
