@@ -266,10 +266,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
         sigma_sq=sigma_sq, rounds=rounds,
     )
     iters = simmod.iterations_estimate(conv, sigma_sq)
-    bias = simmod.measure_bias(
-        task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS),
-        rescale=s["rescale"],
-    )
+    bias = simmod.measure_bias(task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS))
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 
     arms: dict[str, Solution | None] = {"baseline": None, "optimized": sol}
@@ -281,10 +278,8 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
 
     traces = {}
     for index, (name, arm_sol) in enumerate(arms.items()):
-        traces[name] = simmod.run_fsgd(
-            task, system, arm_sol, rounds, rng_for(cfg.seed, ROLE_SIM, index),
-            gamma=conv.gamma, rescale=s["rescale"],
-        )
+        traces[name] = simmod.run_fsgd(task, system, arm_sol, rounds, rng_for(cfg.seed, ROLE_SIM, index),
+                                       gamma=conv.gamma)
 
     summary = {
         "spec_version": SPEC_VERSION,

@@ -72,7 +72,6 @@ DEFAULTS: dict[str, Any] = {
         "rounds": 500,
         "theta": 0.1,
         "confidence": 0.1,           # capital lambda
-        "rescale": "clip",
         "compare_suboptimal": True,
         "bias_trials": 400,
         "subopt_factor": 4.0,
@@ -235,8 +234,6 @@ class RunConfig:
             s[key] = validate_integer(f"sim.{key}", s[key], minimum)
         for key, (interval, ok) in SIM_REALS.items():
             s[key] = validate_real(f"sim.{key}", s[key], interval, ok)
-        if s["rescale"] not in ("clip", "scale"):
-            raise ConfigError(f"sim.rescale must be 'clip' or 'scale', got {s['rescale']!r}")
         if s["task"] not in ("logistic", "quadratic"):
             raise ConfigError(f"unknown task {str(s['task'])!r}; expected 'logistic' or 'quadratic'")
         if not isinstance(s["compare_suboptimal"], bool):

@@ -67,8 +67,9 @@ class PrivacyContext:
 class MechanismParams:
     """Quantizer and noise parameters of one mechanism instance.
 
-    q: quantization levels, n/p: Binomial noise parameters, D: magnitude
-    cap the gradients are restricted to before quantization.  The noise
+    q: quantization levels, n/p: Binomial noise parameters, D: l2 bound on
+    one device's gradient, the norm each gradient is clipped to before
+    quantization and the one the bound's sensitivities assume.  The noise
     scale s is derived, never passed: s = 2D/(q-1), which ties the noise
     grid to the quantizer grid.
     """

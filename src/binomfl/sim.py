@@ -1,9 +1,10 @@
 """Desk-scale federated SGD with stochastic quantization and Binomial noise.
 
 One round: the server state is broadcast, each selected device computes a
-local gradient, caps it to [-D, D], stochastically rounds every coordinate
-onto the q-level grid, adds Binomial(n, p) counts, and ships the integer
-indices; the server averages the de-quantized values and takes a step.
+local gradient, clips it to l2 norm D (the norm the privacy bound's
+sensitivities assume), stochastically rounds every coordinate onto the
+q-level grid, adds Binomial(n, p) counts, and ships the integer indices;
+the server averages the de-quantized values and takes a step.
 The quantizer is mean-preserving and the noise is mean-shifted, so the
 whole pipeline is unbiased.
 
@@ -167,7 +168,9 @@ def privatize(
     coin flip (index j in {0, ..., q-1}) and gets Binomial(n, p) counts z;
     the payload j + z lies in [0, q-1+n], so a block costs
     ``payload.size * bits_per_coord(q, n)`` bits.  Coordinates must be
-    finite; any outside [-D, D] land on the end levels, so cap them first.
+    finite, and the epsilon the solver prints holds only for rows with
+    l2 norm at most D (every coordinate then lies in [-D, D]), so clip
+    each row to that norm first.
     ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when the
     caller already holds it for this block.
     """
@@ -185,15 +188,11 @@ def dequantize(payload: np.ndarray, mech: MechanismParams) -> np.ndarray:
     return mech.s * payload - mech.D - mech.s * mech.n * mech.p
 
 
-def _cap_gradients(grads: np.ndarray, D: float, mode: str) -> np.ndarray:
-    if mode == "clip":
-        return np.minimum(np.maximum(grads, -D), D)
-    if mode == "scale":
-        # per-device rescale: shrink the whole row only when it overflows the cap
-        peak = np.max(np.abs(grads), axis=-1, keepdims=True)
-        factor = np.maximum(1.0, peak / D)
-        return grads / factor
-    raise ValueError(f"rescale mode must be 'clip' or 'scale', got {mode!r}")
+def _cap_gradients(grads: np.ndarray, D: float) -> np.ndarray:
+    # scale each row with ||row||_2 > D down to norm D; a row inside the
+    # ball is multiplied by D/D == 1.0 exactly, so it comes back bit-identical
+    norms = np.sqrt(np.add.reduce(grads * grads, axis=1, keepdims=True))
+    return grads * (D / np.maximum(norms, D))
 
 
 def _mean_rows(x: np.ndarray) -> np.ndarray:
@@ -213,13 +212,17 @@ def _privatized_mean(
 
 def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> TheoreticalBounds:
     """Closed-form bounds on the gradient-sampling variance and the bias,
-    for the per-coordinate gradient bound G."""
+    for the l2 bound G on one device's gradient (the mechanism's D).
+
+    The sampling terms use ||g||_2^2 <= G^2; the bias terms keep d, since
+    the noise is added to every coordinate at pitch s = 2G/(q-1).
+    """
     d, K, M = sys.d, sys.K, sys.M
     x = sol.n * sol.p * (1.0 - sol.p)
     denom = K * (sol.q - 1) ** 2
     return TheoreticalBounds(
-        u_hi=4.0 * ((M - K) / M) ** 2 * d * G * G,
-        u_hi_iid=8.0 * (M - K) / M**2 * d * G * G / K,
+        u_hi=4.0 * ((M - K) / M) ** 2 * G * G,
+        u_hi_iid=8.0 * (M - K) / M**2 * G * G / K,
         b_lo=4.0 * d * G * G * x / denom,
         b_hi=4.0 * d * G * G * (1.0 + x) / denom,
     )
@@ -231,7 +234,6 @@ def measure_bias(
     trials: int,
     rng: np.random.Generator,
     w: np.ndarray | None = None,
-    rescale: str = "clip",
 ) -> BiasEstimate:
     """Monte-Carlo estimate of E||g - g_tilde||^2 at one fixed model state.
 
@@ -246,7 +248,7 @@ def measure_bias(
         w = task.initial_point()
     grads = task.device_gradients(w, list(range(K)))
     mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
-    capped = _cap_gradients(grads, mech.D, rescale)
+    capped = _cap_gradients(grads, mech.D)
     clean = _mean_rows(capped)
     # the block is fixed, so its quantizer positions are too
     positions = _quantize_positions(capped, mech.D, mech.q)
@@ -267,7 +269,6 @@ def run_fsgd(
     rounds: int,
     rng: np.random.Generator,
     gamma: float | None = None,
-    rescale: str = "clip",
 ) -> SimTrace:
     """Federated SGD loop; privatized when ``sol`` is given, plain otherwise.
 
@@ -296,7 +297,7 @@ def run_fsgd(
         devices = rng.choice(task.M, size=sys.K, replace=False)
         grads = task.device_gradients(w, devices)
         if mech is not None:
-            capped = _cap_gradients(grads, mech.D, rescale)
+            capped = _cap_gradients(grads, mech.D)
             step_grad = _privatized_mean(capped, mech, rng)
             diff = step_grad - _mean_rows(capped)
             bias_sample = float(diff @ diff)

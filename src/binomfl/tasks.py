@@ -6,7 +6,7 @@ A task owns M devices' local data and exposes:
     initial_point()           starting model vector
     loss(w)                   population-average loss
     device_gradients(w, ks)   stacked local gradients, shape (len(ks), d)
-    grad_bound()              per-coordinate gradient magnitude bound
+    grad_bound()              l2 bound on one device's gradient
     smoothness()              smoothness constant of the average loss
 """
 
@@ -30,6 +30,12 @@ class QuadraticBowlTask:
 
     Deterministic sanity workhorse: with a step below 1/L plain gradient
     descent on the average must never increase the loss.
+
+    ``grad_bound()`` is max_k ||a * (e + |c_k|)||_2, with e_j = max_k |c_kj|
+    the centers' envelope.  From w0 = 0 a plain step gamma <= 1/L moves each
+    w_j to a convex combination of w_j and the selected devices' mean
+    center, so |w_j| <= e_j and |a_j (w_j - c_kj)| <= a_j (e_j + |c_kj|) in
+    every coordinate.  Privatized steps can leave that box; the clip guards.
     """
 
     def __init__(self, d: int, M: int, seed: int):
@@ -40,8 +46,9 @@ class QuadraticBowlTask:
         self.M = M
         self.curvatures = rng.uniform(0.2, 1.0, size=d)
         self.centers = rng.normal(0.0, 1.0, size=(M, d))
-        # from w0 = 0 the iterates stay inside the centers' envelope
-        self._grad_bound = 1.5 * float(np.max(self.curvatures * np.max(np.abs(self.centers), axis=0)))
+        envelope = np.max(np.abs(self.centers), axis=0)
+        reach = self.curvatures * (envelope + np.abs(self.centers))
+        self._grad_bound = float(np.max(np.linalg.norm(reach, axis=1)))
 
     def initial_point(self) -> np.ndarray:
         return np.zeros(self.d)
@@ -67,6 +74,12 @@ class LogisticRegressionTask:
     from a shared ground-truth separator, so devices are statistically
     identical but hold disjoint samples.  An L2 term keeps the problem
     strongly convex.
+
+    ``grad_bound()`` is sqrt(gram_top) + 3 * l2 * ||w_true||_2, where gram_top
+    is the largest eigenvalue of X_k^T X_k / S over the devices: the residual
+    r = sigmoid(X_k w) - y has |r_i| <= 1, so ||X_k^T r|| / S <= sigma_max(X_k)
+    / sqrt(S) <= sqrt(gram_top), and the iterates are assumed to stay within
+    ||w|| <= 3 ||w_true||.
     """
 
     def __init__(self, d: int, M: int, samples_per_device: int = 25,
@@ -85,11 +98,10 @@ class LogisticRegressionTask:
         self.X = rng.normal(0.0, 1.0, size=(M, samples_per_device, d))
         logits = self.X @ self.w_true
         self.y = (rng.random(logits.shape) < _sigmoid(logits)).astype(np.float64)
-        mean_abs = np.abs(self.X).mean(axis=1)          # (M, d) mean |x| per column
-        self._grad_bound = float(mean_abs.max()) + self.l2 * 3.0 * float(np.abs(self.w_true).max())
         gram_top = max(
             float(np.linalg.eigvalsh(x.T @ x / samples_per_device)[-1]) for x in self.X
         )
+        self._grad_bound = float(np.sqrt(gram_top)) + self.l2 * 3.0 * float(np.linalg.norm(self.w_true))
         self._smoothness = 0.25 * gram_top + self.l2
 
     def initial_point(self) -> np.ndarray:

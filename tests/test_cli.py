@@ -551,9 +551,13 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["selected", "population", "dimension", "eps_bar"])
-    def test_sim_section_has_no_deployment_keys(self, key, tmp_path):
-        text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: 12\n")
+    # the deployment's keys live in system and solver; the last id is the
+    # switch between two per-coordinate caps that the l2 cap replaced
+    @pytest.mark.parametrize("key, value", [("selected", 12), ("population", 12), ("dimension", 12),
+                                            ("eps_bar", 12), ("rescale", "clip")],
+                             ids=["selected", "population", "dimension", "eps_bar", "rescale"])
+    def test_sim_section_has_no_deployment_keys(self, key, value, tmp_path):
+        text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: {value}\n")
         code, err = self.run_in_process(tmp_path, text, "simulate")
         assert code == EXIT_CONFIG
         assert err == f"error: unknown config key 'sim.{key}'\n"
@@ -687,7 +691,7 @@ def sim_mutation(draw):
     elif isinstance(base, float):
         value = st.one_of(st.sampled_from(JUNK_VALUES), st.floats(-1.0, 4.0).map(lambda f: base * f))
     else:
-        value = st.sampled_from(JUNK_VALUES + ["scale", "quadratic", False])
+        value = st.sampled_from(JUNK_VALUES + ["quadratic", False])
     return path, draw(value)
 
 

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from binomfl import sim as simmod
 from binomfl.cli import EXIT_OK, main
@@ -15,6 +18,7 @@ from binomfl.privacy import MechanismParams
 from binomfl.sim import (
     TRACE_COLUMNS,
     ConvergenceParams,
+    _cap_gradients,
     _mean_rows,
     _privatized_mean,
     bits_per_coord,
@@ -27,7 +31,7 @@ from binomfl.sim import (
     theoretical_bounds,
 )
 from binomfl.solver import Solution, objective
-from binomfl.tasks import FixedGradientTask, QuadraticBowlTask
+from binomfl.tasks import FixedGradientTask, LogisticRegressionTask, QuadraticBowlTask
 from binomfl.wireless import SystemParams
 
 
@@ -162,12 +166,12 @@ class TestAggregate:
 class TestTheoreticalBounds:
     def test_spot_values(self):
         # d=10, G=1, K=5, M=10, (q,n,p) = (3,100,1/2):
-        # u_hi = 4*(5/10)^2*10 = 10, u_iid = 8*5/100*10/5 = 0.8,
-        # b_lo = 4*10*25/(5*4) = 50, b_hi = 4*10*26/(5*4) = 52
+        # u_hi = 4*(5/10)^2 = 1, u_iid = 8*5/100/5 = 0.08 (||g||_2 <= G),
+        # b_lo = 4*10*25/(5*4) = 50, b_hi = 4*10*26/(5*4) = 52 (noise on each of d coords)
         sys = flat_system(K=5, M=10, d=10)
         b = theoretical_bounds(sys, make_solution(3, 100, 0.5, 5), 1.0)
-        assert b.u_hi == pytest.approx(10.0, rel=1e-14)
-        assert b.u_hi_iid == pytest.approx(0.8, rel=1e-14)
+        assert b.u_hi == pytest.approx(1.0, rel=1e-14)
+        assert b.u_hi_iid == pytest.approx(0.08, rel=1e-14)
         assert b.b_lo == pytest.approx(50.0, rel=1e-14)
         assert b.b_hi == pytest.approx(52.0, rel=1e-14)
 
@@ -344,23 +348,40 @@ class TestConvergenceParams:
             ConvergenceParams(L=1.0, G_f=1.0, theta=1.5, capital_lambda=0.5, gamma=0.1)
 
 
-class TestRescaleModes:
-    def test_clip_caps_pointwise(self):
-        from binomfl.sim import _cap_gradients
-        g = np.array([[-3.0, 0.2, 5.0]])
-        out = _cap_gradients(g, 1.0, "clip")
-        np.testing.assert_array_equal(out, [[-1.0, 0.2, 1.0]])
+class TestCapGradients:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 48)),
+                           elements=st.floats(-1.0, 1.0)),
+           scale=st.floats(1e-6, 1e6), D=st.floats(1e-3, 1e3))
+    def test_clips_each_row_to_l2_norm(self, rows, scale, D):
+        grads = rows * scale
+        out = _cap_gradients(grads, D)
+        assert out.shape == grads.shape
+        for row, capped in zip(grads, out):
+            # the norms in exact sums of the rounded squares
+            norm = math.sqrt(math.fsum(row * row))
+            assert math.sqrt(math.fsum(capped * capped)) <= D + 4 * np.spacing(D)
+            if norm <= D * (1 - 1e-12):
+                # bit-identical, -0.0 included
+                assert np.array_equal(capped, row) and np.array_equal(np.signbit(capped), np.signbit(row))
+            elif norm > D * (1 + 1e-12):
+                # shrunk to the sphere along the same direction
+                assert math.fsum(capped * row) / (D * norm) == pytest.approx(1.0, rel=1e-12)
 
-    def test_scale_preserves_direction(self):
-        from binomfl.sim import _cap_gradients
-        g = np.array([[-3.0, 0.2, 5.0], [0.1, -0.2, 0.3]])
-        out = _cap_gradients(g, 1.0, "scale")
-        # overflowing row shrinks proportionally; compliant row untouched
-        np.testing.assert_allclose(out[0], g[0] / 5.0)
-        np.testing.assert_array_equal(out[1], g[1])
-        assert np.max(np.abs(out)) <= 1.0
 
-    def test_unknown_mode_rejected(self):
-        from binomfl.sim import _cap_gradients
-        with pytest.raises(ValueError):
-            _cap_gradients(np.zeros((1, 2)), 1.0, "fold")
+class TestGradBound:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 24), M=st.integers(1, 12), S=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+    def test_logistic_bound_holds_at_start_and_at_truth(self, d, M, S, seed):
+        task = LogisticRegressionTask(d=d, M=M, samples_per_device=S, seed=seed)
+        for w in (task.initial_point(), task.w_true):
+            grads = task.device_gradients(w, range(M))
+            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound())
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 24), M=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_quadratic_bound_holds_at_start_and_at_optimum(self, d, M, seed):
+        task = QuadraticBowlTask(d=d, M=M, seed=seed)
+        for w in (task.initial_point(), task.centers.mean(axis=0)):
+            grads = task.device_gradients(w, range(M))
+            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound())

@@ -2,10 +2,11 @@
 
 The ``_ref_*`` functions below are kept verbatim from the version of
 ``tasks.py`` and ``sim.py`` that computed each FSGD round and bias trial
-with masked gathers, ``np.clip`` and ``np.mean``.  The current code must
-reproduce them bit for bit and draw from the generator in the same order,
-so every comparison here is exact: ``==`` on floats, ``array_equal`` on
-arrays, and equal generator states after the run.
+with masked gathers, ``np.clip`` and ``np.mean``, except the gradient cap:
+``_ref_cap_gradients`` is the l2 clip written one row at a time.  The
+current code must reproduce them bit for bit and draw from the generator
+in the same order, so every comparison here is exact: ``==`` on floats,
+``array_equal`` on arrays, and equal generator states after the run.
 """
 
 import math
@@ -82,15 +83,13 @@ def _ref_quantize_positions(g: np.ndarray, D: float, q: int) -> tuple[np.ndarray
     return r, t - r
 
 
-def _ref_cap_gradients(grads: np.ndarray, D: float, mode: str) -> np.ndarray:
-    if mode == "clip":
-        return np.clip(grads, -D, D)
-    if mode == "scale":
-        # per-device rescale: shrink the whole row only when it overflows the cap
-        peak = np.max(np.abs(grads), axis=-1, keepdims=True)
-        factor = np.maximum(1.0, peak / D)
-        return grads / factor
-    raise ValueError(f"rescale mode must be 'clip' or 'scale', got {mode!r}")
+def _ref_cap_gradients(grads: np.ndarray, D: float) -> np.ndarray:
+    capped = grads.copy()
+    for row in capped:
+        norm = math.sqrt(np.sum(row ** 2))
+        if norm > D:
+            row *= D / norm
+    return capped
 
 
 def _ref_privatized_mean(
@@ -104,7 +103,7 @@ def _ref_privatized_mean(
     return values.mean(axis=0)
 
 
-def _ref_measure_bias(task, sol, trials, rng, w=None, rescale="clip"):
+def _ref_measure_bias(task, sol, trials, rng, w=None):
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     K = len(sol.powers)
@@ -112,7 +111,7 @@ def _ref_measure_bias(task, sol, trials, rng, w=None, rescale="clip"):
         w = task.initial_point()
     grads = task.device_gradients(w, list(range(K)))
     mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
-    capped = _ref_cap_gradients(grads, mech.D, rescale)
+    capped = _ref_cap_gradients(grads, mech.D)
     clean = capped.mean(axis=0)
     samples = np.empty(trials)
     for t in range(trials):
@@ -124,7 +123,7 @@ def _ref_measure_bias(task, sol, trials, rng, w=None, rescale="clip"):
     return mean, stderr, trials
 
 
-def _ref_run_fsgd(task, sys, sol, rounds, rng, gamma=None, conv=None, rescale="clip"):
+def _ref_run_fsgd(task, sys, sol, rounds, rng, gamma=None, conv=None):
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if task.d != sys.d:
@@ -148,7 +147,7 @@ def _ref_run_fsgd(task, sys, sol, rounds, rng, gamma=None, conv=None, rescale="c
         grads = task.device_gradients(w, devices)
         clean = grads.mean(axis=0)
         if mech is not None:
-            capped = _ref_cap_gradients(grads, mech.D, rescale)
+            capped = _ref_cap_gradients(grads, mech.D)
             step_grad = _ref_privatized_mean(capped, mech, rng)
             diff = step_grad - capped.mean(axis=0)
             bias_sample = float(diff @ diff)
@@ -176,7 +175,7 @@ def make_task(kind: str, d: int, M: int, seed: int):
         return QuadraticBowlTask(d=d, M=M, seed=seed)
     rng = np.random.default_rng(seed)
     bound = float(rng.uniform(0.2, 3.0))
-    # some gradients overflow the bound, so clip and scale both bite
+    # most rows overflow the l2 bound (all but some at d = 1), so the clip bites
     return FixedGradientTask(rng.normal(0.0, bound, size=(M, d)), grad_bound=bound)
 
 
@@ -250,11 +249,10 @@ def test_loss_keeps_per_device_products_at_25_samples():
 
 
 @pytest.mark.parametrize("kind", TASKS)
-@pytest.mark.parametrize("rescale", ["clip", "scale"])
 @pytest.mark.parametrize("privatized", [False, True])
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(inst=instance, rounds=st.integers(1, 12), step=st.floats(0.05, 1.5))
-def test_run_fsgd_matches_reference(kind, rescale, privatized, inst, rounds, step):
+def test_run_fsgd_matches_reference(kind, privatized, inst, rounds, step):
     d, M = inst["d"], inst["M"]
     K = max(1, min(M, round(inst["k_frac"] * M)))
     task = make_task(kind, d, M, inst["seed"] % 1000)
@@ -263,18 +261,16 @@ def test_run_fsgd_matches_reference(kind, rescale, privatized, inst, rounds, ste
     gamma = step / task.smoothness()
     rng_new = np.random.default_rng(inst["seed"])
     rng_ref = np.random.default_rng(inst["seed"])
-    got = _outcome(lambda: run_fsgd(task, sys, sol, rounds, rng_new, gamma=gamma, rescale=rescale))
-    ref = _outcome(lambda: _ref_run_fsgd(_RefTask(task), sys, sol, rounds, rng_ref,
-                                         gamma=gamma, rescale=rescale))
+    got = _outcome(lambda: run_fsgd(task, sys, sol, rounds, rng_new, gamma=gamma))
+    ref = _outcome(lambda: _ref_run_fsgd(_RefTask(task), sys, sol, rounds, rng_ref, gamma=gamma))
     assert got == ref
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", TASKS)
-@pytest.mark.parametrize("rescale", ["clip", "scale"])
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(inst=instance, trials=st.integers(2, 40), at_start=st.booleans())
-def test_measure_bias_matches_reference(kind, rescale, inst, trials, at_start):
+def test_measure_bias_matches_reference(kind, inst, trials, at_start):
     d, M = inst["d"], inst["M"]
     K = max(1, min(M, round(inst["k_frac"] * M)))
     task = make_task(kind, d, M, inst["seed"] % 1000)
@@ -282,7 +278,7 @@ def test_measure_bias_matches_reference(kind, rescale, inst, trials, at_start):
     w = None if at_start else np.random.default_rng(inst["seed"]).normal(0.0, 1.0, size=d)
     rng_new = np.random.default_rng(inst["seed"])
     rng_ref = np.random.default_rng(inst["seed"])
-    got = measure_bias(task, sol, trials, rng_new, w=w, rescale=rescale)
-    ref = _ref_measure_bias(_RefTask(task), sol, trials, rng_ref, w=w, rescale=rescale)
+    got = measure_bias(task, sol, trials, rng_new, w=w)
+    ref = _ref_measure_bias(_RefTask(task), sol, trials, rng_ref, w=w)
     assert (got.mean, got.stderr, got.trials) == ref
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
