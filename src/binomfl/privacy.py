@@ -67,9 +67,8 @@ class PrivacyContext:
 class MechanismParams:
     """Quantizer and noise parameters of one mechanism instance.
 
-    q: quantization levels, n/p: Binomial noise parameters, D: l2 bound on
-    one device's gradient, the norm each gradient is clipped to before
-    quantization and the one the bound's sensitivities assume.  The noise
+    q: quantization levels, n/p: Binomial noise parameters, D: l2 norm
+    each device gradient is clipped to before quantization.  The noise
     scale s is derived, never passed: s = 2D/(q-1), which ties the noise
     grid to the quantizer grid.
     """

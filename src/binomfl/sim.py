@@ -1,10 +1,9 @@
 """Desk-scale federated SGD with stochastic quantization and Binomial noise.
 
 One round: the server state is broadcast, each selected device computes a
-local gradient, clips it to l2 norm D (the norm the privacy bound's
-sensitivities assume), stochastically rounds every coordinate onto the
-q-level grid, adds Binomial(n, p) counts, and ships the integer indices;
-the server averages the de-quantized values and takes a step.
+local gradient, clips it to l2 norm D, stochastically rounds every coordinate
+onto the q-level grid, adds Binomial(n, p) counts, and ships the integer
+indices; the server averages the de-quantized values and takes a step.
 The quantizer is mean-preserving and the noise is mean-shifted, so the
 whole pipeline is unbiased.
 
@@ -168,9 +167,8 @@ def privatize(
     coin flip (index j in {0, ..., q-1}) and gets Binomial(n, p) counts z;
     the payload j + z lies in [0, q-1+n], so a block costs
     ``payload.size * bits_per_coord(q, n)`` bits.  Coordinates must be
-    finite, and the epsilon the solver prints holds only for rows with
-    l2 norm at most D (every coordinate then lies in [-D, D]), so clip
-    each row to that norm first.
+    finite, and each row clipped to l2 norm D: the solver's epsilon holds
+    only for such rows.
     ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when the
     caller already holds it for this block.
     """
@@ -211,12 +209,9 @@ def _privatized_mean(
 
 
 def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> TheoreticalBounds:
-    """Closed-form bounds on the gradient-sampling variance and the bias,
-    for the l2 bound G on one device's gradient (the mechanism's D).
-
-    The sampling terms use ||g||_2^2 <= G^2; the bias terms keep d, since
-    the noise is added to every coordinate at pitch s = 2G/(q-1).
-    """
+    """Closed-form bounds on the gradient-sampling variance and the bias, for
+    the l2 bound G on a device gradient: ||g||_2^2 <= G^2 in the sampling
+    terms, noise on d coordinates at pitch s = 2G/(q-1) in the bias terms."""
     d, K, M = sys.d, sys.K, sys.M
     x = sol.n * sol.p * (1.0 - sol.p)
     denom = K * (sol.q - 1) ** 2

@@ -31,11 +31,9 @@ class QuadraticBowlTask:
     Deterministic sanity workhorse: with a step below 1/L plain gradient
     descent on the average must never increase the loss.
 
-    ``grad_bound()`` is max_k ||a * (e + |c_k|)||_2, with e_j = max_k |c_kj|
-    the centers' envelope.  From w0 = 0 a plain step gamma <= 1/L moves each
-    w_j to a convex combination of w_j and the selected devices' mean
-    center, so |w_j| <= e_j and |a_j (w_j - c_kj)| <= a_j (e_j + |c_kj|) in
-    every coordinate.  Privatized steps can leave that box; the clip guards.
+    ``grad_bound()`` is max_k ||a * (e + |c_k|)||_2, e_j = max_k |c_kj|: from
+    w0 = 0 a plain step gamma <= 1/L keeps |w_j| <= e_j (a convex combination
+    of w_j and a mean of centers), so |a_j (w_j - c_kj)| <= a_j (e_j + |c_kj|).
     """
 
     def __init__(self, d: int, M: int, seed: int):
@@ -46,8 +44,7 @@ class QuadraticBowlTask:
         self.M = M
         self.curvatures = rng.uniform(0.2, 1.0, size=d)
         self.centers = rng.normal(0.0, 1.0, size=(M, d))
-        envelope = np.max(np.abs(self.centers), axis=0)
-        reach = self.curvatures * (envelope + np.abs(self.centers))
+        reach = self.curvatures * (np.max(np.abs(self.centers), axis=0) + np.abs(self.centers))
         self._grad_bound = float(np.max(np.linalg.norm(reach, axis=1)))
 
     def initial_point(self) -> np.ndarray:
@@ -74,12 +71,6 @@ class LogisticRegressionTask:
     from a shared ground-truth separator, so devices are statistically
     identical but hold disjoint samples.  An L2 term keeps the problem
     strongly convex.
-
-    ``grad_bound()`` is sqrt(gram_top) + 3 * l2 * ||w_true||_2, where gram_top
-    is the largest eigenvalue of X_k^T X_k / S over the devices: the residual
-    r = sigmoid(X_k w) - y has |r_i| <= 1, so ||X_k^T r|| / S <= sigma_max(X_k)
-    / sqrt(S) <= sqrt(gram_top), and the iterates are assumed to stay within
-    ||w|| <= 3 ||w_true||.
     """
 
     def __init__(self, d: int, M: int, samples_per_device: int = 25,
@@ -101,6 +92,8 @@ class LogisticRegressionTask:
         gram_top = max(
             float(np.linalg.eigvalsh(x.T @ x / samples_per_device)[-1]) for x in self.X
         )
+        # l2 bound: |resid| <= 1, so ||X_k^T resid|| / S <= sigma_max(X_k) / sqrt(S)
+        # <= sqrt(gram_top); the l2 term assumes the iterates keep ||w|| <= 3 ||w_true||
         self._grad_bound = float(np.sqrt(gram_top)) + self.l2 * 3.0 * float(np.linalg.norm(self.w_true))
         self._smoothness = 0.25 * gram_top + self.l2
 
