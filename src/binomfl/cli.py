@@ -260,12 +260,9 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
 
     bounds = simmod.theoretical_bounds(system, sol, task.grad_bound())
     sigma_sq = bounds.u_hi_iid + bounds.b_hi
-    conv = simmod.ConvergenceParams.auto(
-        L=task.smoothness(), G_f=max(task.loss(task.initial_point()), 1e-9),
-        theta=s["theta"], capital_lambda=s["confidence"],
-        sigma_sq=sigma_sq, rounds=rounds,
-    )
-    iters = simmod.iterations_estimate(conv, sigma_sq)
+    L, G_f = task.smoothness(), max(task.loss(task.initial_point()), 1e-9)
+    gamma = simmod.learning_rate(L, G_f, sigma_sq, rounds)
+    iters = simmod.iterations_estimate(L, G_f, s["theta"], s["confidence"], sigma_sq)
     bias = simmod.measure_bias(task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS))
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 
@@ -279,13 +276,13 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     traces = {}
     for index, (name, arm_sol) in enumerate(arms.items()):
         traces[name] = simmod.run_fsgd(task, system, arm_sol, rounds, rng_for(cfg.seed, ROLE_SIM, index),
-                                       gamma=conv.gamma)
+                                       gamma=gamma)
 
     summary = {
         "spec_version": SPEC_VERSION,
         "seed": cfg.seed,
         "rounds": rounds,
-        "gamma": conv.gamma,
+        "gamma": gamma,
         "solution": {"q": sol.q, "n": sol.n, "p": sol.p, "objective": sol.objective,
                      "epsilon_achieved": sol.epsilon_achieved},
         "suboptimal": None if sub is None else {
@@ -308,7 +305,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     }
     base_final = traces["baseline"].loss[-1]
     opt_final = traces["optimized"].loss[-1]
-    print(f"tuple q={sol.q} n={sol.n} p={sol.p:.4g}; gamma={conv.gamma:.4g}")
+    print(f"tuple q={sol.q} n={sol.n} p={sol.p:.4g}; gamma={gamma:.4g}")
     print(f"final loss: baseline {base_final:.6g}, optimized {opt_final:.6g} "
           f"(gap {abs(opt_final - base_final) / base_final * 100:.2f}%)")
     if "suboptimal" in traces:

@@ -15,6 +15,10 @@ costs ``payload.size * bits_per_coord(q, n)`` bits.
 Randomness: every routine takes an explicit ``numpy.random.Generator``;
 two runs with equal generators produce bit-identical traces.
 
+The paper's convergence constants are plain functions of the smoothness L,
+the initial optimality gap G_f and the noise sigma^2: ``learning_rate`` is
+its step size, ``iterations_estimate`` its round count.
+
 ``TRACE_COLUMNS`` is the trace schema: the CLI writes a ``SimTrace`` as one
 CSV row per round under that header; this module writes no file.
 
@@ -45,48 +49,6 @@ from .wireless import SystemParams
 
 TRACE_COLUMNS = ("round", "loss", "grad_norm_sq", "bias_sample", "bits")
 FLOAT32_BITS = 32
-
-
-@dataclass(frozen=True)
-class ConvergenceParams:
-    """Smoothness/accuracy constants controlling step size and round counts.
-
-    L: smoothness constant, G_f: initial optimality gap, theta: target
-    squared-gradient accuracy, capital_lambda: allowed failure probability
-    of reaching it, gamma: learning rate.
-    """
-
-    L: float
-    G_f: float
-    theta: float
-    capital_lambda: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("L", "G_f", "gamma"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not (0.0 < self.theta <= 1.0):
-            raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
-        if not (0.0 < self.capital_lambda < 1.0):
-            raise ValueError(f"capital_lambda must lie in (0, 1), got {self.capital_lambda}")
-
-    @classmethod
-    def auto(
-        cls,
-        L: float,
-        G_f: float,
-        theta: float,
-        capital_lambda: float,
-        sigma_sq: float,
-        rounds: int,
-    ) -> "ConvergenceParams":
-        """Set the learning rate to min{1/L, sqrt(2 G_f)/(sigma sqrt(L rounds))}."""
-        if sigma_sq > 0.0:
-            gamma = min(1.0 / L, math.sqrt(2.0 * G_f) / (math.sqrt(sigma_sq) * math.sqrt(L * rounds)))
-        else:
-            gamma = 1.0 / L
-        return cls(L=L, G_f=G_f, theta=theta, capital_lambda=capital_lambda, gamma=gamma)
 
 
 @dataclass
@@ -189,8 +151,18 @@ def dequantize(payload: np.ndarray, mech: MechanismParams) -> np.ndarray:
 def _cap_gradients(grads: np.ndarray, D: float) -> np.ndarray:
     # scale each row with ||row||_2 > D down to norm D; a row inside the
     # ball is multiplied by D/D == 1.0 exactly, so it comes back bit-identical
-    norms = np.sqrt(np.add.reduce(grads * grads, axis=1, keepdims=True))
-    return grads * (D / np.maximum(norms, D))
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(grads * grads, axis=1, keepdims=True))
+    capped = grads * (D / np.maximum(norms, D))
+    # a finite row whose squares overflow has an inf norm: clip it divided
+    # by its max-abs instead (np.minimum multiplies a row inside the ball
+    # back by its max-abs)
+    huge = np.isinf(norms[:, 0])
+    if huge.any():
+        peak = np.max(np.abs(grads[huge]), axis=1, keepdims=True)
+        unit = grads[huge] / peak
+        capped[huge] = unit * np.minimum(peak, D / np.sqrt(np.add.reduce(unit * unit, axis=1, keepdims=True)))
+    return capped
 
 
 def _mean_rows(x: np.ndarray) -> np.ndarray:
@@ -307,7 +279,15 @@ def run_fsgd(
     return trace
 
 
-def iterations_estimate(conv: ConvergenceParams, sigma_sq: float) -> IterationsEstimate:
+def learning_rate(L: float, G_f: float, sigma_sq: float, rounds: int) -> float:
+    """Step size min{1/L, sqrt(2 G_f)/(sigma sqrt(L rounds))}; 1/L without noise."""
+    if sigma_sq > 0.0:
+        return min(1.0 / L, math.sqrt(2.0 * G_f) / (math.sqrt(sigma_sq) * math.sqrt(L * rounds)))
+    return 1.0 / L
+
+
+def iterations_estimate(L: float, G_f: float, theta: float, capital_lambda: float,
+                        sigma_sq: float) -> IterationsEstimate:
     """Rounds needed for a (theta, capital_lambda)-accurate point.
 
     ``exact`` is the closed-form count; ``order_form`` is the simplified
@@ -316,8 +296,8 @@ def iterations_estimate(conv: ConvergenceParams, sigma_sq: float) -> IterationsE
     if sigma_sq < 0.0:
         raise ValueError(f"sigma_sq must be >= 0, got {sigma_sq}")
     sigma = math.sqrt(sigma_sq)
-    lg = conv.L * conv.G_f
-    tl = conv.theta * conv.capital_lambda
+    lg = L * G_f
+    tl = theta * capital_lambda
     try:
         exact = ((lg * sigma + math.sqrt(lg * lg * sigma_sq + tl * lg * lg)) / tl) ** 2
         order = 1.0 / tl + sigma_sq / tl**2

@@ -108,15 +108,11 @@ def sample_gains(sampler: ChannelSampler, count: int) -> list[float]:
 def shannon_rate(power, gain, sys: SystemParams):
     """Achievable rate in bits/s at the given transmit power.
 
-    Two scalars give a float.  numpy arrays broadcast and give an array whose
-    every element has the bits of the scalar call: the SNR arithmetic runs
-    in numpy, but its log is ``math.log2`` per element, because ``np.log2``
-    differs from it in the last bit on some inputs.
+    ``power`` and ``gain`` broadcast like numpy arrays; two scalars give a
+    numpy float64.  The SNR arithmetic runs in numpy, but its log is
+    ``math.log2`` per element, because ``np.log2`` differs from it in the
+    last bit on some inputs.
     """
-    if not isinstance(power, np.ndarray) and not isinstance(gain, np.ndarray):
-        if power <= 0.0:
-            raise ValueError(f"power must be positive, got {power}")
-        return sys.W * math.log2(1.0 + power * gain / sys.omega0)
     if np.any(np.less_equal(power, 0.0)):
         raise ValueError(f"power must be positive, got {power}")
     with np.errstate(all="ignore"):
@@ -147,13 +143,12 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
     ``sys.gains``, carries the (q, n) payload.
 
     Clamps to [p_min, p_max]; raises :class:`CapacityInfeasibleError` for
-    the first device that even p_max cannot serve.  A power is nudged up by
-    at most a few ulps where rounding would otherwise leave the capacity
-    check failing by one bit of precision; a device whose nudged power still
-    misses the payload raises too, so every returned power passes
-    :func:`capacity_feasible`.  The powers and the capacity check run as one
-    array pass over the devices; only the devices it finds short go through
-    the nudge, in device order.
+    the first device that even p_max cannot serve.  Where rounding leaves a
+    device's capacity check failing by one bit of precision, its power is
+    nudged up by the bumps 2^-50, 2^-48, ..., 2^-22 in turn, each applied to
+    every still-short device at once, and each device keeps its first
+    passing power.  A device still short after the last bump raises too, so
+    every returned power passes :func:`capacity_feasible`.
     """
     if q + n < 4:
         raise ValueError(f"need q + n >= 4, got q={q}, n={n}")
@@ -172,17 +167,17 @@ def assign_powers(q: int, n: int, sys: SystemParams) -> tuple[float, ...]:
     first_over = over[0] if over.size else sys.K
     powers = np.maximum(sys.p_min, unclamped)
     short = np.flatnonzero(need > sys.T * shannon_rate(powers, gains, sys))
-    for k in short[short < first_over].tolist():
-        gain, base = sys.gains[k], float(powers[k])
-        power, bump = base, 2.0**-50
-        while True:  # short at power
-            if power >= sys.p_max or bump >= 2.0**-20:
-                raise CapacityInfeasibleError(f"payload at (q={q}, n={n}) exceeds capacity on gain {gain:.6g}")
-            power = min(sys.p_max, base * (1.0 + bump))
-            bump *= 4.0
-            if not need > sys.T * shannon_rate(power, gain, sys):
-                break
-        powers[k] = power
+    short = short[short < first_over]
+    base = powers[short]
+    for exponent in range(-50, -20, 2):
+        if not short.size:
+            break
+        trial = np.minimum(sys.p_max, base * (1.0 + 2.0**exponent))
+        missed = need > sys.T * shannon_rate(trial, gains[short], sys)
+        powers[short[~missed]] = trial[~missed]
+        short, base = short[missed], base[missed]
+    if short.size:
+        raise CapacityInfeasibleError(f"payload at (q={q}, n={n}) exceeds capacity on gain {sys.gains[short[0]]:.6g}")
     if over.size:
         raise CapacityInfeasibleError(
             f"payload at (q={q}, n={n}) needs {float(unclamped[first_over]):.6g} W on gain "

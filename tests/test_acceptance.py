@@ -26,9 +26,9 @@ from binomfl.privacy import (
     tight_epsilon_value,
 )
 from binomfl.sim import (
-    ConvergenceParams,
     bits_per_coord,
     comm_cost,
+    learning_rate,
     measure_bias,
     run_fsgd,
     theoretical_bounds,
@@ -305,10 +305,8 @@ def test_criterion_08_convergence_analogue():
         assert bad.epsilon_achieved <= cfg.eps_bar  # still feasible
         bounds = theoretical_bounds(system, sol, task.grad_bound())
         sigma_sq = bounds.u_hi_iid + bounds.b_hi
-        gamma = ConvergenceParams.auto(
-            L=task.smoothness(), G_f=task.loss(task.initial_point()),
-            theta=0.1, capital_lambda=0.1, sigma_sq=sigma_sq, rounds=500,
-        ).gamma
+        gamma = learning_rate(L=task.smoothness(), G_f=task.loss(task.initial_point()),
+                              sigma_sq=sigma_sq, rounds=500)
         rounds, wins = 500, 0
         for seed in (0, 1, 2):
             base_loss = run_fsgd(task, system, None, rounds,

@@ -447,6 +447,19 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value, interval", [
+        ("theta", "1.5", "(0, 1]"),
+        ("theta", "0", "(0, 1]"),
+        ("confidence", "1.0", "(0, 1)"),
+        ("confidence", "0", "(0, 1)"),
+    ])
+    def test_convergence_constant_out_of_range(self, key, value, interval, tmp_path):
+        text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: {value}\n", 1)
+        code, err = self.run_in_process(tmp_path, text, "simulate")
+        assert code == EXIT_CONFIG
+        assert err == f"error: sim.{key} must be a finite number in {interval}, got {value}\n"
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_tiny_theta_overflows_the_round_count(self, tmp_path):
         text = SMALL_CONFIG.replace("  rounds: 40\n", "  rounds: 40\n  theta: 1.0e-300\n", 1)
         code, err = self.run_in_process(tmp_path, text, "simulate")
@@ -533,7 +546,7 @@ class TestExitCodes:
 
     def test_unmet_capacity_is_infeasible(self, config_path, tmp_path, monkeypatch):
         # with every rate zero no power carries the payload
-        monkeypatch.setattr(wireless, "shannon_rate", lambda power, gain, sys: 0.0)
+        monkeypatch.setattr(wireless, "shannon_rate", lambda power, gain, sys: np.zeros(np.shape(power)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main(["solve", "--config", str(config_path), "--out", str(tmp_path)]) == EXIT_INFEASIBLE

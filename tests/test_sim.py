@@ -17,7 +17,6 @@ from binomfl.errors import DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import (
     TRACE_COLUMNS,
-    ConvergenceParams,
     _cap_gradients,
     _mean_rows,
     _privatized_mean,
@@ -25,6 +24,7 @@ from binomfl.sim import (
     comm_cost,
     dequantize,
     iterations_estimate,
+    learning_rate,
     measure_bias,
     privatize,
     run_fsgd,
@@ -260,27 +260,28 @@ class TestRunFsgd:
 
 
 class TestIterationsEstimate:
-    CONV = ConvergenceParams(L=2.0, G_f=3.0, theta=0.1, capital_lambda=0.05, gamma=0.1)
+    # L, G_f, theta, capital_lambda
+    CONV = (2.0, 3.0, 0.1, 0.05)
 
     def test_zero_noise_closed_form(self):
         # reduces to (L G_f)^2 / (theta Lambda)
-        est = iterations_estimate(self.CONV, 0.0)
+        est = iterations_estimate(*self.CONV, 0.0)
         assert est.exact == pytest.approx(7200.0, rel=1e-12)
 
     def test_reference_value(self):
-        est = iterations_estimate(self.CONV, 1.5**2)
+        est = iterations_estimate(*self.CONV, 1.5**2)
         assert est.exact == pytest.approx(12974396.004438281191, rel=1e-12)
 
     def test_monotone_in_noise(self):
         prev = 0.0
         for s2 in (0.0, 0.5, 1.0, 4.0, 16.0):
-            cur = iterations_estimate(self.CONV, s2).exact
+            cur = iterations_estimate(*self.CONV, s2).exact
             assert cur > prev or s2 == 0.0
             prev = cur
 
     def test_scaling_with_accuracy_product(self):
-        tighter = ConvergenceParams(L=2.0, G_f=3.0, theta=0.2, capital_lambda=0.1, gamma=0.1)
-        assert iterations_estimate(tighter, 1.0).exact < iterations_estimate(self.CONV, 1.0).exact
+        tighter = (2.0, 3.0, 0.2, 0.1)
+        assert iterations_estimate(*tighter, 1.0).exact < iterations_estimate(*self.CONV, 1.0).exact
 
 
 class TestCommCost:
@@ -330,36 +331,28 @@ class TestTraceCsv:
             assert [int(r[4]) for r in rows] == trace.bits
 
 
-class TestConvergenceParams:
-    def test_auto_gamma_caps_at_inverse_smoothness(self):
-        conv = ConvergenceParams.auto(L=4.0, G_f=1.0, theta=0.5,
-                                      capital_lambda=0.5, sigma_sq=0.0, rounds=100)
-        assert conv.gamma == 0.25
+class TestLearningRate:
+    def test_caps_at_inverse_smoothness(self):
+        assert learning_rate(L=4.0, G_f=1.0, sigma_sq=0.0, rounds=100) == 0.25
 
-    def test_auto_gamma_noise_branch(self):
-        conv = ConvergenceParams.auto(L=1.0, G_f=2.0, theta=0.5,
-                                      capital_lambda=0.5, sigma_sq=400.0, rounds=100)
-        assert conv.gamma == pytest.approx(math.sqrt(4.0) / (20.0 * math.sqrt(100.0)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConvergenceParams(L=0.0, G_f=1.0, theta=0.5, capital_lambda=0.5, gamma=0.1)
-        with pytest.raises(ValueError):
-            ConvergenceParams(L=1.0, G_f=1.0, theta=1.5, capital_lambda=0.5, gamma=0.1)
+    def test_noise_branch(self):
+        gamma = learning_rate(L=1.0, G_f=2.0, sigma_sq=400.0, rounds=100)
+        assert gamma == pytest.approx(math.sqrt(4.0) / (20.0 * math.sqrt(100.0)))
 
 
 class TestCapGradients:
     @settings(max_examples=300, deadline=None)
     @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 48)),
                            elements=st.floats(-1.0, 1.0)),
-           scale=st.floats(1e-6, 1e6), D=st.floats(1e-3, 1e3))
+           scale=st.floats(1e-6, 1e300), D=st.floats(1e-3, 1e3))
     def test_clips_each_row_to_l2_norm(self, rows, scale, D):
         grads = rows * scale
         out = _cap_gradients(grads, D)
         assert out.shape == grads.shape
         for row, capped in zip(grads, out):
-            # the norms in exact sums of the rounded squares
-            norm = math.sqrt(math.fsum(row * row))
+            # the output norm in exact sums of the rounded squares; the
+            # input's squares may overflow, so its norm comes from hypot
+            norm = math.hypot(*row)
             assert math.sqrt(math.fsum(capped * capped)) <= D + 4 * np.spacing(D)
             if norm <= D * (1 - 1e-12):
                 # bit-identical, -0.0 included
@@ -367,6 +360,12 @@ class TestCapGradients:
             elif norm > D * (1 + 1e-12):
                 # shrunk to the sphere along the same direction
                 assert math.fsum(capped * row) / (D * norm) == pytest.approx(1.0, rel=1e-12)
+
+    def test_finite_row_whose_squares_overflow(self):
+        # 1e200**2 overflows, yet the row is finite and clips to (1, 3e-200);
+        # the row inside the ball keeps its bits
+        out = _cap_gradients(np.array([[1e200, 3.0], [0.3, -0.4]]), 1.0)
+        assert out.tolist() == [[1.0, 3e-200], [0.3, -0.4]]
 
 
 class TestGradBound:

@@ -129,16 +129,20 @@ class TestShannonRate:
 
     def test_array_matches_scalar_calls_bitwise(self, rng):
         # np.log2 differs from math.log2 in the last bit on some of these
-        # SNRs; every element must carry the scalar call's bits
+        # SNRs; every element must carry the bits of the scalar formula
         sys = flat_system(W=3.0, omega0=0.7)
         powers = rng.uniform(1e-3, 1e3, 20_000) * 10.0 ** rng.uniform(-6, 6, 20_000)
         gains = rng.uniform(0.01, 10.0, 20_000)
-        expected = [shannon_rate(p, g, sys) for p, g in zip(powers.tolist(), gains.tolist())]
+
+        def scalar(p, g):
+            return sys.W * math.log2(1.0 + p * g / sys.omega0)
+
+        expected = [scalar(p, g) for p, g in zip(powers.tolist(), gains.tolist())]
         assert shannon_rate(powers, gains, sys).tolist() == expected
         # one gain against a column of powers
         grid = shannon_rate(powers[:50, None], 2.5, sys)
         assert grid.shape == (50, 1)
-        assert grid.ravel().tolist() == [shannon_rate(p, 2.5, sys) for p in powers[:50].tolist()]
+        assert grid.ravel().tolist() == [scalar(p, 2.5) for p in powers[:50].tolist()]
 
 
 class TestCapacityFeasible:
@@ -187,9 +191,37 @@ class TestRequiredPower:
         sys = flat_system(K=1, d=1, T=1.0, W=2.0)
         need = payload_bits_real(1, 2, 2)
         monkeypatch.setattr(wireless, "shannon_rate",
-                            lambda power, gain, s: math.nextafter(need, 0.0) / s.T)
+                            lambda power, gain, s: np.full(np.shape(power), math.nextafter(need, 0.0) / s.T))
         with pytest.raises(CapacityInfeasibleError, match="exceeds capacity"):
             assign_powers(2, 2, sys)
+
+    @pytest.mark.parametrize("device_1_passes, message", [
+        (False, r"exceeds capacity on gain 0\.5$"),
+        (True, r"needs 10 W on gain 0\.1, above the 5 W limit$"),
+    ])
+    def test_nudge_failure_order(self, monkeypatch, device_1_passes, message):
+        # device 0 passes at its second bump, device 1 never or at once, and
+        # device 2 at its first, above its 10 W and p_max 5.  A device short
+        # after every bump raises before any p_max error, and that error
+        # comes before any nudge of a device above p_max
+        sys = SystemParams(K=3, M=3, d=1, delta=0.5, T=1.0, W=2.0, omega0=1.0,
+                           p_min=1e-6, p_max=5.0, gains=(1.0, 0.5, 0.1))
+        need = payload_bits_real(1, 2, 2)
+
+        def rate(power, gain, s):
+            power, gain = np.broadcast_arrays(np.asarray(power, float), np.asarray(gain, float))
+            passes = ((gain == 1.0) & (power >= 1.0 + 2.0**-48)) | ((gain == 0.1) & (power > 10.0))
+            if device_1_passes:
+                passes |= gain == 0.5
+            return np.where(passes, need, math.nextafter(need, 0.0)) / s.T
+
+        monkeypatch.setattr(wireless, "shannon_rate", rate)
+        with pytest.raises(CapacityInfeasibleError, match=message):
+            assign_powers(2, 2, sys)
+        if device_1_passes:
+            # below p_max 20 each device keeps its first passing power
+            assert assign_powers(2, 2, dataclasses.replace(sys, p_max=20.0)) == \
+                (1.0 + 2.0**-48, 2.0, 10.0 * (1.0 + 2.0**-50))
 
     def test_output_always_passes_capacity(self, rng):
         # randomized cross-check between the two operations
