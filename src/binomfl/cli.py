@@ -326,35 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML config file (defaults built in)")
+    common.add_argument("--out", help="output directory (default: config output.dir)")
+    common.add_argument("--seed", type=int, help="override the top-level seed")
 
-    def common(p):
-        p.add_argument("--config", help="YAML config file (defaults built in)")
-        p.add_argument("--out", help="output directory (default: config output.dir)")
-        p.add_argument("--seed", type=int, help="override the top-level seed")
-
-    p = sub.add_parser("solve", help="solve the joint problem once")
-    common(p)
+    p = sub.add_parser("solve", parents=[common], help="solve the joint problem once")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("sweep", help="re-solve along one parameter axis")
-    common(p)
+    p = sub.add_parser("sweep", parents=[common], help="re-solve along one parameter axis")
     p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p.add_argument("--values", required=True, help="ascending comma-separated values "
                    "(p_max in dBm, W in Hz, T in s)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("compare-eps", help="tight vs classical budget on solved tuples")
-    common(p)
+    p = sub.add_parser("compare-eps", parents=[common], help="tight vs classical budget on solved tuples")
     p.add_argument("--values", help="eps_bar values (default 1..10)")
     p.set_defaults(func=cmd_compare_eps)
 
-    p = sub.add_parser("qbar", help="quantization-level cap across max power")
-    common(p)
+    p = sub.add_parser("qbar", parents=[common], help="quantization-level cap across max power")
     p.add_argument("--values", help="p_max values in dBm (default 1..20)")
     p.set_defaults(func=cmd_qbar)
 
-    p = sub.add_parser("simulate", help="desk-scale training runs with the solved tuple")
-    common(p)
+    p = sub.add_parser("simulate", parents=[common], help="desk-scale training runs with the solved tuple")
     p.set_defaults(func=cmd_simulate)
     return parser
 

@@ -163,7 +163,7 @@ class RunConfig:
         seed = ch["seed"] if ch["seed"] is not None else child_seed(self.seed, ROLE_GAINS)
         try:
             return ChannelSampler(
-                g0=db_to_linear(validate_real("system.channel.reference_gain_db", ch["reference_gain_db"])),
+                g0=validate_db("system.channel.reference_gain_db", ch["reference_gain_db"], db_to_linear),
                 d0=validate_real("system.channel.reference_distance_m", ch["reference_distance_m"]),
                 d_min=validate_real("system.channel.distance_min_m", ch["distance_min_m"]),
                 d_max=validate_real("system.channel.distance_max_m", ch["distance_max_m"]),
@@ -195,8 +195,8 @@ class RunConfig:
                 T=validate_real("system.transmission_time_s", s["transmission_time_s"]),
                 W=validate_real("system.bandwidth_hz", s["bandwidth_hz"]),
                 omega0=validate_real("system.noise_power_w", s["noise_power_w"]),
-                p_min=dbm_to_watts(validate_real("system.power_min_dbm", s["power_min_dbm"])),
-                p_max=dbm_to_watts(validate_real("system.power_max_dbm", s["power_max_dbm"])),
+                p_min=validate_db("system.power_min_dbm", s["power_min_dbm"], dbm_to_watts),
+                p_max=validate_db("system.power_max_dbm", s["power_max_dbm"], dbm_to_watts),
                 gains=gains,
             )
         except (TypeError, ValueError, OverflowError) as exc:
@@ -259,6 +259,17 @@ def validate_real(name: str, value, interval: str = "(-inf, inf)", ok=lambda v: 
     if not (math.isfinite(number) and ok(number)):
         raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
     return number
+
+
+def validate_db(name: str, value, to_linear) -> float:
+    """``value``, a level in dB or dBm, checked by :func:`validate_real` and
+    converted by ``to_linear``; raises :class:`ConfigError` where the linear
+    value overflows a float."""
+    level = validate_real(name, value)
+    try:
+        return to_linear(level)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a level whose linear value fits a float, got {value!r}") from None
 
 
 def validate_integer(name: str, value, minimum: int = 1) -> int:

@@ -498,6 +498,23 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, line, key", [
+        # each once printed the errno tuple "(34, 'Numerical result out of range')"
+        (["solve"], "  power_min_dbm: -10.0\n", "system.power_min_dbm"),
+        (["solve"], "  power_max_dbm: 30.0\n", "system.power_max_dbm"),
+        (["solve"], "    reference_gain_db: 20.0\n", "system.channel.reference_gain_db"),
+        (["qbar", "--values", "1e308"], None, "system.power_max_dbm"),
+        (["sweep", "--axis", "p_max", "--values", "1e308"], None, "system.power_max_dbm"),
+    ])
+    def test_db_level_whose_linear_value_overflows(self, argv, line, key, tmp_path):
+        text = SMALL_CONFIG
+        if line is not None:
+            assert line in text
+            text = text.replace(line, line.split(":")[0] + ": 1.0e+308\n", 1)
+        code, err = self.run_in_process(tmp_path, text, *argv)
+        assert code == EXIT_CONFIG
+        assert err == f"error: {key} must be a level whose linear value fits a float, got 1e+308\n"
+
     @pytest.mark.parametrize("where", ["--out", "output.dir"])
     def test_output_under_a_regular_file(self, where, tmp_path):
         # once a NotADirectoryError traceback with exit 1

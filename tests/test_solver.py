@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -281,7 +282,7 @@ class TestLockstepSearch:
             return factors
 
         def eps_fn(factors, ns):
-            probed.append((factors, np.shape(ns)))
+            probed.append((factors, ns))
             return tight_epsilon_at_n(factors, ns)
 
         def lead_fn(factors, n):
@@ -300,21 +301,33 @@ class TestLockstepSearch:
         assert np.array_equal(grid[0], flat[0]) and np.array_equal(grid[1], flat[1])
         assert grid[0][0] == 2
         assert grid[0][list(q_axis).index(q_blocked) * p_axis.size] == 0
-        # the lead runs once, on the axes with the scalar n_cap
+        # the lead runs on the axes with the scalar n_cap, then on the 1-D
+        # cells at n = 2, 4, ... below n_cap, until no cell is above eps_bar
         axes = grid_built[0][2]
         assert grid_built[0][:2] == ((q_axis.size, 1), (1, p_axis.size))
-        assert [(f is axes, n) for f, n in grid_led] == [(True, n_cap)]
-        # the factors are built once more, on 1-D cells, and every budget
-        # evaluation runs on 1-D cells: the two bracket probes with a scalar
-        # n, every later probe with an array of n
+        assert (grid_led[0][0] is axes, grid_led[0][1]) == (True, n_cap)
         assert len(grid_built) == 2
         q_shape, p_shape, cells = grid_built[1]
         assert len(q_shape) == 1 and p_shape == q_shape
-        assert [(f is cells, shape) for f, shape in grid_probed[:2]] == [(True, ())] * 2
+        ladder = [n for _, n in grid_led[1:]]
+        assert all(f is cells for f, _ in grid_led[1:])
+        assert ladder == [2**k for k in range(1, len(ladder) + 1)] and ladder[-1] < n_cap
+        assert 2 * ladder[-1] >= n_cap or not (tight_epsilon_lead(cells, ladder[-1]) > eps_bar).any()
+        # every budget evaluation runs on 1-D cells: the n = 2 probe with a
+        # scalar n on the cells whose lead at 2 leaves it open, then n_cap
+        # on every cell, then each later probe with an array of n
+        open_two = ~(tight_epsilon_lead(cells, 2) > eps_bar)
+        bracket = [(factors, ns) for factors, ns in grid_probed if np.ndim(ns) == 0]
+        assert [ns for _, ns in bracket] == [2] * bool(open_two.any()) + [n_cap]
+        assert bracket[-1][0] is cells
+        if open_two.any():
+            assert np.array_equal(bracket[0][0][0], cells[0][open_two])
+        assert [np.ndim(ns) for _, ns in grid_probed] == [0] * len(bracket) + [1] * (
+            len(grid_probed) - len(bracket)
+        )
         for factors, _ in grid_probed:
             assert all(np.ndim(f) in (0, 1) for f in factors)
             assert np.ndim(factors[0]) == 1
-        assert all(len(shape) == 1 for _, shape in grid_probed[2:])
         assert len(grid_probed) == len(probed)
 
     @staticmethod
@@ -406,6 +419,65 @@ class TestLockstepSearch:
         assert n1.tolist() == ref_n1.tolist() == [0] * n1.size
         assert evals.tolist() == ref_evals.tolist() == [1 if n_cap == 2 else 2] * n1.size
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 10**6),
+        log_delta=st.floats(-12.0, -0.7),
+        # deep ladders: n_cap up to 2^62, at and next to powers of two
+        n_cap=st.one_of(
+            st.integers(3, 2**62),
+            st.builds(lambda k, off: 2**k + off, st.integers(2, 61), st.integers(-1, 1)),
+            st.just(2**62),
+        ),
+        target=st.floats(0.0, 1.0),
+        q_anchor=st.integers(2, 5000),
+        p_anchor=st.floats(0.05, 0.95),
+        extra=st.lists(st.tuples(st.integers(2, 5000), st.floats(0.02, 0.98)), max_size=6),
+    )
+    def test_deep_searches_match_scalar_search(
+        self, d, log_delta, n_cap, target, q_anchor, p_anchor, extra
+    ):
+        delta = 10.0**log_delta
+
+        def eps(q, n, p):
+            return tight_epsilon_value(q, n, p, d, delta)
+
+        # eps_bar is the anchor cell's budget at a trial count drawn
+        # log-uniformly from [3, n_cap], so its search runs that deep
+        n_target = min(n_cap, max(3, int(3 * (n_cap / 3) ** target)))
+        eps_bar = eps(q_anchor, n_target, p_anchor)
+        cells = [(q_anchor, p_anchor)] + extra
+        q = np.array([c[0] for c in cells])
+        p = np.array([c[1] for c in cells])
+        n1, evals = lockstep_min_n(q, p, *tight_kernel(d, delta), eps_bar, n_cap)
+        for i, (qi, pi) in enumerate(cells):
+            ref = scalar_search(lambda n: eps(qi, n, pi), eps_bar, n_cap)
+            assert (n1[i], evals[i]) == ref
+        assert n1[0] > 2
+
+    def test_memory_is_linear_in_cells_not_in_the_ladder(self):
+        # ~10^5 candidate cells; a cells x log2(n_cap) table of leads would
+        # hold ~4x as much at n_cap 2^62 as at 2^16
+        d, delta = 1000, 1e-6
+        q = np.arange(2, 1002)[:, None]
+        p = np.linspace(0.5, 0.99, 100)[None, :]
+        kernel = tight_kernel(d, delta)
+        eps_bar = float(tight_epsilon_at_n(kernel[0](q, p), 2**12).max())
+
+        def peak(n_cap):
+            lockstep_min_n(q, p, *kernel, eps_bar, n_cap)  # numpy's one-time allocations
+            tracemalloc.start()
+            try:
+                n1, _ = lockstep_min_n(q, p, *kernel, eps_bar, n_cap)
+                return tracemalloc.get_traced_memory()[1], n1
+            finally:
+                tracemalloc.stop()
+
+        low, n1_low = peak(2**16)
+        high, n1_high = peak(2**62)
+        assert np.array_equal(n1_low, n1_high) and n1_low.min() >= 2 and n1_low.max() > 2
+        assert high <= 1.5 * low
+
     def test_builtin_solve_pinned(self):
         cfg = RunConfig.defaults()
         system = cfg.build_system()
@@ -439,6 +511,29 @@ class TestLockstepSearch:
         assert stats.cells_feasible == cells_feasible
         assert stats.eps_evaluations == eps_evaluations
         assert stats.max_evals_per_cell == max_evals
+
+
+    @pytest.mark.parametrize("eps_bar, calls, elements", [
+        (5.0, 17, 8_262),
+        (7.5, 18, 16_433),
+        (10.0, 18, 25_947),
+    ])
+    def test_builtin_full_kernel_work_pinned(self, eps_bar, calls, elements, monkeypatch):
+        # the lead decides the doubling probes it puts above eps_bar, so the
+        # full kernel runs on fewer elements than the counters above count
+        work = []
+
+        def counted(factors, n):
+            out = tight_epsilon_at_n(factors, n)
+            work.append(out.size)
+            return out
+
+        monkeypatch.setattr(solver_module, "tight_epsilon_at_n", counted)
+        cfg = RunConfig.defaults()
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        solve_with_stats(system, cfg.build_solver(ctx, eps_bar=eps_bar), ctx)
+        assert (len(work), sum(work)) == (calls, elements)
 
 
 class TestNFromConstraints:
