@@ -5,34 +5,18 @@ probability grid of pitch lambda for p, and per-device powers, subject to
 the privacy-budget cap, the noise-variance floor, channel capacity and the
 power limits.  The cells form a Cartesian grid, a column of q values
 against a row of p values, and every (q, p) cell needs the smallest trial
-count whose (monotone in n) budget estimate meets the cap.
-``lockstep_min_n`` runs the doubling-plus-bisection search for all cells at
-once on the budget kernel's three stages: ``privacy.tight_epsilon_factors``
-builds the n-free factors (the sensitivity triple, p(1-p) and the like),
-``privacy.tight_epsilon_at_n`` evaluates the rest at a trial count, and
-``privacy.tight_epsilon_lead`` is the kernel's first term alone.  Per
-solve the factors are built twice.  First on the q and p axes, so q-only
-and p-only factors are computed once per axis value, where the leading
-term at n = n_cap (one call with a scalar n) rules out every cell it puts
-above eps_bar: the other four terms are non-negative and the term is
-non-increasing in n, so such a cell misses the budget at both bracket
-probes, n = 2 and n = n_cap.  At the built-in scale that is 95-97% of the
-cells.  Then on the cells left, where the leading term walks the doubling
-probes n = 2, 4, 8, ... below n_cap, one pass over the cells per step, and
-decides every probe it puts above eps_bar.  The full kernel runs n = 2
-only where the term leaves it open and n_cap on every cell left (one call
-each with a scalar n); each cell then enters the search at the last
-doubling probe the term decided.  Each later step is one n-stage call on
-the cells still searching, and the cell arrays, factors included, are
-compacted only on steps where some cell finishes.  At the built-in scale
-and eps_bar 10 that is 18 full-kernel calls on 25,947 elements per solve,
-where running every probe on the full kernel takes 31 calls on 47,314.
-``SolveStats.eps_evaluations`` counts the trial counts compared against
-eps_bar, a probe the leading term decided included, not the elements of
-the full kernel.  Only the
-cells whose budget n_cap reaches go on to the variance-floor ceiling and
-the trial-count, capacity and bit caps, and the tie-break is an argmin
-over them in q-major order.  The q range is pre-pruned by the q-bar envelope,
+count whose (monotone in n) budget estimate meets the cap, or 0 where even
+n_cap misses it.  ``lockstep_min_n`` finds it for all cells at once, and
+its docstring is the one account of how.  The budget kernel's first term,
+``privacy.tight_epsilon_lead``, decides every probe it puts above the cap
+without the full kernel: at n_cap it rules out 95-97% of the cells at the
+built-in scale, and below n_cap it decides the doubling probes n = 2, 4,
+8, ....  ``SolveStats.eps_evaluations`` counts the trial counts compared
+against eps_bar, a probe the leading term decided included, not the
+elements of the full kernel.  Only the cells whose budget n_cap reaches
+go on to the variance-floor ceiling and the trial-count, capacity and bit
+caps, and the tie-break is an argmin over them in q-major order.  The q
+range is pre-pruned by the q-bar envelope,
 ``privacy.tight_epsilon_lower`` at x = (cap - q)/4, and p is restricted to
 [1/2, 1) because every constraint and the objective are symmetric around
 1/2.  ``payload_caps`` is the one place that turns the channel and the bit
@@ -176,9 +160,7 @@ def objective(q, n, p):
 
 
 def lockstep_min_n(
-    q,
-    p,
-    factors_fn: Callable[[np.ndarray, np.ndarray], tuple],
+    factors: tuple,
     eps_fn: Callable[[tuple, np.ndarray], np.ndarray],
     lead_fn: Callable[[tuple, int], np.ndarray],
     eps_bar: float,
@@ -186,50 +168,61 @@ def lockstep_min_n(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Smallest trial count meeting eps_bar, for every (q, p) cell at once.
 
-    q and p broadcast against each other to the cell grid, e.g. a (Q, 1)
-    column of q values and a (1, P) row of p values; cells are numbered in
-    C order of the broadcast shape.  Per cell this is the doubling-plus-
-    bisection search on the budget estimate, which must be non-increasing
-    in n: probe n = 2, then n_cap, then double from 2 until the budget is
-    met (n_cap ends the doubling), then bisect.
-
-    The budget comes in three stages: ``factors_fn(q, p)`` builds the
-    n-free factors, a tuple whose array entries broadcast like q and p;
+    The budget comes in three stages.  ``factors`` holds the n-free
+    factors, e.g. :func:`privacy.tight_epsilon_factors` on a (Q, 1) column
+    of q values and a (1, P) row of p values; its array entries broadcast
+    to the cell grid, and cells are numbered in C order of that shape.
     ``eps_fn(factors, n)`` evaluates the budget at n, flattened in C order
-    of the broadcast shape; and ``lead_fn(factors, n)`` is a lower bound on
-    it, broadcast like the factors, that is non-increasing in n as
-    computed.  The factors are built on q and p as given, and the lead at
-    n = n_cap (one call with a scalar n) decides both bracket probes of
-    every cell it puts above eps_bar: such a cell misses the budget at n_cap
-    and, the lead being non-increasing, at n = 2 too.  The factors are then
-    built once more, on 1-D arrays of the other cells (a NaN lead keeps its
-    cell).  On those the lead walks the doubling probes n = 2, 4, 8, ...
-    below n_cap, one call with a scalar n per step, until it puts no cell
-    above eps_bar; each probe where it does is decided without ``eps_fn``.
-    ``eps_fn`` runs n = 2 on the cells whose lead leaves it open, then n_cap
-    on all of them, one call each with a scalar n.  A searching cell enters
-    the bisection loop at the last doubling probe its lead decided, and
-    every later step is one ``eps_fn`` call on the cells still searching
-    with an int64 array of n.  Cells that finish leave the arrays, factors
-    included, on the step they finish, so the arrays are compacted only on
-    steps where some cell does.  The probes and their outcomes are those of
-    the search with every probe on ``eps_fn``.
+    of the broadcast shape, and must be non-increasing in n.
+    ``lead_fn(factors, n)`` is a lower bound on it, broadcast like the
+    factors, that is non-increasing in n as computed (the tight budget's
+    first summand, cpSGD's Gaussian-like leading term).
+
+    Per cell this is the doubling-plus-bisection search: probe n = 2, then
+    n_cap, then double from 2 until the budget is met (n_cap ends the
+    doubling), then bisect.  It runs in four passes over the cells:
+
+    1. The lead at n = n_cap, one call on the factors as given, rules out
+       every cell it puts above eps_bar: such a cell misses the budget at
+       n_cap and, the lead being non-increasing, at n = 2 too.  A NaN lead
+       keeps its cell.  The factors of the cells left are gathered into 1-D
+       arrays, one ``np.broadcast_to(f, shape)[at]`` per array entry, since
+       every factor is elementwise.
+    2. The lead walks the doubling rungs n = 2, 4, 8, ... below n_cap, one
+       call with a scalar n per rung, until it puts no cell above eps_bar.
+       Each rung where it does is decided without ``eps_fn``.
+    3. ``eps_fn`` runs n_cap on every cell left, one call with a scalar n;
+       the cells it leaves above eps_bar are done with n1 = 0.
+    4. Each cell left enters the bisection loop at lo = the last rung its
+       lead decided, or lo = 1 when the lead leaves n = 2 open, so that its
+       first doubling probe is 2.  Every step is one ``eps_fn`` call on the
+       cells still searching with an int64 array of n.  Cells that finish
+       leave the arrays, factors included, on the step they finish, so the
+       arrays are compacted only on steps where some cell does.
+
+    The probes and their outcomes are those of the search with every probe
+    on ``eps_fn``.  At the built-in scale pass 1 rules out 95-97% of the
+    cells, and at eps_bar 10 ``eps_fn`` runs 18 calls on 25,947 elements
+    per solve, where running every probe on it takes 31 calls on 47,314.
 
     Returns ``(n1, evals)``, both flat over the cells: n1[i] is the trial
     count, or 0 where even n_cap misses the budget; evals[i] counts the
     distinct trial counts probed, a probe the lead decided included, so it
     counts budget values compared against eps_bar, not kernel evaluations.
+    That is the rungs the lead decided, plus the loop steps, plus 1 for
+    n_cap, except that a cell met at n = 2 counts 1: the search stops there
+    before it probes n_cap.
     """
-    shape = np.broadcast_shapes(np.shape(q), np.shape(p))
-    size = math.prod(shape)
-    axes = factors_fn(q, p)
+    shape = np.broadcast_shapes(*map(np.shape, factors))
     # ~(lead > eps_bar), not lead <= eps_bar, so a NaN cell stays in
-    cand = np.flatnonzero(np.broadcast_to(~(lead_fn(axes, n_cap) > eps_bar), shape))
+    cand = np.flatnonzero(np.broadcast_to(~(lead_fn(factors, n_cap) > eps_bar), shape))
     at = np.unravel_index(cand, shape)
-    factors = factors_fn(np.broadcast_to(q, shape)[at], np.broadcast_to(p, shape)[at])
-    # the doubling probes the lead decides: depth[i] counts the n = 2, 4,
-    # 8, ... below n_cap at which cell i's lead, and so its budget, is still
-    # above eps_bar, up to the first n where it is not
+    factors = tuple(
+        np.broadcast_to(f, shape)[at] if isinstance(f, np.ndarray) else f for f in factors
+    )
+    # depth[i] counts the rungs n = 2, 4, 8, ... below n_cap at which cell
+    # i's lead, and so its budget, is still above eps_bar, up to the first
+    # n where it is not
     depth = np.zeros(cand.size, dtype=np.int64)
     above = np.ones(cand.size, dtype=bool)
     n = 2
@@ -237,22 +230,14 @@ def lockstep_min_n(
         above &= lead_fn(factors, n) > eps_bar
         depth += above
         n *= 2
-    open_two = depth == 0
-    met = np.zeros(cand.size, dtype=bool)
-    if open_two.any():
-        met[open_two] = eps_fn(_take(factors, open_two), 2) <= eps_bar
     reached = eps_fn(factors, n_cap) <= eps_bar
-    n1 = np.zeros(size, dtype=np.int64)
-    evals = np.full(size, 1 if n_cap == 2 else 2, dtype=np.int64)
-    at_two = cand[met]
-    n1[at_two], evals[at_two] = 2, 1
-    keep = reached & ~met
-    cells = cand[keep]
-    factors = _take(factors, keep)
-    # eps(lo) > eps_bar >= eps(hi) holds for every searching cell; a cell
-    # enters at the last ladder probe its lead decided, having probed 2,
-    # n_cap and the ladder up to lo, and adds one new trial count per step
-    depth = np.maximum(depth[keep], 1)
+    n1 = np.zeros(math.prod(shape), dtype=np.int64)
+    evals = np.full(n1.size, 1 if n_cap == 2 else 2, dtype=np.int64)
+    cells = cand[reached]
+    factors = _take(factors, reached)
+    # eps(lo) > eps_bar >= eps(hi) holds for every searching cell, lo = 1
+    # standing in for the unprobed n = 2
+    depth = depth[reached]
     lo = np.left_shift(1, depth)
     hi = np.full(cells.size, n_cap, dtype=np.int64)
     doubling = 2 * lo < n_cap
@@ -274,6 +259,8 @@ def lockstep_min_n(
             cells, lo, hi, doubling = cells[keep], lo[keep], hi[keep], doubling[keep]
             factors = _take(factors, keep)
         if cells.size == 0:
+            # a cell met at n = 2 stops there, before it probes n_cap
+            evals[n1 == 2] = 1
             return n1, evals
         probe = np.where(doubling, 2 * lo, (lo + hi) // 2)
         above = eps_fn(factors, probe) > eps_bar
@@ -430,7 +417,7 @@ def solve_with_stats(
     q = np.arange(2, q_hi + 1)[:, None]
     p = np.array(grid)[None, :]
     n1, evals = lockstep_min_n(
-        q, p, lambda qs, ps: tight_epsilon_factors(qs, ps, ctx.d, ctx.delta),
+        tight_epsilon_factors(q, p, ctx.d, ctx.delta),
         tight_epsilon_at_n, tight_epsilon_lead, cfg.eps_bar, cfg.n_cap,
     )
     # only cells whose budget n_cap reaches (n1 > 0) can be feasible; the

@@ -203,16 +203,18 @@ def domain_bound(sys: SystemParams) -> int:
     """Shared integer upper end of the q and n search domains {2, ..., bound}.
 
     Exact floor of the real-valued ceiling, minus 2; no epsilon fudge.
-    Raises :class:`ConfigError` when the ceiling overflows the float range,
-    as it does when T*W/d is large (the built-in sim dimension with the
-    full-scale channel) or the power cap is infinite.  Beyond 1e100 counts
-    as overflow: the budget envelope cubes the ceiling.
+    Raises :class:`ConfigError` when the ceiling (1 + SNR)^(T*W/d)
+    overflows the float range, as it does when T*W/d is large (the built-in
+    sim dimension with the full-scale channel) or the power cap makes the
+    SNR huge; the message prints both numbers, so either cause shows.
+    Beyond 1e100 counts as overflow: the budget envelope cubes the ceiling.
     """
     base = capacity_base(sys)
     if not base <= 1e100:
         raise ConfigError(
-            "capacity ceiling on q + n overflows the float range; "
-            "check the T, W, d units"
+            "capacity ceiling (1 + SNR)^(T*W/d) on q + n overflows the float range, "
+            f"with worst-device SNR {min_snr(sys):.3g} and T*W/d {sys.T * sys.W / sys.d:.3g}; "
+            "check the power cap and the T, W, d units"
         )
     bound = math.floor(base) - 2
     if bound < 2:

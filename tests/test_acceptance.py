@@ -125,9 +125,8 @@ def test_criterion_03_binary_search_equals_linear_scan():
                     expected = n
                     break
             n1, _ = lockstep_min_n(
-                np.array([q]), np.array([p]),
-                lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta), tight_epsilon_at_n,
-                tight_epsilon_lead, eps_bar, n_cap,
+                tight_epsilon_factors(np.array([q]), np.array([p]), d, delta),
+                tight_epsilon_at_n, tight_epsilon_lead, eps_bar, n_cap,
             )
             assert n1[0] == expected
 

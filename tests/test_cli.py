@@ -515,6 +515,19 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert err == f"error: {key} must be a level whose linear value fits a float, got 1e+308\n"
 
+    @pytest.mark.parametrize("argv, text, snr, exponent", [
+        # the power is the cause at 3080 dBm, the exponent at d = 1; the
+        # message once blamed T, W and d alone
+        (["solve"], "system: {power_max_dbm: 3080}\n", "4.02e+306", "9.43"),
+        (["solve"], "system: {dimension: 1}\n", "4.02", "4.5e+05"),
+        (["qbar", "--values", "3080"], "{}\n", "4.02e+306", "9.43"),
+    ], ids=["power", "exponent", "qbar-power"])
+    def test_capacity_ceiling_overflow_prints_snr_and_exponent(self, argv, text, snr, exponent, tmp_path):
+        code, err = self.run_in_process(tmp_path, text, *argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: capacity ceiling") and err.count("\n") == 1
+        assert f" with worst-device SNR {snr} and T*W/d {exponent}; " in err
+
     @pytest.mark.parametrize("where", ["--out", "output.dir"])
     def test_output_under_a_regular_file(self, where, tmp_path):
         # once a NotADirectoryError traceback with exit 1

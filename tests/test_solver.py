@@ -63,28 +63,25 @@ def linear_scan_min_n(q, p, eps_bar, d, delta, n_hi):
     return None
 
 
-def single_cell_min_n(q, p, eps_bar, n_cap, kernel):
-    """Trial count of the one cell (q, p) from lockstep_min_n; 0 when even
+def single_cell_min_n(kernel, eps_bar, n_cap):
+    """Trial count of a one-cell kernel from lockstep_min_n; 0 when even
     n_cap misses the budget."""
-    n1, _ = lockstep_min_n(np.array([q]), np.array([p]), *kernel, eps_bar, n_cap)
+    n1, _ = lockstep_min_n(*kernel, eps_bar, n_cap)
     return int(n1[0])
 
 
-def tight_kernel(d, delta):
-    """The tight budget's three stages, as lockstep_min_n takes them."""
-    return (
-        lambda qs, ps: tight_epsilon_factors(qs, ps, d, delta),
-        tight_epsilon_at_n,
-        tight_epsilon_lead,
-    )
+def tight_kernel(q, p, d, delta):
+    """The tight budget's three stages on the cells of q and p, as
+    lockstep_min_n takes them."""
+    return tight_epsilon_factors(q, p, d, delta), tight_epsilon_at_n, tight_epsilon_lead
 
 
 def curve_kernel(curve):
-    """Three-stage budget of a synthetic curve in n alone, flat over the
-    cells: the n-free stage is a zero per cell, and the curve, non-increasing
-    in n, is its own lead."""
+    """Three-stage budget of a synthetic curve in n alone, on one cell: the
+    n-free stage is a zero, and the curve, non-increasing in n, is its own
+    lead."""
     return (
-        lambda qs, ps: (0.0 * qs + 0.0 * ps,),
+        (np.zeros(1),),
         lambda f, ns: np.ravel(curve(ns + f[0])),
         lambda f, n: curve(n + f[0]),
     )
@@ -150,19 +147,19 @@ class TestMinNForPrivacy:
     """The smallest trial count meeting the budget, one cell of the search."""
 
     def test_synthetic_hyperbola(self):
-        assert single_cell_min_n(2, 0.5, 4.0, 4096, curve_kernel(lambda n: 100.0 / n)) == 25
+        assert single_cell_min_n(curve_kernel(lambda n: 100.0 / n), 4.0, 4096) == 25
 
-    def test_already_feasible_at_two(self):
-        n1, evals = lockstep_min_n(
-            np.array([2]), np.array([0.5]), *curve_kernel(lambda n: 1.0 + 0.0 * n), 4.0, 4096
-        )
+    # n_cap 2 probes 2 as n_cap itself; above it a cell met at n = 2 stops
+    # before it probes n_cap
+    @pytest.mark.parametrize("n_cap", [2, 3, 4, 4096])
+    def test_already_feasible_at_two(self, n_cap):
+        n1, evals = lockstep_min_n(*curve_kernel(lambda n: 1.0 + 0.0 * n), 4.0, n_cap)
         assert (int(n1[0]), int(evals[0])) == (2, 1)
 
-    def test_unreachable_budget_signals(self):
-        n1, evals = lockstep_min_n(
-            np.array([2]), np.array([0.5]), *curve_kernel(lambda n: 100.0 / n), 0.001, 512
-        )
-        assert (int(n1[0]), int(evals[0])) == (0, 2)
+    @pytest.mark.parametrize("n_cap", [2, 3, 512])
+    def test_unreachable_budget_signals(self, n_cap):
+        n1, evals = lockstep_min_n(*curve_kernel(lambda n: 100.0 / n), 0.001, n_cap)
+        assert (int(n1[0]), int(evals[0])) == (0, 1 if n_cap == 2 else 2)
         # every cell unreachable: the solve raises instead of returning
         system = make_system(K=30, d=10, delta=1e-2, base_target=2000.0)
         ctx = make_context(system)
@@ -181,7 +178,8 @@ class TestMinNForPrivacy:
             hi = tight_epsilon_value(q, 2, p, d, delta)
             eps_bar = math.exp(rng.uniform(math.log(lo * 0.8), math.log(hi * 1.2)))
             expected = linear_scan_min_n(q, p, eps_bar, d, delta, 4096)
-            got = single_cell_min_n(q, p, eps_bar, 4096, tight_kernel(d, delta))
+            kernel = tight_kernel(np.array([q]), np.array([p]), d, delta)
+            got = single_cell_min_n(kernel, eps_bar, 4096)
             assert got == (0 if expected is None else expected)
 
     def test_minimality_invariant(self, rng):
@@ -191,7 +189,8 @@ class TestMinNForPrivacy:
             d = int(rng.integers(1, 500))
             delta = 10.0 ** rng.uniform(-6, -1)
             eps_bar = tight_epsilon_value(q, int(rng.integers(3, 2000)), p, d, delta)
-            n1 = single_cell_min_n(q, p, eps_bar, 4096, tight_kernel(d, delta))
+            kernel = tight_kernel(np.array([q]), np.array([p]), d, delta)
+            n1 = single_cell_min_n(kernel, eps_bar, 4096)
             assert tight_epsilon_value(q, n1, p, d, delta) <= eps_bar
             if n1 > 2:
                 assert tight_epsilon_value(q, n1 - 1, p, d, delta) > eps_bar
@@ -244,7 +243,7 @@ class TestLockstepSearch:
         q = np.array([cells[i][0] for i in order])
         p = np.array([cells[i][1] for i in order])
 
-        n1, evals = lockstep_min_n(q, p, *tight_kernel(d, delta), eps_bar, n_cap)
+        n1, evals = lockstep_min_n(*tight_kernel(q, p, d, delta), eps_bar, n_cap)
         for i in range(len(cells)):
             qi, pi = int(q[i]), float(p[i])
             expected = linear_scan_min_n(qi, pi, eps_bar, d, delta, n_cap)
@@ -274,12 +273,7 @@ class TestLockstepSearch:
             lambda q: tight_epsilon_value(q, n_cap, float(p_axis[0]), d, delta) > eps_bar, 2
         )
         q_axis = np.array(sorted({2, q_blocked, *q_extra}))
-        built, probed, led = [], [], []
-
-        def factors_fn(qs, ps):
-            factors = tight_epsilon_factors(qs, ps, d, delta)
-            built.append((np.shape(qs), np.shape(ps), factors))
-            return factors
+        probed, led = [], []
 
         def eps_fn(factors, ns):
             probed.append((factors, ns))
@@ -289,42 +283,37 @@ class TestLockstepSearch:
             led.append((factors, n))
             return tight_epsilon_lead(factors, n)
 
-        grid = lockstep_min_n(
-            q_axis[:, None], p_axis[None, :], factors_fn, eps_fn, lead_fn, eps_bar, n_cap
-        )
-        grid_built, grid_probed, grid_led = list(built), list(probed), list(led)
-        built[:], probed[:] = [], []
+        axes = tight_epsilon_factors(q_axis[:, None], p_axis[None, :], d, delta)
+        grid = lockstep_min_n(axes, eps_fn, lead_fn, eps_bar, n_cap)
+        grid_probed, grid_led = list(probed), list(led)
+        probed[:] = []
+        q_flat, p_flat = np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size)
         flat = lockstep_min_n(
-            np.repeat(q_axis, p_axis.size), np.tile(p_axis, q_axis.size),
-            factors_fn, eps_fn, lead_fn, eps_bar, n_cap,
+            tight_epsilon_factors(q_flat, p_flat, d, delta), eps_fn, lead_fn, eps_bar, n_cap
         )
         assert np.array_equal(grid[0], flat[0]) and np.array_equal(grid[1], flat[1])
         assert grid[0][0] == 2
         assert grid[0][list(q_axis).index(q_blocked) * p_axis.size] == 0
-        # the lead runs on the axes with the scalar n_cap, then on the 1-D
-        # cells at n = 2, 4, ... below n_cap, until no cell is above eps_bar
-        axes = grid_built[0][2]
-        assert grid_built[0][:2] == ((q_axis.size, 1), (1, p_axis.size))
+        # the factors are built once, on the axes: the lead runs on them with
+        # the scalar n_cap, and the cells it keeps get their factors gathered,
+        # bit for bit those a build on the cells' own q and p gives
         assert (grid_led[0][0] is axes, grid_led[0][1]) == (True, n_cap)
-        assert len(grid_built) == 2
-        q_shape, p_shape, cells = grid_built[1]
-        assert len(q_shape) == 1 and p_shape == q_shape
+        kept = ~(tight_epsilon_lead(axes, n_cap) > eps_bar)
+        iq, ip = np.nonzero(np.broadcast_to(kept, (q_axis.size, p_axis.size)))
+        cells = grid_led[1][0]
+        rebuilt = tight_epsilon_factors(q_axis[iq], p_axis[ip], d, delta)
+        assert len(cells) == len(rebuilt)
+        assert all(np.array_equal(c, r) and np.ndim(c) == np.ndim(r) for c, r in zip(cells, rebuilt))
+        # then the lead runs on the gathered 1-D cells at n = 2, 4, ... below
+        # n_cap, until no cell is above eps_bar
         ladder = [n for _, n in grid_led[1:]]
         assert all(f is cells for f, _ in grid_led[1:])
         assert ladder == [2**k for k in range(1, len(ladder) + 1)] and ladder[-1] < n_cap
         assert 2 * ladder[-1] >= n_cap or not (tight_epsilon_lead(cells, ladder[-1]) > eps_bar).any()
-        # every budget evaluation runs on 1-D cells: the n = 2 probe with a
-        # scalar n on the cells whose lead at 2 leaves it open, then n_cap
-        # on every cell, then each later probe with an array of n
-        open_two = ~(tight_epsilon_lead(cells, 2) > eps_bar)
-        bracket = [(factors, ns) for factors, ns in grid_probed if np.ndim(ns) == 0]
-        assert [ns for _, ns in bracket] == [2] * bool(open_two.any()) + [n_cap]
-        assert bracket[-1][0] is cells
-        if open_two.any():
-            assert np.array_equal(bracket[0][0][0], cells[0][open_two])
-        assert [np.ndim(ns) for _, ns in grid_probed] == [0] * len(bracket) + [1] * (
-            len(grid_probed) - len(bracket)
-        )
+        # every budget evaluation runs on 1-D cells: one call with the scalar
+        # n_cap on every gathered cell, then only calls with an array of n
+        assert (grid_probed[0][0] is cells, grid_probed[0][1]) == (True, n_cap)
+        assert [np.ndim(ns) for _, ns in grid_probed] == [0] + [1] * (len(grid_probed) - 1)
         for factors, _ in grid_probed:
             assert all(np.ndim(f) in (0, 1) for f in factors)
             assert np.ndim(factors[0]) == 1
@@ -381,7 +370,7 @@ class TestLockstepSearch:
         p_axis = np.array(sorted({p_anchor, p_two, *p_extra}))
 
         n1, evals = lockstep_min_n(
-            q_axis[:, None], p_axis[None, :], *tight_kernel(d, delta), eps_bar, n_cap
+            *tight_kernel(q_axis[:, None], p_axis[None, :], d, delta), eps_bar, n_cap
         )
         ref_n1, ref_evals = self.whole_grid_bracket(q_axis, p_axis, d, delta, eps_bar, n_cap)
         assert n1.tolist() == ref_n1.tolist() and evals.tolist() == ref_evals.tolist()
@@ -413,7 +402,7 @@ class TestLockstepSearch:
         least = float(tight_epsilon_lead(axes, n_cap).min())
         eps_bar = below * math.nextafter(least, 0.0)
         n1, evals = lockstep_min_n(
-            q_axis[:, None], p_axis[None, :], *tight_kernel(d, delta), eps_bar, n_cap
+            *tight_kernel(q_axis[:, None], p_axis[None, :], d, delta), eps_bar, n_cap
         )
         ref_n1, ref_evals = self.whole_grid_bracket(q_axis, p_axis, d, delta, eps_bar, n_cap)
         assert n1.tolist() == ref_n1.tolist() == [0] * n1.size
@@ -449,7 +438,7 @@ class TestLockstepSearch:
         cells = [(q_anchor, p_anchor)] + extra
         q = np.array([c[0] for c in cells])
         p = np.array([c[1] for c in cells])
-        n1, evals = lockstep_min_n(q, p, *tight_kernel(d, delta), eps_bar, n_cap)
+        n1, evals = lockstep_min_n(*tight_kernel(q, p, d, delta), eps_bar, n_cap)
         for i, (qi, pi) in enumerate(cells):
             ref = scalar_search(lambda n: eps(qi, n, pi), eps_bar, n_cap)
             assert (n1[i], evals[i]) == ref
@@ -461,14 +450,14 @@ class TestLockstepSearch:
         d, delta = 1000, 1e-6
         q = np.arange(2, 1002)[:, None]
         p = np.linspace(0.5, 0.99, 100)[None, :]
-        kernel = tight_kernel(d, delta)
-        eps_bar = float(tight_epsilon_at_n(kernel[0](q, p), 2**12).max())
+        kernel = tight_kernel(q, p, d, delta)
+        eps_bar = float(tight_epsilon_at_n(kernel[0], 2**12).max())
 
         def peak(n_cap):
-            lockstep_min_n(q, p, *kernel, eps_bar, n_cap)  # numpy's one-time allocations
+            lockstep_min_n(*kernel, eps_bar, n_cap)  # numpy's one-time allocations
             tracemalloc.start()
             try:
-                n1, _ = lockstep_min_n(q, p, *kernel, eps_bar, n_cap)
+                n1, _ = lockstep_min_n(*kernel, eps_bar, n_cap)
                 return tracemalloc.get_traced_memory()[1], n1
             finally:
                 tracemalloc.stop()
@@ -534,6 +523,22 @@ class TestLockstepSearch:
         ctx = cfg.build_context(system)
         solve_with_stats(system, cfg.build_solver(ctx, eps_bar=eps_bar), ctx)
         assert (len(work), sum(work)) == (calls, elements)
+
+    def test_builtin_solve_builds_the_factors_once(self, monkeypatch):
+        # on the (Q, 1) q column and the (1, P) p row; the search gathers
+        # the factors of the cells it keeps from those
+        built = []
+
+        def counted(q, p, d, delta):
+            built.append((np.shape(q), np.shape(p)))
+            return tight_epsilon_factors(q, p, d, delta)
+
+        monkeypatch.setattr(solver_module, "tight_epsilon_factors", counted)
+        cfg = RunConfig.defaults()
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        _, stats = solve_with_stats(system, cfg.build_solver(ctx), ctx)
+        assert built == [((stats.q_hi - 1, 1), (1, stats.p_grid_size))]
 
 
 class TestNFromConstraints:
