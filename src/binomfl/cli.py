@@ -45,7 +45,7 @@ from .errors import (
     InfeasibleError,
     PrivacyInfeasibleError,
 )
-from .privacy import baseline_epsilon_value
+from .privacy import epsilon_baseline
 from .solver import Solution, qbar, solve_with_stats, suboptimal_tuple
 from .wireless import watts_to_dbm
 
@@ -218,7 +218,7 @@ def cmd_compare_eps(args, cfg: RunConfig) -> dict[str, str]:
             rows.append([eb, "infeasible", None, None])
             continue
         tight = sol.epsilon_achieved
-        base = baseline_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
+        base = epsilon_baseline(sol.q, sol.n, sol.p, ctx)
         rows.append([eb, tight, base, base / tight])
     return {"compare_eps.csv": _csv(["eps_bar", "epsilon_tight", "epsilon_baseline", "ratio"], rows)}
 

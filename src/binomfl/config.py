@@ -133,13 +133,15 @@ class RunConfig:
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, "rb") as fh:  # the YAML reader decodes it: UTF-8, or UTF-16 by its BOM
                 data = yaml.safe_load(fh) or {}
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
             # the parser's message spans lines; every error prints on one
             raise ConfigError(f"config file is not valid YAML: {' '.join(str(exc).split())}") from exc
+        except RecursionError:  # the pure-Python composer recurses once per nesting level
+            raise ConfigError("config file nests too deeply to parse") from None
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
         return cls(raw=_merge(DEFAULTS, data))

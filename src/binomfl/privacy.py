@@ -2,12 +2,12 @@
 
 Two (epsilon, delta) budget estimators are provided for a single aggregation
 of q-level stochastically quantized gradients with added Binomial(n, p)
-noise: the classical estimate (``epsilon_baseline``) and a tighter one
-(``epsilon_tight``), tighter wherever the per-device noise variance
+noise: the classical ``epsilon_baseline(q, n, p, ctx)`` and the tighter
+``epsilon_tight(q, n, p, ctx)``, tighter wherever the per-device variance
 n*p*(1-p) is not small (see :func:`epsilon_tight` for where it is not).
-Both are certified only while the aggregate noise variance K*n*p*(1-p)
-clears a dimension-dependent floor; below that floor they raise
-:class:`NotApplicableError` instead of returning a number.
+Both are certified only while the aggregate variance K*n*p*(1-p) clears a
+dimension-dependent floor, n >= ``min_trials(q, p, ctx)``; below it they
+raise :class:`NotApplicableError` instead of returning a number.
 The tight estimator is written once, as five terms of the n-free factors,
 x = n*p*(1-p) and the variance factor s1, in one numpy code path for
 scalars and arrays alike.  It has five entry points:
@@ -108,31 +108,26 @@ def dp_variance_threshold(q, d: int, delta: float):
     return np.maximum(23.0 * math.log(10.0 * d / delta), 2.0 * (q + 1))
 
 
-def dp_variance_feasible(mech: MechanismParams, ctx: PrivacyContext) -> bool:
-    """Whether the aggregate Binomial variance clears its required floor.
+def min_trials(q, p, ctx: PrivacyContext):
+    """Smallest trial count the variance floor admits, ceil(thr(q) / (K*p*(1-p))).
 
-    The comparison is non-strict: exact equality counts as feasible.
+    The one statement of the floor; every gate on it is ``n >= min_trials(q, p, ctx)``.
+    Broadcasts over arrays of q and p and returns float64.
     """
-    lhs = ctx.K * mech.n * mech.p * (1.0 - mech.p)
-    return bool(lhs >= dp_variance_threshold(mech.q, ctx.d, ctx.delta))
+    return np.ceil(dp_variance_threshold(q, ctx.d, ctx.delta) / (ctx.K * (p * (1.0 - p))))
 
 
-def _require_applicable(mech: MechanismParams, ctx: PrivacyContext) -> None:
-    if not dp_variance_feasible(mech, ctx):
-        raise NotApplicableError(
-            "noise variance K*n*p*(1-p) = "
-            f"{ctx.K * mech.n * mech.p * (1 - mech.p):.6g} is below the "
-            f"required floor {dp_variance_threshold(mech.q, ctx.d, ctx.delta):.6g}; "
-            "the budget estimate is not certified here"
-        )
+def _gate(q, n, p, ctx: PrivacyContext) -> None:
+    if not (q >= 2 and n >= 1 and 0.0 < p < 1.0):
+        raise ValueError(f"need q >= 2, n >= 1 and 0 < p < 1, got q={q}, n={n}, p={p}")
+    n_min = min_trials(q, p, ctx)
+    if not n >= n_min:
+        raise NotApplicableError(f"noise variance below its required floor: n={n} where q={q}, "
+                                 f"p={p:.6g} and K={ctx.K} need n >= {n_min:.0f}; no certified budget")
 
 
 def baseline_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
-    """Classical budget estimate, evaluated without the variance-floor gate.
-
-    Callers that need the certified estimate should use
-    :func:`epsilon_baseline`; this raw form exists for search loops that
-    probe parameters before the floor condition is settled.
+    """Classical budget estimate without the variance-floor gate of :func:`epsilon_baseline`.
 
     The classical form holds for p <= 1/2 (above, its (1 - 2p) term can
     make it negative); p and 1 - p are equally private, so p is reflected.
@@ -271,19 +266,22 @@ def tight_epsilon_lower(q, x, d: int, delta: float):
 
 
 def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
-    """Tight budget estimate without the variance-floor gate (see caveat on
-    :func:`baseline_epsilon_value`)."""
+    """Tight budget estimate without the variance-floor gate of :func:`epsilon_tight`."""
     return tight_epsilon_at_n(tight_epsilon_factors(q, p, d, delta), n).item()
 
 
-def epsilon_baseline(mech: MechanismParams, ctx: PrivacyContext) -> float:
-    """Certified classical privacy budget for one aggregation round."""
-    _require_applicable(mech, ctx)
-    return baseline_epsilon_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+def epsilon_baseline(q: int, n: int, p: float, ctx: PrivacyContext) -> float:
+    """Certified classical privacy budget for one aggregation round, gated like :func:`epsilon_tight`."""
+    _gate(q, n, p, ctx)
+    return baseline_epsilon_value(q, n, p, ctx.d, ctx.delta)
 
 
-def epsilon_tight(mech: MechanismParams, ctx: PrivacyContext) -> float:
+def epsilon_tight(q: int, n: int, p: float, ctx: PrivacyContext) -> float:
     """Certified tight privacy budget for one aggregation round.
+
+    Raises :class:`NotApplicableError` where n < :func:`min_trials` (at rounding edges one trial
+    off K*n*p*(1-p) >= thr(q) either way: it admits n=64 at q=1007, p=0.3, K=150, d=20, where
+    exactly K*n*p*(1-p) < thr = 2016), and ValueError outside q >= 2, n >= 1, 0 < p < 1.
 
     Symmetric in p around 1/2, strictly decreasing in n and strictly
     increasing in q.  Below :func:`epsilon_baseline` wherever n*p*(1-p)
@@ -291,6 +289,5 @@ def epsilon_tight(mech: MechanismParams, ctx: PrivacyContext) -> float:
     smaller n*p*(1-p), where it can exceed it (75,140 against 72,262 at
     q=946, n=64, p=1/2, d=1e7, delta=1e-2, K=1000).
     """
-    _require_applicable(mech, ctx)
-    return tight_epsilon_value(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
-
+    _gate(q, n, p, ctx)
+    return tight_epsilon_value(q, n, p, ctx.d, ctx.delta)

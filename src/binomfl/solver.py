@@ -26,7 +26,8 @@ cap into limits on q and on q + n.
 p grid and every single n, sharing nothing with the search logic above.
 Per (q, p) it builds the kernel's factors and evaluates them at every
 admissible n in one ``privacy.tight_epsilon_at_n`` call; it calls none of
-``lockstep_min_n``, ``qbar``, ``qbar_envelope`` or ``p_grid``.
+``lockstep_min_n``, ``qbar``, ``qbar_envelope``, ``p_grid`` or
+``privacy.min_trials`` (it keeps its own product form of the variance floor).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ from .errors import (
 from .privacy import (
     PrivacyContext,
     dp_variance_threshold,
+    epsilon_tight,
+    min_trials,
     tight_epsilon_at_n,
     tight_epsilon_factors,
     tight_epsilon_lead,
@@ -276,13 +279,11 @@ def _take(factors, mask):
 
 
 def n_from_constraints(q, p, n1, ctx: PrivacyContext):
-    """Final trial count: the variance-floor ceiling joined with n1.
+    """Final trial count: the variance floor's :func:`privacy.min_trials` joined with n1.
 
     Broadcasts over arrays of q, p and n1.
     """
-    pq = p * (1.0 - p)
-    n_floor = np.ceil(dp_variance_threshold(q, ctx.d, ctx.delta) / (ctx.K * pq))
-    return np.maximum(n_floor, n1).astype(np.int64)
+    return np.maximum(min_trials(q, p, ctx), n1).astype(np.int64)
 
 
 def mu_from_eta(eta: float) -> float:
@@ -389,7 +390,7 @@ def _solution(q: int, n: int, p: float, sys: SystemParams, ctx: PrivacyContext) 
     return Solution(
         q=q, n=n, p=p, powers=assign_powers(q, n, sys),
         objective=objective(q, n, p),
-        epsilon_achieved=tight_epsilon_value(q, n, p, ctx.d, ctx.delta),
+        epsilon_achieved=epsilon_tight(q, n, p, ctx),
     )
 
 
@@ -558,11 +559,10 @@ def check_solution(
     # the floor, the budget, the objective and the payload size are defined
     # only for q >= 2, n >= 1 and 0 < p < 1; a tuple outside is reported above
     in_domain = sol.q >= 2 and sol.n >= 1 and 0.0 < sol.p < 1.0
-    if in_domain:
-        lhs = ctx.K * sol.n * sol.p * (1.0 - sol.p)
-        if lhs < dp_variance_threshold(sol.q, ctx.d, ctx.delta):
-            problems.append("noise variance below its required floor")
-        eps = tight_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
+    if in_domain and sol.n < min_trials(sol.q, sol.p, ctx):  # epsilon_tight's gate
+        problems.append("noise variance below its required floor")
+    elif in_domain:
+        eps = epsilon_tight(sol.q, sol.n, sol.p, ctx)
         if not all(math.isfinite(v) for v in (eps, sol.epsilon_achieved, cfg.eps_bar)):
             problems.append(
                 f"non-finite budget: evaluated {eps}, stored {sol.epsilon_achieved}, "

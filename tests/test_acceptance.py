@@ -15,7 +15,6 @@ import pytest
 from binomfl.config import RunConfig
 from binomfl.errors import AllInfeasibleError, InfeasibleError, PrivacyInfeasibleError
 from binomfl.privacy import (
-    MechanismParams,
     PrivacyContext,
     dp_variance_threshold,
     epsilon_baseline,
@@ -62,7 +61,7 @@ def budget(number, name, limit_s):
 
 
 def feasible_tuples(rng, count, p_lo=0.02, p_hi=0.5):
-    """(mech, ctx) pairs whose per-mechanism variance clears the floor."""
+    """(q, n, p, ctx) tuples whose per-mechanism variance clears the floor."""
     out = []
     for _ in range(count):
         q = int(rng.integers(2, 200))
@@ -72,28 +71,25 @@ def feasible_tuples(rng, count, p_lo=0.02, p_hi=0.5):
         K = int(rng.integers(1, 5000))
         floor = dp_variance_threshold(q, d, delta)
         n = int(math.ceil(floor / (p * (1.0 - p)))) + int(rng.integers(0, 4096))
-        out.append((MechanismParams(q=q, n=n, p=p, D=1.0),
-                    PrivacyContext(d=d, delta=delta, K=K)))
+        out.append((q, n, p, PrivacyContext(d=d, delta=delta, K=K)))
     return out
 
 
 def test_criterion_01_tightness():
     rng = np.random.default_rng(1001)
     with budget(1, "tightness", 10.0):
-        for mech, ctx in feasible_tuples(rng, 1000):
-            tight = epsilon_tight(mech, ctx)
-            base = epsilon_baseline(mech, ctx)
+        for q, n, p, ctx in feasible_tuples(rng, 1000):
+            tight = epsilon_tight(q, n, p, ctx)
+            base = epsilon_baseline(q, n, p, ctx)
             assert tight <= base * (1.0 + 1e-9)
 
 
 def test_criterion_02_proposition_one_suite():
     rng = np.random.default_rng(1002)
     with budget(2, "symmetry and monotonicity", 10.0):
-        for mech, ctx in feasible_tuples(rng, 300, p_lo=0.02, p_hi=0.98):
-            a = epsilon_tight(mech, ctx)
-            b = epsilon_tight(
-                MechanismParams(q=mech.q, n=mech.n, p=1.0 - mech.p, D=mech.D), ctx
-            )
+        for q, n, p, ctx in feasible_tuples(rng, 300, p_lo=0.02, p_hi=0.98):
+            a = epsilon_tight(q, n, p, ctx)
+            b = epsilon_tight(q, n, 1.0 - p, ctx)
             assert abs(a - b) <= 1e-12 * a
         for _ in range(5):
             q = int(rng.integers(2, 64))

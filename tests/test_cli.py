@@ -312,7 +312,8 @@ class TestExitCodes:
         bad.write_text("system: [not, a, mapping]")
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid YAML", "list root"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "invalid YAML", "list root", "not UTF-8",
+                                      "deeply nested"])
     def test_unreadable_config_file(self, kind, tmp_path):
         # the parser's own message spans several lines; the error takes one
         path = tmp_path / "c.yaml"
@@ -322,6 +323,10 @@ class TestExitCodes:
             path.write_text("system:\n  selected: [12,\n  population: {60\n")
         elif kind == "list root":
             path.write_text("- seed: 7\n- solver: {}\n")
+        elif kind == "not UTF-8":
+            path.write_bytes(b"seed: 7\x80\x81\n")
+        elif kind == "deeply nested":
+            path.write_text("seed: " + "[" * 5000 + "]" * 5000 + "\n")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])

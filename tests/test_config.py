@@ -32,6 +32,12 @@ class TestMergeAndDefaults:
         assert (system.K, system.M, system.d) == (5, 9, 3)
         assert system.delta == 1e-10  # untouched default
 
+    def test_utf16_file_with_bom_loads(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes("seed: 7\nsolver:\n  eps_bar: 30.0\n".encode("utf-16"))  # BOM first
+        cfg = RunConfig.from_yaml(path)
+        assert (cfg.seed, cfg.raw["solver"]["eps_bar"]) == (7, 30.0)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("system:\n  dimenson: 3\n")

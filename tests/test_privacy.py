@@ -22,10 +22,10 @@ from binomfl.privacy import (
     _s2,
     _sensitivity_triple,
     baseline_epsilon_value,
-    dp_variance_feasible,
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
+    min_trials,
     tight_epsilon_at_n,
     tight_epsilon_factors,
     tight_epsilon_lead,
@@ -84,7 +84,7 @@ def sample_feasible(rng, count, p_lo=0.02, p_hi=0.98, unscaled_floor=False):
         if n < 2:
             n = 2
         mech, ctx = mech_ctx(q, n, p, d, delta, K)
-        if dp_variance_feasible(mech, ctx):
+        if mech.n >= min_trials(q, p, ctx):
             out.append((mech, ctx))
     return out
 
@@ -108,6 +108,14 @@ class TestTypes:
     def test_bad_mechanism_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MechanismParams(**kwargs)
+
+    @pytest.mark.parametrize("q, n, p", [(1, 16, 0.5), (5, 0, 0.5), (5, 16, 0.0), (5, 16, 1.0),
+                                         (5, 16, 1.5), (5, 16, math.nan)])
+    def test_certified_entry_points_reject_bad_arguments(self, q, n, p):
+        ctx = PrivacyContext(d=1, delta=0.5, K=10**6)
+        for estimate in (epsilon_tight, epsilon_baseline):
+            with pytest.raises(ValueError):
+                estimate(q, n, p, ctx)
 
 
 class TestSensitivityBounds:
@@ -134,7 +142,7 @@ class TestVarianceFloor:
         # K n p (1-p) = 500 while the floor is about 830.33
         mech, ctx = mech_ctx(2, 2, 0.5, 47710, 1e-10, 1000)
         assert dp_variance_threshold(2, 47710, 1e-10) == pytest.approx(830.33064339322707, rel=1e-14)
-        assert not dp_variance_feasible(mech, ctx)
+        assert mech.n < min_trials(mech.q, mech.p, ctx) == 4.0
 
     def test_boundary_equality_counts_as_feasible(self):
         # with q = 35, d = 1, delta = 0.5 the floor is the 2(q+1) branch = 72
@@ -142,46 +150,47 @@ class TestVarianceFloor:
         assert dp_variance_threshold(35, 1, 0.5) == 72.0
         mech, ctx = mech_ctx(35, 9, 0.5, 1, 0.5, 32)
         assert ctx.K * mech.n * mech.p * (1 - mech.p) == 72.0
-        assert dp_variance_feasible(mech, ctx)
+        assert mech.n == min_trials(mech.q, mech.p, ctx)
+        epsilon_tight(mech.q, mech.n, mech.p, ctx)
         just_below, _ = mech_ctx(35, 9, 0.5, 1, 0.5, 31)
-        assert not dp_variance_feasible(just_below, PrivacyContext(d=1, delta=0.5, K=31))
+        assert just_below.n < min_trials(35, 0.5, PrivacyContext(d=1, delta=0.5, K=31))
 
     def test_vanishing_p_is_infeasible(self):
         mech, ctx = mech_ctx(2, 2, 1e-9, 1, 0.5, 5)
-        assert not dp_variance_feasible(mech, ctx)
+        assert mech.n < min_trials(mech.q, mech.p, ctx)
 
 
 class TestBaseline:
     def test_golden_value(self):
         mech, ctx = mech_ctx(**GOLDEN)
-        assert epsilon_baseline(mech, ctx) == pytest.approx(GOLDEN_BASELINE, rel=1e-13)
+        assert epsilon_baseline(mech.q, mech.n, mech.p, ctx) == pytest.approx(GOLDEN_BASELINE, rel=1e-13)
 
     def test_second_golden_value(self):
         mech, ctx = mech_ctx(**GOLDEN2)
-        assert epsilon_baseline(mech, ctx) == pytest.approx(GOLDEN2_BASELINE, rel=1e-13)
+        assert epsilon_baseline(mech.q, mech.n, mech.p, ctx) == pytest.approx(GOLDEN2_BASELINE, rel=1e-13)
 
     def test_strictly_positive(self, rng):
         for mech, ctx in sample_feasible(rng, 25):
-            assert epsilon_baseline(mech, ctx) > 0.0
+            assert epsilon_baseline(mech.q, mech.n, mech.p, ctx) > 0.0
 
     def test_doubling_n_shrinks_budget(self, rng):
         for mech, ctx in sample_feasible(rng, 25):
-            doubled = MechanismParams(q=mech.q, n=2 * mech.n, p=mech.p, D=mech.D)
-            assert epsilon_baseline(doubled, ctx) < epsilon_baseline(mech, ctx)
+            doubled = epsilon_baseline(mech.q, 2 * mech.n, mech.p, ctx)
+            assert doubled < epsilon_baseline(mech.q, mech.n, mech.p, ctx)
 
     def test_not_applicable_below_floor(self):
         mech, ctx = mech_ctx(2, 2, 0.5, 47710, 1e-10, 1000)
         with pytest.raises(NotApplicableError):
-            epsilon_baseline(mech, ctx)
+            epsilon_baseline(mech.q, mech.n, mech.p, ctx)
 
     def test_reflected_above_half(self):
         # unreflected, the (1-2p) term made this certified budget -231,421
         mech, ctx = mech_ctx(946, 2, 0.75, 10**7, 1e-2, 10**4)
         mirrored, _ = mech_ctx(946, 2, 0.25, 10**7, 1e-2, 10**4)
-        assert dp_variance_feasible(mech, ctx)
-        base = epsilon_baseline(mech, ctx)
+        assert mech.n >= min_trials(mech.q, mech.p, ctx)
+        base = epsilon_baseline(mech.q, mech.n, mech.p, ctx)
         assert base > 0.0
-        assert base == epsilon_baseline(mirrored, ctx)
+        assert base == epsilon_baseline(mirrored.q, mirrored.n, mirrored.p, ctx)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -201,28 +210,28 @@ class TestBaseline:
 class TestTight:
     def test_golden_value_and_terms(self):
         mech, ctx = mech_ctx(**GOLDEN)
-        assert epsilon_tight(mech, ctx) == pytest.approx(GOLDEN_TIGHT, rel=1e-13)
-        assert dp_variance_feasible(mech, ctx)
+        assert epsilon_tight(mech.q, mech.n, mech.p, ctx) == pytest.approx(GOLDEN_TIGHT, rel=1e-13)
+        assert mech.n >= min_trials(mech.q, mech.p, ctx)
         terms = tight_terms(mech.q, mech.n, mech.p, ctx.d, ctx.delta)
         for got, want in zip(terms, GOLDEN_TIGHT_TERMS):
             assert got == pytest.approx(want, rel=1e-13)
 
     def test_second_golden_value(self):
         mech, ctx = mech_ctx(**GOLDEN2)
-        assert epsilon_tight(mech, ctx) == pytest.approx(GOLDEN2_TIGHT, rel=1e-13)
+        assert epsilon_tight(mech.q, mech.n, mech.p, ctx) == pytest.approx(GOLDEN2_TIGHT, rel=1e-13)
 
     def test_not_applicable_below_floor(self):
         mech, ctx = mech_ctx(2, 2, 0.5, 47710, 1e-10, 1000)
         with pytest.raises(NotApplicableError):
-            epsilon_tight(mech, ctx)
+            epsilon_tight(mech.q, mech.n, mech.p, ctx)
 
     def test_never_above_baseline(self, rng):
         # comparison domain p <= 1/2: the classical estimator's printed form
         # covers one representative of each reflection-equivalent mechanism
         # pair, and its (1-2p) term leaves the valid range above 1/2
         for mech, ctx in sample_feasible(rng, 60, p_hi=0.5, unscaled_floor=True):
-            tight = epsilon_tight(mech, ctx)
-            base = epsilon_baseline(mech, ctx)
+            tight = epsilon_tight(mech.q, mech.n, mech.p, ctx)
+            base = epsilon_baseline(mech.q, mech.n, mech.p, ctx)
             assert tight <= base * (1.0 + 1e-9)
 
     @settings(max_examples=200, deadline=None)
@@ -247,8 +256,9 @@ class TestTight:
         # with K = 1000 the floor admits n*p*(1-p) = 16, where the tight
         # form is the larger one
         mech, ctx = mech_ctx(946, 64, 0.5, 10**7, 1e-2, 1000)
-        assert dp_variance_feasible(mech, ctx)
-        tight, base = epsilon_tight(mech, ctx), epsilon_baseline(mech, ctx)
+        assert mech.n >= min_trials(mech.q, mech.p, ctx)
+        tight = epsilon_tight(mech.q, mech.n, mech.p, ctx)
+        base = epsilon_baseline(mech.q, mech.n, mech.p, ctx)
         assert tight == pytest.approx(75_140.49250026426, rel=1e-12)
         assert base == pytest.approx(72_261.75322085415, rel=1e-12)
         with mpmath.workdps(50):
@@ -257,30 +267,26 @@ class TestTight:
 
     def test_symmetric_in_p(self, rng):
         for mech, ctx in sample_feasible(rng, 40):
-            mirrored = MechanismParams(q=mech.q, n=mech.n, p=1.0 - mech.p, D=mech.D)
-            a = epsilon_tight(mech, ctx)
-            b = epsilon_tight(mirrored, ctx)
+            a = epsilon_tight(mech.q, mech.n, mech.p, ctx)
+            b = epsilon_tight(mech.q, mech.n, 1.0 - mech.p, ctx)
             assert abs(a - b) <= 1e-12 * a
 
     def test_strictly_decreasing_in_n(self, rng):
         # integer steps only
         for mech, ctx in sample_feasible(rng, 15):
-            prev = epsilon_tight(mech, ctx)
+            prev = epsilon_tight(mech.q, mech.n, mech.p, ctx)
             for step in range(1, 4):
-                cur = epsilon_tight(
-                    MechanismParams(q=mech.q, n=mech.n + step, p=mech.p, D=mech.D), ctx
-                )
+                cur = epsilon_tight(mech.q, mech.n + step, mech.p, ctx)
                 assert cur < prev
                 prev = cur
 
     def test_strictly_increasing_in_q(self, rng):
         for mech, ctx in sample_feasible(rng, 15):
-            prev = epsilon_tight(mech, ctx)
+            prev = epsilon_tight(mech.q, mech.n, mech.p, ctx)
             for step in range(1, 4):
-                bigger = MechanismParams(q=mech.q + step, n=mech.n, p=mech.p, D=mech.D)
-                if not dp_variance_feasible(bigger, ctx):
+                if mech.n < min_trials(mech.q + step, mech.p, ctx):
                     break
-                cur = epsilon_tight(bigger, ctx)
+                cur = epsilon_tight(mech.q + step, mech.n, mech.p, ctx)
                 assert cur > prev
                 prev = cur
 
@@ -620,11 +626,13 @@ def test_scalar_calls_return_python_types():
     for point in (GOLDEN, GOLDEN2):
         mech, ctx = mech_ctx(**point)
         args = (mech.q, mech.n, mech.p, ctx.d, ctx.delta)
+        certified = (mech.q, mech.n, mech.p, ctx)
         for value in (tight_epsilon_value(*args), baseline_epsilon_value(*args),
-                      epsilon_tight(mech, ctx), epsilon_baseline(mech, ctx)):
+                      epsilon_tight(*certified), epsilon_baseline(*certified)):
             assert type(value) is float
-        assert dp_variance_feasible(mech, ctx) is True
-    assert dp_variance_feasible(*mech_ctx(2, 2, 0.5, 47710, 1e-10, 1000)) is False
+        assert mech.n >= min_trials(mech.q, mech.p, ctx)
+    with pytest.raises(NotApplicableError):
+        epsilon_tight(2, 2, 0.5, PrivacyContext(d=47710, delta=1e-10, K=1000))
 
 
 def test_baseline_uses_unscaled_middle_denominator():

@@ -15,6 +15,7 @@ from binomfl.errors import (
     AllInfeasibleError,
     ErrorBoundUnavailableError,
     InfeasibleError,
+    NotApplicableError,
     PrivacyInfeasibleError,
 )
 from binomfl import solver as solver_module
@@ -22,6 +23,8 @@ from binomfl.config import RunConfig
 from binomfl.privacy import (
     PrivacyContext,
     dp_variance_threshold,
+    epsilon_tight,
+    min_trials,
     tight_epsilon_at_n,
     tight_epsilon_factors,
     tight_epsilon_lead,
@@ -561,7 +564,16 @@ class TestNFromConstraints:
             K = int(rng.integers(1, 3000))
             ctx = PrivacyContext(d=d, delta=delta, K=K)
             n = n_from_constraints(q, p, int(rng.integers(2, 64)), ctx)
+            # the slack stays: at rounding edges the float product misses the
+            # ceiling by an ulp (K=150, n=64, p=0.3 give 2015.9999999999998 < 2016)
             assert K * n * p * (1.0 - p) >= dp_variance_threshold(q, d, delta) * (1 - 1e-12)
+            # exact: the gate accepts the floor and rejects one less
+            floor = int(min_trials(q, p, ctx))
+            assert n >= floor
+            epsilon_tight(q, floor, p, ctx)
+            if floor >= 2:
+                with pytest.raises(NotApplicableError):
+                    epsilon_tight(q, floor - 1, p, ctx)
 
 
 class TestQbar:
@@ -756,8 +768,9 @@ class TestSolve:
         assert check_solution(sol, system, cfg, ctx) == []
 
     def test_suboptimal_tuple_doubles_n_at_q_2(self):
-        # q = 2 cannot shrink, so the worse tuple inflates n instead
-        system = make_system(K=10, d=6, delta=1e-3, base_target=1000.0)
+        # q = 2 cannot shrink, so the worse tuple inflates n instead; K = 30
+        # puts the variance floor at 34 trials, under n = 40
+        system = make_system(K=30, d=6, delta=1e-3, base_target=1000.0)
         ctx = make_context(system)
         cfg = small_cfg(n_cap=1024)
         sol = solver_module._solution(2, 40, 0.5, system, ctx)
@@ -870,6 +883,19 @@ class TestBruteForce:
         oracle = brute_force_solve(system, cfg, ctx, fine_factor=3)
         assert sol.objective <= oracle.objective * (1.0 + mu * lam)
         assert sol.objective <= oracle.objective * 1.1
+
+
+@pytest.mark.parametrize("config, eps_bar", [(None, 5.0), (None, 7.5), (None, 10.0), (DESK_CONFIG, None)])
+def test_solutions_pass_the_gate_and_certify_bit_for_bit(config, eps_bar):
+    cfg = RunConfig.from_yaml(config) if config else RunConfig.defaults()
+    if eps_bar is not None:
+        cfg = cfg.merged({"solver": {"eps_bar": eps_bar}})
+    system = cfg.build_system()
+    ctx = cfg.build_context(system)
+    sol, _ = solve_with_stats(system, cfg.build_solver(ctx), ctx)
+    assert sol.n >= min_trials(sol.q, sol.p, ctx)
+    eps = tight_epsilon_value(sol.q, sol.n, sol.p, ctx.d, ctx.delta)
+    assert epsilon_tight(sol.q, sol.n, sol.p, ctx) == eps == sol.epsilon_achieved
 
 
 @pytest.fixture(scope="module")
