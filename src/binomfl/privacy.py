@@ -109,17 +109,20 @@ def dp_variance_threshold(q, d: int, delta: float):
 
 
 def min_trials(q, p, ctx: PrivacyContext):
-    """Smallest trial count the variance floor admits, ceil(thr(q) / (K*p*(1-p))).
+    """Smallest trial count the variance floor K*n*p*(1-p) >= thr(q) admits.
 
     The one statement of the floor; every gate on it is ``n >= min_trials(q, p, ctx)``.
-    Broadcasts over arrays of q and p and returns float64.
+    The ceiling of thr(q) / (K*p*(1-p)), plus one where the product K*n*p*(1-p) there
+    still rounds below thr(q).  Broadcasts over arrays of q and p; returns float64.
     """
-    return np.ceil(dp_variance_threshold(q, ctx.d, ctx.delta) / (ctx.K * (p * (1.0 - p))))
+    thr = dp_variance_threshold(q, ctx.d, ctx.delta)
+    n = np.ceil(thr / (ctx.K * (p * (1.0 - p))))
+    return n + (ctx.K * n * p * (1.0 - p) < thr)
 
 
 def _gate(q, n, p, ctx: PrivacyContext) -> None:
-    if not (q >= 2 and n >= 1 and 0.0 < p < 1.0):
-        raise ValueError(f"need q >= 2, n >= 1 and 0 < p < 1, got q={q}, n={n}, p={p}")
+    if not (q >= 2 and n >= 2 and 0.0 < p < 1.0):
+        raise ValueError(f"need q >= 2, n >= 2 and 0 < p < 1, got q={q}, n={n}, p={p}")
     n_min = min_trials(q, p, ctx)
     if not n >= n_min:
         raise NotApplicableError(f"noise variance below its required floor: n={n} where q={q}, "
@@ -279,9 +282,9 @@ def epsilon_baseline(q: int, n: int, p: float, ctx: PrivacyContext) -> float:
 def epsilon_tight(q: int, n: int, p: float, ctx: PrivacyContext) -> float:
     """Certified tight privacy budget for one aggregation round.
 
-    Raises :class:`NotApplicableError` where n < :func:`min_trials` (at rounding edges one trial
-    off K*n*p*(1-p) >= thr(q) either way: it admits n=64 at q=1007, p=0.3, K=150, d=20, where
-    exactly K*n*p*(1-p) < thr = 2016), and ValueError outside q >= 2, n >= 1, 0 < p < 1.
+    Raises :class:`NotApplicableError` where n < :func:`min_trials` (never below the smallest n
+    of the float product form K*n*p*(1-p) >= thr(q), at rounding edges one above it), and
+    ValueError outside q >= 2, n >= 2, 0 < p < 1.
 
     Symmetric in p around 1/2, strictly decreasing in n and strictly
     increasing in q.  Below :func:`epsilon_baseline` wherever n*p*(1-p)

@@ -32,6 +32,7 @@ admissible n in one ``privacy.tight_epsilon_at_n`` call; it calls none of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -43,6 +44,7 @@ from .errors import (
     ConfigError,
     ErrorBoundUnavailableError,
     InfeasibleError,
+    NotApplicableError,
     PrivacyInfeasibleError,
 )
 from .privacy import (
@@ -497,17 +499,8 @@ def brute_force_solve(
     q_hi, cap_real = payload_caps(sys, cfg.bit_cap)
 
     lam = cfg.lambda_step / fine_factor
-    ps = []
-    i = 1
-    while True:
-        p = i * lam
-        if p >= 1.0:
-            break
-        ps.append(p)
-        i += 1
-    if 0.5 not in ps:
-        ps.append(0.5)
-        ps.sort()
+    # i * lam for i = 1, 2, ... below 1, and the point 1/2
+    ps = sorted(set(itertools.takewhile(lambda p: p < 1.0, (i * lam for i in itertools.count(1)))) | {0.5})
 
     # n_cap >= 2 (SolverConfig) and domain_bound >= 2 (payload_caps)
     n_all = np.arange(2, min(cfg.n_cap, domain_bound(sys)) + 1, dtype=np.float64)
@@ -556,22 +549,24 @@ def check_solution(
         problems.append(f"n={sol.n} above n_cap={cfg.n_cap}")
     if not (0.0 < sol.p < 1.0):
         problems.append(f"p={sol.p} outside (0, 1)")
-    # the floor, the budget, the objective and the payload size are defined
-    # only for q >= 2, n >= 1 and 0 < p < 1; a tuple outside is reported above
+    # the objective and the payload size need q >= 2, n >= 1 and 0 < p < 1, the
+    # certified budget n >= 2 as well; a tuple outside is reported above
     in_domain = sol.q >= 2 and sol.n >= 1 and 0.0 < sol.p < 1.0
-    if in_domain and sol.n < min_trials(sol.q, sol.p, ctx):  # epsilon_tight's gate
-        problems.append("noise variance below its required floor")
-    elif in_domain:
-        eps = epsilon_tight(sol.q, sol.n, sol.p, ctx)
-        if not all(math.isfinite(v) for v in (eps, sol.epsilon_achieved, cfg.eps_bar)):
-            problems.append(
-                f"non-finite budget: evaluated {eps}, stored {sol.epsilon_achieved}, "
-                f"eps_bar {cfg.eps_bar}"
-            )
-        elif eps > cfg.eps_bar:
-            problems.append(f"budget {eps:.6g} exceeds eps_bar={cfg.eps_bar}")
-        if abs(sol.epsilon_achieved - eps) > 1e-12 * max(1.0, eps):
-            problems.append("stored epsilon_achieved disagrees with a fresh evaluation")
+    if in_domain and sol.n >= 2:
+        try:
+            eps = epsilon_tight(sol.q, sol.n, sol.p, ctx)
+        except NotApplicableError:
+            problems.append("noise variance below its required floor")
+        else:
+            if not all(math.isfinite(v) for v in (eps, sol.epsilon_achieved, cfg.eps_bar)):
+                problems.append(
+                    f"non-finite budget: evaluated {eps}, stored {sol.epsilon_achieved}, "
+                    f"eps_bar {cfg.eps_bar}"
+                )
+            elif eps > cfg.eps_bar:
+                problems.append(f"budget {eps:.6g} exceeds eps_bar={cfg.eps_bar}")
+            if abs(sol.epsilon_achieved - eps) > 1e-12 * max(1.0, eps):
+                problems.append("stored epsilon_achieved disagrees with a fresh evaluation")
     if cfg.bit_cap is not None and sol.q + sol.n > 2**cfg.bit_cap:
         problems.append(f"q + n = {sol.q + sol.n} breaks the {cfg.bit_cap}-bit cap")
     if len(sol.powers) != sys.K:

@@ -98,7 +98,8 @@ def sample_gains(sampler: ChannelSampler, count: int) -> list[float]:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(sampler.seed)
     dist = rng.uniform(sampler.d_min, sampler.d_max, size=count)
-    mean_sq = sampler.g0 * (sampler.d0 / dist) ** 4
+    with np.errstate(over="ignore"):  # an overflow to inf fails the caller's finite-gain check
+        mean_sq = sampler.g0 * (sampler.d0 / dist) ** 4
     h_sq = rng.exponential(mean_sq)
     if sampler.semantics == "amplitude":
         return np.sqrt(h_sq).tolist()

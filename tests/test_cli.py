@@ -533,6 +533,14 @@ class TestExitCodes:
         assert err.startswith("error: capacity ceiling") and err.count("\n") == 1
         assert f" with worst-device SNR {snr} and T*W/d {exponent}; " in err
 
+    def test_channel_gain_overflow(self, tmp_path):
+        # the mean gain g0*(d0/dist)^4 overflows at dist = 1e-300; it once
+        # printed a RuntimeWarning line before the error
+        text = "system: {channel: {distance_min_m: 1.0e-300, distance_max_m: 1.0e-300}}\n"
+        code, err = self.run_in_process(tmp_path, text, "solve")
+        assert code == EXIT_CONFIG
+        assert err == "error: bad system section: all channel gains must be positive and finite\n"
+
     @pytest.mark.parametrize("where", ["--out", "output.dir"])
     def test_output_under_a_regular_file(self, where, tmp_path):
         # once a NotADirectoryError traceback with exit 1

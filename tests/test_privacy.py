@@ -5,6 +5,7 @@ of the closed forms, not with the code under test.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -109,7 +110,7 @@ class TestTypes:
         with pytest.raises(ValueError):
             MechanismParams(**kwargs)
 
-    @pytest.mark.parametrize("q, n, p", [(1, 16, 0.5), (5, 0, 0.5), (5, 16, 0.0), (5, 16, 1.0),
+    @pytest.mark.parametrize("q, n, p", [(1, 16, 0.5), (5, 0, 0.5), (5, 1, 0.5), (5, 16, 0.0), (5, 16, 1.0),
                                          (5, 16, 1.5), (5, 16, math.nan)])
     def test_certified_entry_points_reject_bad_arguments(self, q, n, p):
         ctx = PrivacyContext(d=1, delta=0.5, K=10**6)
@@ -154,6 +155,18 @@ class TestVarianceFloor:
         epsilon_tight(mech.q, mech.n, mech.p, ctx)
         just_below, _ = mech_ctx(35, 9, 0.5, 1, 0.5, 31)
         assert just_below.n < min_trials(35, 0.5, PrivacyContext(d=1, delta=0.5, K=31))
+
+    def test_rounding_edge_is_never_admitted(self):
+        # the ceiling of 2016 / (150 * 0.21) is 64, yet 150 * 64 * 0.3 * 0.7
+        # falls below 2016 both in floats and exactly, so 64 is refused
+        ctx = PrivacyContext(d=20, delta=1e-5, K=150)
+        assert dp_variance_threshold(1007, 20, 1e-5) == 2016.0
+        assert 150 * 64 * 0.3 * (1.0 - 0.3) < 2016.0
+        assert 150 * 64 * Fraction(0.3) * (1 - Fraction(0.3)) < 2016
+        assert min_trials(1007, 0.3, ctx) == 65.0
+        with pytest.raises(NotApplicableError):
+            epsilon_tight(1007, 64, 0.3, ctx)
+        epsilon_tight(1007, 65, 0.3, ctx)
 
     def test_vanishing_p_is_infeasible(self):
         mech, ctx = mech_ctx(2, 2, 1e-9, 1, 0.5, 5)

@@ -564,14 +564,14 @@ class TestNFromConstraints:
             K = int(rng.integers(1, 3000))
             ctx = PrivacyContext(d=d, delta=delta, K=K)
             n = n_from_constraints(q, p, int(rng.integers(2, 64)), ctx)
-            # the slack stays: at rounding edges the float product misses the
-            # ceiling by an ulp (K=150, n=64, p=0.3 give 2015.9999999999998 < 2016)
-            assert K * n * p * (1.0 - p) >= dp_variance_threshold(q, d, delta) * (1 - 1e-12)
-            # exact: the gate accepts the floor and rejects one less
+            # exact: the product form holds at n, the gate accepts the floor and
+            # rejects one less
+            thr = dp_variance_threshold(q, d, delta)
+            assert K * n * p * (1.0 - p) >= thr
             floor = int(min_trials(q, p, ctx))
-            assert n >= floor
-            epsilon_tight(q, floor, p, ctx)
-            if floor >= 2:
+            assert n >= floor and K * floor * p * (1.0 - p) >= thr
+            epsilon_tight(q, max(floor, 2), p, ctx)
+            if floor > 2:
                 with pytest.raises(NotApplicableError):
                     epsilon_tight(q, floor - 1, p, ctx)
 
