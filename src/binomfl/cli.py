@@ -24,6 +24,8 @@ import math
 import sys as _sys
 from pathlib import Path
 
+import numpy as np
+
 from . import sim as simmod
 from . import tasks as tasksmod
 from .config import (
@@ -252,15 +254,15 @@ def _build_task(s: dict, system, seed: int):
 
 
 def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
-    s = cfg.sim_section()
+    s = cfg.sim
     system, ctx, scfg = _build(cfg)
     task = _build_task(s, system, cfg.seed)
     sol, _ = solve_with_stats(system, scfg, ctx)
     rounds = s["rounds"]
 
-    bounds = simmod.theoretical_bounds(system, sol, task.grad_bound())
+    bounds = simmod.theoretical_bounds(system, sol, task.grad_bound)
     sigma_sq = bounds.u_hi_iid + bounds.b_hi
-    L, G_f = task.smoothness(), max(task.loss(task.initial_point()), 1e-9)
+    L, G_f = task.smoothness, max(task.loss(np.zeros(task.d)), 1e-9)
     gamma = simmod.learning_rate(L, G_f, sigma_sq, rounds)
     iters = simmod.iterations_estimate(L, G_f, s["theta"], s["confidence"], sigma_sq)
     bias = simmod.measure_bias(task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS))

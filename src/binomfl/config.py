@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .privacy import PrivacyContext
+from .privacy import PrivacyContext, is_integral
 from .solver import SolverConfig
 from .wireless import ChannelSampler, SystemParams, db_to_linear, dbm_to_watts, sample_gains
 
@@ -120,15 +120,22 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; build_* methods yield module-level types."""
+    """Validated run configuration; build_* methods yield module-level types.
+
+    The seeds and the sim section are checked when the config is built, so
+    every command rejects a malformed one, even a command that never reads
+    it; ``sim`` holds the checked section.
+    """
 
     raw: dict = field(default_factory=lambda: dict(DEFAULTS))
+    sim: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_integer("seed", self.raw["seed"], 0)
         channel_seed = self.raw["system"]["channel"]["seed"]
         if channel_seed is not None:
             validate_integer("system.channel.seed", channel_seed, 0)
+        self.sim = self._checked_sim()
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -229,7 +236,7 @@ class RunConfig:
 
     # sim ------------------------------------------------------------------
 
-    def sim_section(self) -> dict:
+    def _checked_sim(self) -> dict:
         """The sim section, checked: counts, reals in range, and choices."""
         s = dict(self.raw["sim"])
         for key, minimum in SIM_COUNTS.items():
@@ -275,12 +282,9 @@ def validate_db(name: str, value, to_linear) -> float:
 
 
 def validate_integer(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int; raises :class:`ConfigError` unless it is an
-    integer, or an integral float such as 12.0, of at least ``minimum``.
-
-    Booleans are rejected although Python counts them as integers.
-    """
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < minimum:
+    """``value`` as an int; raises :class:`ConfigError` unless it passes
+    :func:`binomfl.privacy.is_integral` (an integer, or an integral float
+    such as 12.0, but not a boolean) and is at least ``minimum``."""
+    if not is_integral(value) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)

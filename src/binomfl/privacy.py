@@ -42,6 +42,17 @@ from .errors import NotApplicableError
 ALPHA = -3.0 - 9.0 * math.log(2.0 / 3.0)
 
 
+def is_integral(value) -> bool:
+    """Whether ``value`` is an integer, or an integral float such as 8.0.
+
+    The one rule for every count: q, n, d and K here, and the config's
+    counts.  Booleans, fractions, infinities and NaN fail it.
+    """
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PrivacyContext:
     """Problem-level constants the budget depends on.
@@ -55,12 +66,12 @@ class PrivacyContext:
     K: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {self.d}")
+        if not (is_integral(self.d) and self.d >= 1):
+            raise ValueError(f"dimension d must be an integer >= 1, got {self.d}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.K < 1:
-            raise ValueError(f"device count K must be >= 1, got {self.K}")
+        if not (is_integral(self.K) and self.K >= 1):
+            raise ValueError(f"device count K must be an integer >= 1, got {self.K}")
 
 
 @dataclass(frozen=True)
@@ -80,10 +91,10 @@ class MechanismParams:
     s: float = field(init=False)
 
     def __post_init__(self):
-        if self.q < 2:
-            raise ValueError(f"quantization levels q must be >= 2, got {self.q}")
-        if self.n < 2:
-            raise ValueError(f"trial count n must be >= 2, got {self.n}")
+        if not (is_integral(self.q) and self.q >= 2):
+            raise ValueError(f"quantization levels q must be an integer >= 2, got {self.q}")
+        if not (is_integral(self.n) and self.n >= 2):
+            raise ValueError(f"trial count n must be an integer >= 2, got {self.n}")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"probability p must lie in (0, 1), got {self.p}")
         if self.D <= 0.0:
@@ -121,8 +132,8 @@ def min_trials(q, p, ctx: PrivacyContext):
 
 
 def _gate(q, n, p, ctx: PrivacyContext) -> None:
-    if not (q >= 2 and n >= 2 and 0.0 < p < 1.0):
-        raise ValueError(f"need q >= 2, n >= 2 and 0 < p < 1, got q={q}, n={n}, p={p}")
+    if not (is_integral(q) and is_integral(n) and q >= 2 and n >= 2 and 0.0 < p < 1.0):
+        raise ValueError(f"need integers q >= 2 and n >= 2 and 0 < p < 1, got q={q}, n={n}, p={p}")
     n_min = min_trials(q, p, ctx)
     if not n >= n_min:
         raise NotApplicableError(f"noise variance below its required floor: n={n} where q={q}, "

@@ -195,14 +195,8 @@ def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> Theoretica
     )
 
 
-def measure_bias(
-    task,
-    sol: Solution,
-    trials: int,
-    rng: np.random.Generator,
-    w: np.ndarray | None = None,
-) -> BiasEstimate:
-    """Monte-Carlo estimate of E||g - g_tilde||^2 at one fixed model state.
+def measure_bias(task, sol: Solution, trials: int, rng: np.random.Generator) -> BiasEstimate:
+    """Monte-Carlo estimate of E||g - g_tilde||^2 at the starting point w = 0.
 
     g is the clean mean gradient of the first K devices and g_tilde its
     privatized counterpart; only the mechanism randomness varies across
@@ -211,10 +205,8 @@ def measure_bias(
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     K = len(sol.powers)
-    if w is None:
-        w = task.initial_point()
-    grads = task.device_gradients(w, list(range(K)))
-    mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
+    grads = task.device_gradients(np.zeros(task.d), list(range(K)))
+    mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
     capped = _cap_gradients(grads, mech.D)
     clean = _mean_rows(capped)
     # the block is fixed, so its quantizer positions are too
@@ -229,15 +221,10 @@ def measure_bias(
     return BiasEstimate(mean=mean, stderr=stderr, trials=trials)
 
 
-def run_fsgd(
-    task,
-    sys: SystemParams,
-    sol: Solution | None,
-    rounds: int,
-    rng: np.random.Generator,
-    gamma: float | None = None,
-) -> SimTrace:
-    """Federated SGD loop; privatized when ``sol`` is given, plain otherwise.
+def run_fsgd(task, sys: SystemParams, sol: Solution | None, rounds: int, rng: np.random.Generator,
+             gamma: float) -> SimTrace:
+    """Federated SGD from w = 0 at step ``gamma``; privatized when ``sol`` is
+    given, plain otherwise.
 
     Each round selects K of the task's M devices uniformly without
     replacement, averages their (possibly privatized) gradients and takes
@@ -249,16 +236,14 @@ def run_fsgd(
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if task.d != sys.d:
         raise ValueError(f"task dimension {task.d} != system dimension {sys.d}")
-    if gamma is None:
-        gamma = 1.0 / task.smoothness()
     mech = None
     if sol is not None:
-        mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
+        mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
         round_bits = sys.K * sys.d * bits_per_coord(sol.q, sol.n)
     else:
         round_bits = sys.K * sys.d * FLOAT32_BITS
 
-    w = np.array(task.initial_point(), dtype=np.float64, copy=True)
+    w = np.zeros(task.d)
     trace = SimTrace()
     for _ in range(rounds):
         devices = rng.choice(task.M, size=sys.K, replace=False)

@@ -51,6 +51,7 @@ from .privacy import (
     PrivacyContext,
     dp_variance_threshold,
     epsilon_tight,
+    is_integral,
     min_trials,
     tight_epsilon_at_n,
     tight_epsilon_factors,
@@ -541,17 +542,18 @@ def check_solution(
     """Independent re-check of every original constraint; empty list = clean."""
     problems = []
     bound = domain_bound(sys)
-    if not (2 <= sol.q <= bound):
+    if not (is_integral(sol.q) and 2 <= sol.q <= bound):
         problems.append(f"q={sol.q} outside {{2..{bound}}}")
-    if not (2 <= sol.n <= bound):
+    if not (is_integral(sol.n) and 2 <= sol.n <= bound):
         problems.append(f"n={sol.n} outside {{2..{bound}}}")
     if sol.n > cfg.n_cap:
         problems.append(f"n={sol.n} above n_cap={cfg.n_cap}")
     if not (0.0 < sol.p < 1.0):
         problems.append(f"p={sol.p} outside (0, 1)")
-    # the objective and the payload size need q >= 2, n >= 1 and 0 < p < 1, the
-    # certified budget n >= 2 as well; a tuple outside is reported above
-    in_domain = sol.q >= 2 and sol.n >= 1 and 0.0 < sol.p < 1.0
+    # the objective and the payload size need integers q >= 2 and n >= 1 and
+    # 0 < p < 1, the certified budget n >= 2 as well; a tuple outside is
+    # reported above
+    in_domain = is_integral(sol.q) and is_integral(sol.n) and sol.q >= 2 and sol.n >= 1 and 0.0 < sol.p < 1.0
     if in_domain and sol.n >= 2:
         try:
             eps = epsilon_tight(sol.q, sol.n, sol.p, ctx)

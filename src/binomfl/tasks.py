@@ -1,13 +1,14 @@
 """Synthetic training tasks for the simulator.
 
-A task owns M devices' local data and exposes:
+A task owns M devices' local data, and training on it always starts at
+w = 0.  It is data plus two methods; the attributes are set once, when the
+task is built:
 
     d, M                      problem and population sizes
-    initial_point()           starting model vector
+    grad_bound                l2 bound on one device's gradient, from w = 0 on
+    smoothness                smoothness constant of the average loss
     loss(w)                   population-average loss
     device_gradients(w, ks)   stacked local gradients, shape (len(ks), d)
-    grad_bound()              l2 bound on one device's gradient
-    smoothness()              smoothness constant of the average loss
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ class QuadraticBowlTask:
     Deterministic sanity workhorse: with a step below 1/L plain gradient
     descent on the average must never increase the loss.
 
-    ``grad_bound()`` is max_k ||a * (e + |c_k|)||_2, e_j = max_k |c_kj|: from
-    w0 = 0 a plain step gamma <= 1/L keeps |w_j| <= e_j (a convex combination
+    ``grad_bound`` is max_k ||a * (e + |c_k|)||_2, e_j = max_k |c_kj|: from
+    w = 0 a plain step gamma <= 1/L keeps |w_j| <= e_j (a convex combination
     of w_j and a mean of centers), so |a_j (w_j - c_kj)| <= a_j (e_j + |c_kj|).
+    ``smoothness`` is max_j a_j.
     """
 
     def __init__(self, d: int, M: int, seed: int):
@@ -45,10 +47,8 @@ class QuadraticBowlTask:
         self.curvatures = rng.uniform(0.2, 1.0, size=d)
         self.centers = rng.normal(0.0, 1.0, size=(M, d))
         reach = self.curvatures * (np.max(np.abs(self.centers), axis=0) + np.abs(self.centers))
-        self._grad_bound = float(np.max(np.linalg.norm(reach, axis=1)))
-
-    def initial_point(self) -> np.ndarray:
-        return np.zeros(self.d)
+        self.grad_bound = float(np.max(np.linalg.norm(reach, axis=1)))
+        self.smoothness = float(np.max(self.curvatures))
 
     def loss(self, w: np.ndarray) -> float:
         diff = w[None, :] - self.centers
@@ -56,12 +56,6 @@ class QuadraticBowlTask:
 
     def device_gradients(self, w: np.ndarray, devices) -> np.ndarray:
         return self.curvatures * (w[None, :] - self.centers[np.asarray(devices)])
-
-    def grad_bound(self) -> float:
-        return self._grad_bound
-
-    def smoothness(self) -> float:
-        return float(np.max(self.curvatures))
 
 
 class LogisticRegressionTask:
@@ -94,11 +88,8 @@ class LogisticRegressionTask:
         )
         # l2 bound: |resid| <= 1, so ||X_k^T resid|| / S <= sigma_max(X_k) / sqrt(S)
         # <= sqrt(gram_top); the l2 term assumes the iterates keep ||w|| <= 3 ||w_true||
-        self._grad_bound = float(np.sqrt(gram_top)) + self.l2 * 3.0 * float(np.linalg.norm(self.w_true))
-        self._smoothness = 0.25 * gram_top + self.l2
-
-    def initial_point(self) -> np.ndarray:
-        return np.zeros(self.d)
+        self.grad_bound = float(np.sqrt(gram_top)) + self.l2 * 3.0 * float(np.linalg.norm(self.w_true))
+        self.smoothness = 0.25 * gram_top + self.l2
 
     def loss(self, w: np.ndarray) -> float:
         logits = self.X @ w
@@ -113,12 +104,6 @@ class LogisticRegressionTask:
         resid = _sigmoid(X @ w) - self.y[ks]
         return np.einsum("kij,ki->kj", X, resid) / self.n_per + self.l2 * w[None, :]
 
-    def grad_bound(self) -> float:
-        return self._grad_bound
-
-    def smoothness(self) -> float:
-        return self._smoothness
-
 
 class FixedGradientTask:
     """Frozen gradient table; the loss is irrelevant, only gradients matter.
@@ -132,19 +117,11 @@ class FixedGradientTask:
             raise ValueError("gradients must have shape (M, d)")
         self.M, self.d = g.shape
         self._g = g
-        self._bound = float(grad_bound)
-
-    def initial_point(self) -> np.ndarray:
-        return np.zeros(self.d)
+        self.grad_bound = float(grad_bound)
+        self.smoothness = 1.0
 
     def loss(self, w: np.ndarray) -> float:
         return 0.0
 
     def device_gradients(self, w: np.ndarray, devices) -> np.ndarray:
         return self._g[np.asarray(devices)]
-
-    def grad_bound(self) -> float:
-        return self._bound
-
-    def smoothness(self) -> float:
-        return 1.0

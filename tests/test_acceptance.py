@@ -298,9 +298,9 @@ def test_criterion_08_convergence_analogue():
         )
         assert bad.objective >= 4.0 * sol.objective
         assert bad.epsilon_achieved <= cfg.eps_bar  # still feasible
-        bounds = theoretical_bounds(system, sol, task.grad_bound())
+        bounds = theoretical_bounds(system, sol, task.grad_bound)
         sigma_sq = bounds.u_hi_iid + bounds.b_hi
-        gamma = learning_rate(L=task.smoothness(), G_f=task.loss(task.initial_point()),
+        gamma = learning_rate(L=task.smoothness, G_f=task.loss(np.zeros(task.d)),
                               sigma_sq=sigma_sq, rounds=500)
         rounds, wins = 500, 0
         for seed in (0, 1, 2):

@@ -286,6 +286,20 @@ class TestSimulateCommand:
         assert summary["suboptimal"]["objective_ratio"] >= 4.0
         assert (out / "trace_suboptimal.csv").exists()
 
+    def test_quadratic_task(self, tmp_path):
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["sim"]["task"] = "quadratic"
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        runs = [tmp_path / "a", tmp_path / "b"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for out in runs:
+                assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        names = sorted(path.name for path in runs[0].iterdir())
+        assert names == ["summary.json", "trace_baseline.csv", "trace_optimized.csv", "trace_suboptimal.csv"]
+        assert json.loads((runs[0] / "summary.json").read_text())["measured_bias"]["within_bounds"] is True
+        assert all((runs[0] / name).read_bytes() == (runs[1] / name).read_bytes() for name in names)
+
     @pytest.mark.parametrize("system", [{}, {"selected": 10, "dimension": 30}], ids=["desk", "desk-K10-d30"])
     def test_simulate_solves_the_configured_deployment(self, system, tmp_path):
         # simulate solves and trains the K, M, d and eps_bar of the system and
@@ -496,10 +510,15 @@ class TestExitCodes:
         ("simulate", "  rounds: 40\n", "  rounds: 40\n  compare_suboptimal: abc\n"),
         # once written into a directory named "[1, 2]"
         ("solve", "  dir: out\n", "  dir: [1, 2]\n"),
+        # a malformed sim section once passed every command but simulate
+        ("solve", "  rounds: 40\n", "  rounds: abc\n"),
+        ("sweep --axis eps_bar --values 30", "  task: logistic\n", "  task: nonsense\n"),
+        ("compare-eps --values 30", "  rounds: 40\n", "  rounds: abc\n"),
+        ("qbar --values 30", "  task: logistic\n", "  task: nonsense\n"),
     ])
     def test_boolean_real_or_junk_key(self, command, line, value, tmp_path):
         assert line in SMALL_CONFIG
-        code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), command)
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), *command.split())
         assert code == EXIT_CONFIG
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

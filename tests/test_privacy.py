@@ -92,8 +92,17 @@ def sample_feasible(rng, count, p_lo=0.02, p_hi=0.98, unscaled_floor=False):
 
 class TestTypes:
     def test_delta_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            PrivacyContext(d=1, delta=2.0, K=10)
+        # and a d or K that is not an integer
+        for kwargs in (dict(d=1, delta=2.0, K=10), dict(d=2.5, delta=0.1, K=10), dict(d=2, delta=0.1, K=1.5),
+                       dict(d=math.inf, delta=0.1, K=10), dict(d=2, delta=0.1, K=True)):
+            with pytest.raises(ValueError):
+                PrivacyContext(**kwargs)
+
+    def test_integral_floats_accepted(self):
+        as_floats = PrivacyContext(d=47710.0, delta=1e-10, K=1000.0)
+        ctx = PrivacyContext(d=47710, delta=1e-10, K=1000)
+        assert epsilon_tight(4.0, 2048.0, 0.5, as_floats) == epsilon_tight(4, 2048, 0.5, ctx)
+        assert MechanismParams(q=5.0, n=16.0, p=0.5, D=2.0).s == 1.0
 
     def test_noise_scale_is_derived(self):
         mech = MechanismParams(q=5, n=16, p=0.5, D=2.0)
@@ -105,13 +114,19 @@ class TestTypes:
         dict(q=5, n=16, p=0.0, D=1.0),
         dict(q=5, n=16, p=1.0, D=1.0),
         dict(q=5, n=16, p=0.5, D=0.0),
+        dict(q=4.5, n=3.2, p=0.5, D=1.0),
+        dict(q=5, n=16.5, p=0.5, D=1.0),
+        dict(q=math.inf, n=16, p=0.5, D=1.0),
     ])
     def test_bad_mechanism_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MechanismParams(**kwargs)
 
     @pytest.mark.parametrize("q, n, p", [(1, 16, 0.5), (5, 0, 0.5), (5, 1, 0.5), (5, 16, 0.0), (5, 16, 1.0),
-                                         (5, 16, 1.5), (5, 16, math.nan)])
+                                         (5, 16, 1.5), (5, 16, math.nan),
+                                         # each once got a budget: 16.54, 17.92, 0.0 and NaN at GOLDEN
+                                         (4, 2048.5, 0.5), (4.5, 2048, 0.5), (4, math.inf, 0.5),
+                                         (math.inf, 2048, 0.5)])
     def test_certified_entry_points_reject_bad_arguments(self, q, n, p):
         ctx = PrivacyContext(d=1, delta=0.5, K=10**6)
         for estimate in (epsilon_tight, epsilon_baseline):

@@ -217,15 +217,15 @@ class TestRunFsgd:
     def test_full_batch_quadratic_descends_monotonically(self, rng):
         task = QuadraticBowlTask(d=12, M=16, seed=4)
         sys = flat_system(K=16, M=16, d=12)
-        trace = run_fsgd(task, sys, None, 80, rng, gamma=0.9 / task.smoothness())
+        trace = run_fsgd(task, sys, None, 80, rng, gamma=0.9 / task.smoothness)
         assert all(b <= a + 1e-12 for a, b in zip(trace.loss, trace.loss[1:]))
 
     def test_seeded_runs_identical(self):
         task = QuadraticBowlTask(d=8, M=20, seed=4)
         sys = flat_system(K=5, M=20, d=8)
         sol = make_solution(9, 32, 0.5, 5)
-        a = run_fsgd(task, sys, sol, 40, np.random.default_rng(11))
-        b = run_fsgd(task, sys, sol, 40, np.random.default_rng(11))
+        a = run_fsgd(task, sys, sol, 40, np.random.default_rng(11), gamma=1.0 / task.smoothness)
+        b = run_fsgd(task, sys, sol, 40, np.random.default_rng(11), gamma=1.0 / task.smoothness)
         assert a.loss == b.loss and a.grad_norm_sq == b.grad_norm_sq
         assert a.bias_sample == b.bias_sample and a.bits == b.bits
 
@@ -249,13 +249,13 @@ class TestRunFsgd:
         task = QuadraticBowlTask(d=8, M=20, seed=4)
         sys = flat_system(K=5, M=20, d=8)
         sol = make_solution(9, 32, 0.5, 5)
-        trace = run_fsgd(task, sys, sol, 25, rng)
+        trace = run_fsgd(task, sys, sol, 25, rng, gamma=1.0 / task.smoothness)
         assert trace.total_bits == comm_cost(25, 5, 8, 9, 32)
 
     def test_baseline_counts_float_width(self, rng):
         task = QuadraticBowlTask(d=8, M=20, seed=4)
         sys = flat_system(K=5, M=20, d=8)
-        trace = run_fsgd(task, sys, None, 3, rng)
+        trace = run_fsgd(task, sys, None, 3, rng, gamma=1.0 / task.smoothness)
         assert trace.bits == [5 * 8 * 32] * 3
 
 
@@ -373,14 +373,14 @@ class TestGradBound:
     @given(d=st.integers(1, 24), M=st.integers(1, 12), S=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
     def test_logistic_bound_holds_at_start_and_at_truth(self, d, M, S, seed):
         task = LogisticRegressionTask(d=d, M=M, samples_per_device=S, seed=seed)
-        for w in (task.initial_point(), task.w_true):
+        for w in (np.zeros(d), task.w_true):
             grads = task.device_gradients(w, range(M))
-            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound())
+            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound)
 
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 24), M=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_quadratic_bound_holds_at_start_and_at_optimum(self, d, M, seed):
         task = QuadraticBowlTask(d=d, M=M, seed=seed)
-        for w in (task.initial_point(), task.centers.mean(axis=0)):
+        for w in (np.zeros(d), task.centers.mean(axis=0)):
             grads = task.device_gradients(w, range(M))
-            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound())
+            assert np.all(np.linalg.norm(grads, axis=1) <= task.grad_bound)

@@ -2,8 +2,10 @@
 
 The ``_ref_*`` functions below are kept verbatim from the version of
 ``tasks.py`` and ``sim.py`` that computed each FSGD round and bias trial
-with masked gathers, ``np.clip`` and ``np.mean``, except the gradient cap:
-``_ref_cap_gradients`` is the l2 clip written one row at a time.  The
+with masked gathers, ``np.clip`` and ``np.mean``, with two exceptions:
+``_ref_cap_gradients`` is the l2 clip written one row at a time, and the
+references follow the current task protocol (they start at w = 0, take
+the step as an argument and read ``grad_bound`` as an attribute).  The
 current code must reproduce them bit for bit and draw from the generator
 in the same order, so every comparison here is exact: ``==`` on floats,
 ``array_equal`` on arrays, and equal generator states after the run.
@@ -103,14 +105,12 @@ def _ref_privatized_mean(
     return values.mean(axis=0)
 
 
-def _ref_measure_bias(task, sol, trials, rng, w=None):
+def _ref_measure_bias(task, sol, trials, rng):
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     K = len(sol.powers)
-    if w is None:
-        w = task.initial_point()
-    grads = task.device_gradients(w, list(range(K)))
-    mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
+    grads = task.device_gradients(np.zeros(task.d), list(range(K)))
+    mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
     capped = _ref_cap_gradients(grads, mech.D)
     clean = capped.mean(axis=0)
     samples = np.empty(trials)
@@ -123,24 +123,19 @@ def _ref_measure_bias(task, sol, trials, rng, w=None):
     return mean, stderr, trials
 
 
-def _ref_run_fsgd(task, sys, sol, rounds, rng, gamma=None, conv=None):
+def _ref_run_fsgd(task, sys, sol, rounds, rng, gamma):
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     if task.d != sys.d:
         raise ValueError(f"task dimension {task.d} != system dimension {sys.d}")
-    if gamma is None:
-        if conv is not None:
-            gamma = conv.gamma
-        else:
-            gamma = 1.0 / task.smoothness()
     mech = None
     if sol is not None:
-        mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound())
+        mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
         round_bits = sys.K * sys.d * bits_per_coord(sol.q, sol.n)
     else:
         round_bits = sys.K * sys.d * FLOAT32_BITS
 
-    w = np.array(task.initial_point(), dtype=np.float64, copy=True)
+    w = np.zeros(task.d)
     trace = SimTrace()
     for _ in range(rounds):
         devices = rng.choice(task.M, size=sys.K, replace=False)
@@ -258,7 +253,7 @@ def test_run_fsgd_matches_reference(kind, privatized, inst, rounds, step):
     task = make_task(kind, d, M, inst["seed"] % 1000)
     sys = make_system(K, M, d)
     sol = make_solution(inst["q"], inst["n"], inst["p"], K) if privatized else None
-    gamma = step / task.smoothness()
+    gamma = step / task.smoothness
     rng_new = np.random.default_rng(inst["seed"])
     rng_ref = np.random.default_rng(inst["seed"])
     got = _outcome(lambda: run_fsgd(task, sys, sol, rounds, rng_new, gamma=gamma))
@@ -269,16 +264,15 @@ def test_run_fsgd_matches_reference(kind, privatized, inst, rounds, step):
 
 @pytest.mark.parametrize("kind", TASKS)
 @settings(max_examples=16, deadline=None)
-@given(inst=instance, trials=st.integers(2, 40), at_start=st.booleans())
-def test_measure_bias_matches_reference(kind, inst, trials, at_start):
+@given(inst=instance, trials=st.integers(2, 40))
+def test_measure_bias_matches_reference(kind, inst, trials):
     d, M = inst["d"], inst["M"]
     K = max(1, min(M, round(inst["k_frac"] * M)))
     task = make_task(kind, d, M, inst["seed"] % 1000)
     sol = make_solution(inst["q"], inst["n"], inst["p"], K)
-    w = None if at_start else np.random.default_rng(inst["seed"]).normal(0.0, 1.0, size=d)
     rng_new = np.random.default_rng(inst["seed"])
     rng_ref = np.random.default_rng(inst["seed"])
-    got = measure_bias(task, sol, trials, rng_new, w=w)
-    ref = _ref_measure_bias(_RefTask(task), sol, trials, rng_ref, w=w)
+    got = measure_bias(task, sol, trials, rng_new)
+    ref = _ref_measure_bias(_RefTask(task), sol, trials, rng_ref)
     assert (got.mean, got.stderr, got.trials) == ref
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state

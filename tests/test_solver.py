@@ -931,6 +931,9 @@ def desk_instance():
     ({"powers": "first above p_max"}, {}, "power of device 0 outside [p_min, p_max]"),
     ({"powers": "all at p_min"}, {}, "capacity constraint violated"),
     ({"objective": 1.5}, {}, "stored objective disagrees"),
+    # a fractional q with the matching objective and budget once passed clean
+    ({"q": 7.5, "objective": objective(7.5, 241, 0.5),
+      "epsilon_achieved": tight_epsilon_value(7.5, 241, 0.5, 40, 1e-4)}, {}, "q=7.5 outside {2..288}"),
 ])
 def test_check_solution_reports_each_broken_constraint(desk_instance, broken, config, message):
     sol, system, scfg, ctx = desk_instance
