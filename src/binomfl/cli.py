@@ -269,11 +269,9 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 
     arms: dict[str, Solution | None] = {"baseline": None, "optimized": sol}
-    sub = None
-    if s["compare_suboptimal"]:
-        sub = suboptimal_tuple(sol, system, scfg, ctx, s["subopt_factor"])
-        if sub is not None:
-            arms["suboptimal"] = sub
+    sub = suboptimal_tuple(sol, system, scfg, ctx)
+    if sub is not None:
+        arms["suboptimal"] = sub
 
     traces = {}
     for index, (name, arm_sol) in enumerate(arms.items()):

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .privacy import PrivacyContext, is_integral
+from .privacy import PrivacyContext, as_count
 from .solver import SolverConfig
 from .wireless import ChannelSampler, SystemParams, db_to_linear, dbm_to_watts, sample_gains
 
@@ -72,9 +72,7 @@ DEFAULTS: dict[str, Any] = {
         "rounds": 500,
         "theta": 0.1,
         "confidence": 0.1,           # capital lambda
-        "compare_suboptimal": True,
         "bias_trials": 400,
-        "subopt_factor": 4.0,
     },
     "output": {
         "dir": "out",
@@ -89,7 +87,6 @@ SIM_REALS = {
     "l2": ("[0, inf)", lambda v: v >= 0.0),
     "theta": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
     "confidence": ("(0, 1)", lambda v: 0.0 < v < 1.0),
-    "subopt_factor": ("(0, inf)", lambda v: v > 0.0),
 }
 
 
@@ -245,9 +242,6 @@ class RunConfig:
             s[key] = validate_real(f"sim.{key}", s[key], interval, ok)
         if s["task"] not in ("logistic", "quadratic"):
             raise ConfigError(f"unknown task {str(s['task'])!r}; expected 'logistic' or 'quadratic'")
-        if not isinstance(s["compare_suboptimal"], bool):
-            raise ConfigError(f"sim.compare_suboptimal must be true or false, "
-                              f"got {s['compare_suboptimal']!r}")
         return s
 
     def output_dir(self) -> str:
@@ -283,8 +277,9 @@ def validate_db(name: str, value, to_linear) -> float:
 
 def validate_integer(name: str, value, minimum: int = 1) -> int:
     """``value`` as an int; raises :class:`ConfigError` unless it passes
-    :func:`binomfl.privacy.is_integral` (an integer, or an integral float
-    such as 12.0, but not a boolean) and is at least ``minimum``."""
-    if not is_integral(value) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    :func:`binomfl.privacy.as_count` (an integer, or an integral float
+    such as 12.0, but not a boolean, and at least ``minimum``)."""
+    try:
+        return as_count(name, value, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

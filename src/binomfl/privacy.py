@@ -45,12 +45,21 @@ ALPHA = -3.0 - 9.0 * math.log(2.0 / 3.0)
 def is_integral(value) -> bool:
     """Whether ``value`` is an integer, or an integral float such as 8.0.
 
-    The one rule for every count: q, n, d and K here, and the config's
-    counts.  Booleans, fractions, infinities and NaN fail it.
+    The one rule for every count: :func:`as_count` applies it to the
+    records' and the config's counts, and the certified budgets to q and n.
+    Booleans, fractions, infinities and NaN fail it.
     """
     if isinstance(value, float):
         return value.is_integer()
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def as_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; raises ValueError unless it passes
+    :func:`is_integral` and is at least ``minimum``."""
+    if not (is_integral(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,10 @@ class PrivacyContext:
     K: int
 
     def __post_init__(self):
-        if not (is_integral(self.d) and self.d >= 1):
-            raise ValueError(f"dimension d must be an integer >= 1, got {self.d}")
+        object.__setattr__(self, "d", as_count("dimension d", self.d, 1))
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (is_integral(self.K) and self.K >= 1):
-            raise ValueError(f"device count K must be an integer >= 1, got {self.K}")
+        object.__setattr__(self, "K", as_count("device count K", self.K, 1))
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,12 @@ class MechanismParams:
     s: float = field(init=False)
 
     def __post_init__(self):
-        if not (is_integral(self.q) and self.q >= 2):
-            raise ValueError(f"quantization levels q must be an integer >= 2, got {self.q}")
-        if not (is_integral(self.n) and self.n >= 2):
-            raise ValueError(f"trial count n must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "q", as_count("quantization levels q", self.q, 2))
+        object.__setattr__(self, "n", as_count("trial count n", self.n, 2))
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"probability p must lie in (0, 1), got {self.p}")
-        if self.D <= 0.0:
-            raise ValueError(f"gradient cap D must be positive, got {self.D}")
+        if not (math.isfinite(self.D) and self.D > 0.0):
+            raise ValueError(f"gradient cap D must be positive and finite, got {self.D}")
         object.__setattr__(self, "s", 2.0 * self.D / (self.q - 1))
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergedError
-from .privacy import MechanismParams
+from .privacy import MechanismParams, as_count
 from .solver import Solution
 from .wireless import SystemParams
 
@@ -100,29 +100,15 @@ class SimTrace:
 
 def bits_per_coord(q: int, n: int) -> int:
     """Bits to address one of the q + n possible payload values."""
-    return (q + n - 1).bit_length()
+    return (as_count("q", q, 2) + as_count("n", n, 1) - 1).bit_length()
 
 
 def comm_cost(rounds: int, K: int, d: int, q: int, n: int) -> int:
     """Total uplink bits of a run: rounds * K * d * ceil(log2(q + n))."""
-    if min(rounds, K, d) < 1:
-        raise ValueError("rounds, K and d must all be >= 1")
-    return rounds * K * d * bits_per_coord(q, n)
+    return as_count("rounds", rounds, 1) * as_count("K", K, 1) * as_count("d", d, 1) * bits_per_coord(q, n)
 
 
-def _quantize_positions(g: np.ndarray, D: float, q: int) -> tuple[np.ndarray, np.ndarray]:
-    # grid position t in [0, q-1]; lower level r and carry probability t - r
-    t = ((g + D) / (2.0 * D)) * (q - 1)
-    r = np.minimum(np.maximum(np.floor(t), 0), q - 2)
-    return r, t - r
-
-
-def privatize(
-    grads: np.ndarray,
-    mech: MechanismParams,
-    rng: np.random.Generator,
-    positions: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def privatize(grads: np.ndarray, mech: MechanismParams, rng: np.random.Generator) -> np.ndarray:
     """Integer wire payload of a (K, d) block of capped gradients.
 
     Every coordinate is rounded onto the q-level grid by a mean-preserving
@@ -131,11 +117,11 @@ def privatize(
     ``payload.size * bits_per_coord(q, n)`` bits.  Coordinates must be
     finite, and each row clipped to l2 norm D: the solver's epsilon holds
     only for such rows.
-    ``positions`` is ``_quantize_positions(grads, mech.D, mech.q)`` when the
-    caller already holds it for this block.
     """
-    r, frac = _quantize_positions(grads, mech.D, mech.q) if positions is None else positions
-    j = r + (rng.random(grads.shape) < frac)
+    # grid position t in [0, q-1]; lower level r and carry probability t - r
+    t = ((grads + mech.D) / (2.0 * mech.D)) * (mech.q - 1)
+    r = np.minimum(np.maximum(np.floor(t), 0), mech.q - 2)
+    j = r + (rng.random(grads.shape) < t - r)
     z = rng.binomial(mech.n, mech.p, size=grads.shape)
     return (j + z).astype(np.int64)
 
@@ -170,14 +156,9 @@ def _mean_rows(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=0) / len(x)
 
 
-def _privatized_mean(
-    grads: np.ndarray,
-    mech: MechanismParams,
-    rng: np.random.Generator,
-    positions: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def _privatized_mean(grads: np.ndarray, mech: MechanismParams, rng: np.random.Generator) -> np.ndarray:
     """Server mean of a privatized (K, d) block: the payload, dequantized."""
-    return _mean_rows(dequantize(privatize(grads, mech, rng, positions), mech))
+    return _mean_rows(dequantize(privatize(grads, mech, rng), mech))
 
 
 def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> TheoreticalBounds:
@@ -209,11 +190,9 @@ def measure_bias(task, sol: Solution, trials: int, rng: np.random.Generator) -> 
     mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
     capped = _cap_gradients(grads, mech.D)
     clean = _mean_rows(capped)
-    # the block is fixed, so its quantizer positions are too
-    positions = _quantize_positions(capped, mech.D, mech.q)
     samples = np.empty(trials)
     for t in range(trials):
-        noisy = _privatized_mean(capped, mech, rng, positions)
+        noisy = _privatized_mean(capped, mech, rng)
         diff = noisy - clean
         samples[t] = diff @ diff
     mean = float(samples.mean())

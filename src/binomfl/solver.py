@@ -49,6 +49,7 @@ from .errors import (
 )
 from .privacy import (
     PrivacyContext,
+    as_count,
     dp_variance_threshold,
     epsilon_tight,
     is_integral,
@@ -71,6 +72,9 @@ from .wireless import (
 # the search holds a few float arrays over every (q, p) cell at once; at
 # this many cells one solve peaks near 300 MiB
 MAX_GRID_CELLS = 2**22
+
+# how much worse than the optimum the simulate command's third arm is
+SUBOPT_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -95,12 +99,15 @@ class SolverConfig:
             raise ValueError(f"eps_bar must be positive and finite, got {self.eps_bar}")
         if not (0.0 < self.lambda_step < 0.5):
             raise ValueError(f"lambda_step must lie in (0, 1/2), got {self.lambda_step}")
-        if not 2 <= self.n_cap <= 2**62:  # lockstep_min_n forms lo + hi in int64
+        object.__setattr__(self, "n_cap", as_count("n_cap", self.n_cap, 2))
+        if self.n_cap > 2**62:  # lockstep_min_n forms lo + hi in int64
             raise ValueError(f"n_cap must lie in [2, 2^62], got {self.n_cap}")
-        if self.rho is not None and self.rho <= 0.0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.bit_cap is not None and not (2 <= self.bit_cap <= 63):
-            raise ValueError(f"bit_cap must lie in [2, 63] (an int64 payload), got {self.bit_cap}")
+        if self.rho is not None and not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if self.bit_cap is not None:
+            object.__setattr__(self, "bit_cap", as_count("bit_cap", self.bit_cap, 2))
+            if self.bit_cap > 63:
+                raise ValueError(f"bit_cap must lie in [2, 63] (an int64 payload), got {self.bit_cap}")
 
     @classmethod
     def for_target_error(
@@ -155,11 +162,12 @@ def objective(q, n, p):
 
     Broadcasts over arrays of q, n and p.
     """
-    if np.any(q < 2):
+    # negated, so that NaN fails each check
+    if not np.all(q >= 2):
         raise ValueError(f"q must be >= 2, got {q}")
-    if np.any(n < 1):
+    if not np.all(n >= 1):
         raise ValueError(f"n must be >= 1, got {n}")
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError(f"p must lie in (0, 1), got {p}")
     pq = p * (1.0 - p)
     return (1.0 + n * pq) / (q - 1) ** 2
@@ -467,19 +475,17 @@ def solve(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution
     return sol
 
 
-def suboptimal_tuple(
-    sol: Solution, sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext, factor: float
-) -> Solution | None:
-    """A deliberately worse feasible tuple with >= factor x the objective."""
+def suboptimal_tuple(sol: Solution, sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution | None:
+    """A deliberately worse feasible tuple with >= SUBOPT_FACTOR x the objective."""
     # shrinking q inflates the objective ~quadratically and relaxes every
     # constraint, so prefer it; fall back to inflating n within capacity
     if sol.q >= 3:
         q_bad = max(2, (sol.q - 1) // 2 + 1)
-        if objective(q_bad, sol.n, sol.p) >= factor * sol.objective:
+        if objective(q_bad, sol.n, sol.p) >= SUBOPT_FACTOR * sol.objective:
             return _solution(q_bad, sol.n, sol.p, sys, ctx)
     _, cap_real = payload_caps(sys, cfg.bit_cap)
     n_bad = sol.n
-    while objective(sol.q, n_bad, sol.p) < factor * sol.objective:
+    while objective(sol.q, n_bad, sol.p) < SUBOPT_FACTOR * sol.objective:
         n_bad *= 2
         if n_bad > cfg.n_cap or not (n_bad <= cap_real - sol.q):
             return None

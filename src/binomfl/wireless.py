@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityInfeasibleError, ConfigError, EmptyDomainError
+from .privacy import as_count
 
 
 @dataclass(frozen=True)
@@ -38,10 +39,10 @@ class SystemParams:
     gains: tuple[float, ...]
 
     def __post_init__(self):
-        if self.K < 1 or self.M < 1 or self.K > self.M:
+        for name in ("K", "M", "d"):
+            object.__setattr__(self, name, as_count(name, getattr(self, name), 1))
+        if self.K > self.M:
             raise ValueError(f"need 1 <= K <= M, got K={self.K}, M={self.M}")
-        if self.d < 1:
-            raise ValueError(f"dimension d must be >= 1, got {self.d}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         for name in ("T", "W", "omega0", "p_min", "p_max"):

@@ -33,7 +33,7 @@ from binomfl import tasks as tasksmod
 from binomfl import wireless
 from binomfl.config import DEFAULTS, RunConfig
 from binomfl.errors import DivergedError
-from binomfl.solver import Solution, check_solution, objective
+from binomfl.solver import SUBOPT_FACTOR, Solution, check_solution, objective
 
 SMALL_CONFIG = """\
 seed: 7
@@ -283,7 +283,7 @@ class TestSimulateCommand:
         out = tmp_path / "sim2"
         main(["simulate", "--config", str(config_path), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["suboptimal"]["objective_ratio"] >= 4.0
+        assert summary["suboptimal"]["objective_ratio"] >= SUBOPT_FACTOR
         assert (out / "trace_suboptimal.csv").exists()
 
     def test_quadratic_task(self, tmp_path):
@@ -506,8 +506,6 @@ class TestExitCodes:
         ("solve", "  transmission_time_s: 1.0\n", "  transmission_time_s: true\n"),
         ("solve", "  power_max_dbm: 30.0\n", "  power_max_dbm: 30.0\n  gains: [true" + ", 1.0" * 11 + "]\n"),
         ("solve", "    reference_gain_db: 20.0\n", "    reference_gain_db: true\n"),
-        # any value once turned the suboptimal arm on
-        ("simulate", "  rounds: 40\n", "  rounds: 40\n  compare_suboptimal: abc\n"),
         # once written into a directory named "[1, 2]"
         ("solve", "  dir: out\n", "  dir: [1, 2]\n"),
         # a malformed sim section once passed every command but simulate
@@ -626,11 +624,14 @@ class TestExitCodes:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    # the deployment's keys live in system and solver; the last id is the
-    # switch between two per-coordinate caps that the l2 cap replaced
+    # the deployment's keys live in system and solver; rescale switched
+    # between two per-coordinate caps that the l2 cap replaced, and the last
+    # two shaped the suboptimal arm, which now always runs at 4x
     @pytest.mark.parametrize("key, value", [("selected", 12), ("population", 12), ("dimension", 12),
-                                            ("eps_bar", 12), ("rescale", "clip")],
-                             ids=["selected", "population", "dimension", "eps_bar", "rescale"])
+                                            ("eps_bar", 12), ("rescale", "clip"), ("compare_suboptimal", "abc"),
+                                            ("subopt_factor", 4.0)],
+                             ids=["selected", "population", "dimension", "eps_bar", "rescale",
+                                  "compare_suboptimal", "subopt_factor"])
     def test_sim_section_has_no_deployment_keys(self, key, value, tmp_path):
         text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: {value}\n")
         code, err = self.run_in_process(tmp_path, text, "simulate")
@@ -782,10 +783,8 @@ SET_BY_COMMAND = {
 
 
 def assert_booleans_rejected(command, raw, code, err):
-    """A boolean on a leaf the command reads, other than the one boolean key
-    sim.compare_suboptimal, is a config error."""
-    unread = SET_BY_COMMAND[command] | {("sim", "compare_suboptimal")}
-    booleans = [p for p in _leaf_paths(raw) if isinstance(get_in(raw, p), bool) and p not in unread]
+    """A boolean on a leaf the command reads is a config error."""
+    booleans = [p for p in _leaf_paths(raw) if isinstance(get_in(raw, p), bool) and p not in SET_BY_COMMAND[command]]
     if booleans:
         assert code == EXIT_CONFIG, (booleans, err)
 
@@ -843,8 +842,7 @@ class TestConfigFuzz:
         assert math.isfinite(sol.epsilon_achieved) and sol.epsilon_achieved <= scfg.eps_bar
 
     @pytest.mark.parametrize("value", [True, False])
-    @pytest.mark.parametrize("path", [p for p in _leaf_paths(DEFAULTS) if p != ("sim", "compare_suboptimal")],
-                             ids=".".join)
+    @pytest.mark.parametrize("path", list(_leaf_paths(DEFAULTS)), ids=".".join)
     def test_boolean_on_any_leaf_is_a_config_error(self, path, value, tmp_path):
         # every leaf, one at a time; the random mutations above hit each only rarely
         self.assert_boolean_rejected("simulate" if path[0] == "sim" else "solve", path, value, tmp_path)

@@ -7,15 +7,17 @@ import types
 import pytest
 
 
-@pytest.mark.parametrize("module", ["privacy", "wireless"])
-def test_importing_a_module_loads_only_its_dependencies(module):
+# wireless takes the integer rule for its counts from privacy
+@pytest.mark.parametrize("module, dependencies", [("privacy", ["errors"]), ("wireless", ["errors", "privacy"])],
+                         ids=["privacy", "wireless"])
+def test_importing_a_module_loads_only_its_dependencies(module, dependencies):
     # a fresh interpreter, so modules other tests imported do not count
     code = (
         f"import sys, binomfl.{module}\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'binomfl')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == sorted(["binomfl", "binomfl.errors", f"binomfl.{module}"])
+    assert proc.stdout.split() == sorted(["binomfl", f"binomfl.{module}", *(f"binomfl.{m}" for m in dependencies)])
 
 
 def test_package_root_re_exports_nothing():

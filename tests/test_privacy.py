@@ -117,6 +117,10 @@ class TestTypes:
         dict(q=4.5, n=3.2, p=0.5, D=1.0),
         dict(q=5, n=16.5, p=0.5, D=1.0),
         dict(q=math.inf, n=16, p=0.5, D=1.0),
+        # each once constructed with s = nan or s = inf
+        dict(q=8, n=241, p=0.5, D=math.nan),
+        dict(q=8, n=241, p=0.5, D=math.inf),
+        dict(q=8, n=241, p=math.nan, D=1.0),
     ])
     def test_bad_mechanism_params_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -300,6 +300,19 @@ class TestCommCost:
             if bits_per_coord(q, n) < 32:
                 assert comm_cost(5, 3, 11, q, n) < 5 * 3 * 11 * 32
 
+    def test_integral_floats_count_as_ints(self):
+        # each once raised AttributeError: 'float' object has no attribute 'bit_length'
+        assert comm_cost(1, 1, 1, 8.0, 241) == comm_cost(1, 1, 1, 8, 241) == 8
+        assert bits_per_coord(8, 241.0) == bits_per_coord(8, 241) == 8
+
+    # the first once returned 12.0
+    @pytest.mark.parametrize("args", [(1.5, 1, 1, 8, 241), (1, 2.5, 1, 8, 241), (1, 1, 0.5, 8, 241),
+                                      (1, 1, 1, 8.5, 241), (1, 1, 1, 8, 241.5), (1, 1, 1, True, 241),
+                                      (0, 1, 1, 8, 241)])
+    def test_fractional_or_boolean_count_rejected(self, args):
+        with pytest.raises(ValueError):
+            comm_cost(*args)
+
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 

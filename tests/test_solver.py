@@ -31,6 +31,7 @@ from binomfl.privacy import (
     tight_epsilon_value,
 )
 from binomfl.solver import (
+    SUBOPT_FACTOR,
     SolverConfig,
     brute_force_solve,
     check_solution,
@@ -144,6 +145,28 @@ class TestObjective:
             n = int(rng.integers(1, 1000))
             p = float(rng.uniform(0.01, 0.99))
             assert objective(q, n, p) == pytest.approx(objective(q, n, 1.0 - p), rel=1e-15)
+
+
+# the objective once returned NaN on each NaN argument, and each config constructed
+@pytest.mark.parametrize("call", [
+    lambda: objective(8, 241, math.nan),
+    lambda: objective(math.nan, 241, 0.5),
+    lambda: objective(8, math.nan, 0.5),
+    lambda: small_cfg(rho=math.nan),
+    lambda: small_cfg(rho=math.inf),
+    lambda: small_cfg(n_cap=100.5),
+    lambda: small_cfg(bit_cap=10.5),
+], ids=["objective-p-nan", "objective-q-nan", "objective-n-nan", "rho-nan", "rho-inf", "n_cap-fraction",
+        "bit_cap-fraction"])
+def test_non_finite_or_fractional_argument_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_solver_config_stores_integral_caps_as_int():
+    cfg = small_cfg(n_cap=100.0, bit_cap=10.0)
+    assert (cfg.n_cap, cfg.bit_cap) == (100, 10)
+    assert type(cfg.n_cap) is int and type(cfg.bit_cap) is int
 
 
 class TestMinNForPrivacy:
@@ -774,9 +797,9 @@ class TestSolve:
         ctx = make_context(system)
         cfg = small_cfg(n_cap=1024)
         sol = solver_module._solution(2, 40, 0.5, system, ctx)
-        bad = suboptimal_tuple(sol, system, cfg, ctx, 4.0)
+        bad = suboptimal_tuple(sol, system, cfg, ctx)
         assert (bad.q, bad.n, bad.p) == (2, 320, 0.5)
-        assert bad.objective >= 4.0 * sol.objective
+        assert bad.objective >= SUBOPT_FACTOR * sol.objective
         assert bad == solver_module._solution(2, 320, 0.5, system, ctx)
 
     def test_mirror_feasibility_equal_value(self, rng):

@@ -46,6 +46,18 @@ class TestSystemParams:
             SystemParams(K=6, M=5, d=1, delta=0.5, T=1, W=1, omega0=1,
                          p_min=0.1, p_max=1.0, gains=(1.0,) * 6)
 
+    @pytest.mark.parametrize("counts", [dict(K=1, M=1, d=40.5), dict(K=1, M=6.5, d=1), dict(K=True, M=1, d=1)],
+                             ids=["d-fraction", "M-fraction", "K-boolean"])
+    def test_rejects_non_integral_counts(self, counts):
+        # each once constructed; True == 1 passed the gains-length check
+        with pytest.raises(ValueError, match="must be an integer"):
+            SystemParams(**counts, delta=0.5, T=1, W=1, omega0=1, p_min=0.1, p_max=1.0, gains=(1.0,))
+
+    def test_integral_float_counts_stored_as_int(self):
+        sys = SystemParams(K=1.0, M=6.0, d=40.0, delta=0.5, T=1, W=1, omega0=1, p_min=0.1, p_max=1.0,
+                           gains=(1.0,))
+        assert [(type(v), v) for v in (sys.K, sys.M, sys.d)] == [(int, 1), (int, 6), (int, 40)]
+
     def test_rejects_inverted_power_limits(self):
         with pytest.raises(ValueError):
             SystemParams(K=1, M=1, d=1, delta=0.5, T=1, W=1, omega0=1,
