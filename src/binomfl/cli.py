@@ -7,11 +7,11 @@ after each.  A command that fails writes no file.  Exit codes:
 
     0  success
     2  config error, or an output file that cannot be written
-    3  infeasible (nothing feasible on the grid, or a tuple's powers
-       cannot carry its payload)
+    3  infeasible (nothing feasible on the grid, the variance floor needs
+       more than n_cap trials even at q = 2, or a tuple's powers cannot
+       carry its payload)
     4  all quantization levels ruled out by the budget cap
     5  privacy bound unreachable within the trial-count cap
-    6  relative-error machinery unavailable (eta >= 1/4)
     7  simulation diverged
     8  channel cannot carry the minimal payload
 """
@@ -39,11 +39,9 @@ from .config import (
 from .errors import (
     AllInfeasibleError,
     BinomflError,
-    CapacityInfeasibleError,
     ConfigError,
     DivergedError,
     EmptyDomainError,
-    ErrorBoundUnavailableError,
     InfeasibleError,
     PrivacyInfeasibleError,
 )
@@ -56,7 +54,6 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_ALL_INFEASIBLE = 4
 EXIT_PRIVACY_INFEASIBLE = 5
-EXIT_ERROR_BOUND = 6
 EXIT_DIVERGED = 7
 EXIT_EMPTY_DOMAIN = 8
 
@@ -67,11 +64,9 @@ _EXIT_BY_ERROR = [
     (ConfigError, EXIT_CONFIG),
     (AllInfeasibleError, EXIT_ALL_INFEASIBLE),
     (PrivacyInfeasibleError, EXIT_PRIVACY_INFEASIBLE),
-    (ErrorBoundUnavailableError, EXIT_ERROR_BOUND),
     (DivergedError, EXIT_DIVERGED),
     (EmptyDomainError, EXIT_EMPTY_DOMAIN),
-    (InfeasibleError, EXIT_INFEASIBLE),
-    (CapacityInfeasibleError, EXIT_INFEASIBLE),
+    (InfeasibleError, EXIT_INFEASIBLE),  # after its subclasses
 ]
 
 
@@ -153,7 +148,7 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
         "eta": stats.eta,
         "mu": stats.mu,
         "lambda_step": stats.lambda_step,
-        "relative_error_bound": None if stats.mu is None else stats.mu * stats.lambda_step,
+        "relative_error_bound": stats.mu * stats.lambda_step,
         "grid": {
             "q_lo": stats.q_lo,
             "q_hi": stats.q_hi,
@@ -166,9 +161,8 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     }
     print(f"q={sol.q}  n={sol.n}  p={sol.p:.6g}  objective={sol.objective:.6g}")
     print(f"epsilon achieved {sol.epsilon_achieved:.6g} of budget {scfg.eps_bar:.6g}")
-    if stats.mu is not None:
-        print(f"eta={stats.eta:.4g}  mu={stats.mu:.4g}  lambda={stats.lambda_step:.4g}  "
-              f"relative error < {stats.mu * stats.lambda_step:.4g}")
+    print(f"eta={stats.eta:.4g}  mu={stats.mu:.4g}  lambda={stats.lambda_step:.4g}  "
+          f"relative error < {stats.mu * stats.lambda_step:.4g}")
     print(f"grid {stats.q_hi - stats.q_lo + 1} q-values x {stats.p_grid_size} p-values, "
           f"{stats.eps_evaluations} budget evaluations")
     lo, hi = min(sol.powers), max(sol.powers)
@@ -177,12 +171,10 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
 
 
 def _solve_row(cfg: RunConfig):
-    system, ctx, scfg = _build(cfg)
     try:
-        sol, _ = solve_with_stats(system, scfg, ctx)
-        return sol
-    except (InfeasibleError, AllInfeasibleError, EmptyDomainError, PrivacyInfeasibleError,
-            CapacityInfeasibleError):
+        system, ctx, scfg = _build(cfg)
+        return solve_with_stats(system, scfg, ctx)[0]
+    except InfeasibleError:
         return None
 
 

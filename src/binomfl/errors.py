@@ -1,9 +1,10 @@
 """Signal exceptions shared across the package.
 
 Each class corresponds to one distinct failure mode of the public API; the
-CLI maps them to distinct exit codes.  They are deliberate signals, not
-sentinel return values, so a caller can never silently consume a budget or
-a solution that the underlying conditions do not certify.
+CLI maps them to distinct exit codes.  :class:`InfeasibleError` and its
+subclasses are the one "no solution" family.  They are deliberate signals,
+not sentinel return values, so a caller can never silently consume a budget
+or a solution that the underlying conditions do not certify.
 """
 
 
@@ -16,35 +17,32 @@ class NotApplicableError(BinomflError):
     budget estimator certifies anything for these parameters."""
 
 
-class PrivacyInfeasibleError(BinomflError):
+class InfeasibleError(BinomflError):
+    """No solution, and the family of every signal that says so; the
+    subclasses name the stage that ruled everything out.  Raised as itself
+    when the grid search finds no feasible point ('no feasible grid point',
+    not a proof that the continuous problem is infeasible), and when the
+    variance floor needs more than n_cap trials even at q = 2, p = 1/2."""
+
+
+class PrivacyInfeasibleError(InfeasibleError):
     """No trial count up to the configured cap brings the privacy budget
     under the requested bound."""
 
 
-class CapacityInfeasibleError(BinomflError):
+class CapacityInfeasibleError(InfeasibleError):
     """The transmit power needed for the requested payload exceeds the
     device's maximum power."""
 
 
-class EmptyDomainError(BinomflError):
+class EmptyDomainError(InfeasibleError):
     """The channel cannot carry even the smallest quantized payload, so the
     search domains for the quantization level and trial count are empty."""
 
 
-class AllInfeasibleError(BinomflError):
+class AllInfeasibleError(InfeasibleError):
     """The privacy bound rules out every quantization level before any
     search starts (the lower-envelope test fails already at q = 2)."""
-
-
-class InfeasibleError(BinomflError):
-    """The grid search finished without finding any feasible point.  This is
-    'no feasible grid point', not a proof that the continuous problem is
-    infeasible."""
-
-
-class ErrorBoundUnavailableError(BinomflError):
-    """The grid-pitch error machinery requires eta < 1/4; above that no
-    relative-error factor can be quoted."""
 
 
 class DivergedError(BinomflError):

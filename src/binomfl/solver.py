@@ -42,7 +42,6 @@ import numpy as np
 from .errors import (
     AllInfeasibleError,
     ConfigError,
-    ErrorBoundUnavailableError,
     InfeasibleError,
     NotApplicableError,
     PrivacyInfeasibleError,
@@ -120,13 +119,11 @@ class SolverConfig:
     ) -> "SolverConfig":
         """Build a config whose grid pitch guarantees relative error < rho."""
         _, mu = eta_and_mu_values(n_cap, ctx)
-        return cls(
-            eps_bar=eps_bar,
-            lambda_step=lambda_for_rho(rho, mu),
-            n_cap=n_cap,
-            rho=rho,
-            bit_cap=bit_cap,
-        )
+        lambda_step = lambda_for_rho(rho, mu)
+        if lambda_step >= 0.5:
+            raise ValueError(f"rho = {rho} gives a grid pitch {lambda_step:.4g} >= 1/2; "
+                             f"rho must be below {0.5 * mu / 0.99:.4g} here")
+        return cls(eps_bar=eps_bar, lambda_step=lambda_step, n_cap=n_cap, rho=rho, bit_cap=bit_cap)
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,8 @@ class Solution:
 class SolveStats:
     """Bookkeeping of one solve run, for reports and complexity checks."""
 
-    eta: float | None
-    mu: float | None
+    eta: float
+    mu: float
     lambda_step: float
     p_grid_size: int
     q_lo: int
@@ -298,22 +295,28 @@ def n_from_constraints(q, p, n1, ctx: PrivacyContext):
 
 
 def mu_from_eta(eta: float) -> float:
-    """Error amplification 2 / (1 - sqrt(1 - 4*eta)) ~ 1/eta, in a form free of cancellation."""
-    if not (0.0 < eta < 0.25):
-        raise ErrorBoundUnavailableError(
-            f"eta = {eta:.4g} outside (0, 1/4): no relative-error factor can be quoted"
-        )
+    """Error amplification 2 / (1 - sqrt(1 - 4*eta)) ~ 1/eta, in a form free of cancellation.
+
+    Defined on (0, 1/4], where mu(1/4) = 2; raises ``ValueError`` outside it.
+    """
+    if not (0.0 < eta <= 0.25):
+        raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
     return (1.0 + math.sqrt(1.0 - 4.0 * eta)) / (2.0 * eta)
 
 
 def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
     """Grid-error parameters (eta, mu) for a given trial-count cap.
 
-    eta lower-bounds p*(1-p) at any feasible optimum; mu then converts a
-    grid pitch into a relative-error factor.  Raises
-    :class:`ErrorBoundUnavailableError` at eta >= 1/4, where no feasible
-    point exists even at p = 1/2 with n = n_cap and the machinery breaks.
+    eta = thr(2) / (K*n_cap) lower-bounds p*(1-p) at any feasible optimum;
+    mu then converts a grid pitch into a relative-error factor.  Raises
+    :class:`InfeasibleError` when :func:`privacy.min_trials` at q = 2,
+    p = 1/2 is above n_cap: then no point is feasible (and eta > 1/4).
     """
+    n_min = min_trials(2, 0.5, ctx)
+    if n_min > n_cap:
+        raise InfeasibleError(
+            f"the variance floor needs n >= {n_min:.0f} even at q = 2, p = 1/2, above n_cap = {n_cap}"
+        )
     eta = float(dp_variance_threshold(2, ctx.d, ctx.delta)) / (ctx.K * n_cap)
     return eta, mu_from_eta(eta)
 
@@ -419,10 +422,6 @@ def solve_with_stats(
             "coarser lambda_step or rho"
         )
     grid = p_grid(cfg.lambda_step)
-    try:
-        eta, mu = eta_and_mu_values(cfg.n_cap, ctx)
-    except ErrorBoundUnavailableError:
-        eta = mu = None
 
     # a (Q, 1) column of q values against a (1, P) row of p values; cells
     # are numbered q-major over the ascending p grid
@@ -440,6 +439,15 @@ def solve_with_stats(
     n_r = n_from_constraints(q_r, p_r, n1[reached], ctx)
     feasible = (n_r <= cfg.n_cap) & (n_r <= cap_real - q_r)
     q_f, n_f, p_f = q_r[feasible], n_r[feasible], p_r[feasible]
+    if q_f.size == 0:
+        if reached.size == 0:
+            raise PrivacyInfeasibleError(
+                f"budget {cfg.eps_bar} unreachable within n_cap={cfg.n_cap} "
+                "at every grid point"
+            )
+        raise InfeasibleError("no feasible grid point")
+    # a feasible cell clears the variance floor within n_cap, so eta <= 1/4
+    eta, mu = eta_and_mu_values(cfg.n_cap, ctx)
     stats = SolveStats(
         eta=eta, mu=mu, lambda_step=cfg.lambda_step,
         p_grid_size=len(grid), q_lo=2, q_hi=q_hi,
@@ -448,14 +456,6 @@ def solve_with_stats(
         eps_evaluations=int(evals.sum()),
         max_evals_per_cell=int(evals.max()),
     )
-
-    if q_f.size == 0:
-        if reached.size == 0:
-            raise PrivacyInfeasibleError(
-                f"budget {cfg.eps_bar} unreachable within n_cap={cfg.n_cap} "
-                "at every grid point"
-            )
-        raise InfeasibleError("no feasible grid point")
     # cells run q-major over the ascending p grid and hold one n each, so the
     # first minimum is the (objective, q, p, n) tie-break
     best = np.argmin(objective(q_f, n_f, p_f))
@@ -466,9 +466,10 @@ def solve(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> Solution
     """Best feasible (q, n, p, P_k) on the configured grid.
 
     Deterministic: ties are broken by smallest objective, then smallest q,
-    then smallest p, then smallest n.  Raises :class:`EmptyDomainError`,
-    :class:`AllInfeasibleError` or :class:`InfeasibleError` depending on
-    which stage ruled everything out, and :class:`CapacityInfeasibleError`
+    then smallest p, then smallest n.  Raises :class:`InfeasibleError` when
+    nothing is feasible, as the subclass that names the stage which ruled
+    everything out: :class:`EmptyDomainError`, :class:`AllInfeasibleError`,
+    :class:`PrivacyInfeasibleError`, or :class:`CapacityInfeasibleError`
     when the chosen tuple's powers cannot carry its payload.
     """
     sol, _ = solve_with_stats(sys, cfg, ctx)

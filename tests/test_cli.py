@@ -300,6 +300,25 @@ class TestSimulateCommand:
         assert json.loads((runs[0] / "summary.json").read_text())["measured_bias"]["within_bounds"] is True
         assert all((runs[0] / name).read_bytes() == (runs[1] / name).read_bytes() for name in names)
 
+    def test_no_suboptimal_arm_when_none_fits(self, tmp_path):
+        # desk at eps_bar 20 and n_cap 128 solves to (2, 125, 0.5): q cannot
+        # shrink, and doubling n passes n_cap
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["solver"].update(eps_bar=20, n_cap=128)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "o"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        solution = summary["solution"]
+        assert (solution["q"], solution["n"], solution["p"]) == (2, 125, 0.5)
+        assert summary["suboptimal"] is None
+        assert sorted(summary["final_loss"]) == ["baseline", "optimized"]
+        assert summary["measured_bias"]["within_bounds"] is True
+        assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trace_baseline.csv",
+                                                               "trace_optimized.csv"]
+
     @pytest.mark.parametrize("system", [{}, {"selected": 10, "dimension": 30}], ids=["desk", "desk-K10-d30"])
     def test_simulate_solves_the_configured_deployment(self, system, tmp_path):
         # simulate solves and trains the K, M, d and eps_bar of the system and
@@ -486,6 +505,51 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "round count overflows" in err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv", [["sweep", "--axis", "eps_bar"], ["compare-eps"], ["qbar"]],
+                             ids=["sweep", "compare-eps", "qbar"])
+    def test_unparsable_values_list(self, argv, tmp_path):
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG, *argv, "--values", "1,abc")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: bad --values list '1,abc': ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_coarse_rho_blames_rho(self, tmp_path):
+        # rho 5 at desk (mu = 7.635) asks for a pitch 0.648; the error once
+        # named lambda_step, which the config never set
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["solver"]["rho"] = 5
+        code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), "solve")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "rho must be below 3.856 here" in err and "lambda_step" not in err
+        raw["solver"]["rho"] = 3.85
+        code, _ = self.run_in_process(tmp_path, yaml.safe_dump(raw), "solve")
+        assert code == EXIT_OK
+
+    def test_rho_where_the_variance_floor_outgrows_n_cap(self, tmp_path):
+        # with rho set, eta = thr(2)/(K*n_cap) > 1/4 at K <= 6: the floor needs
+        # n >= 700 at K = 2 even at q = 2, p = 1/2, above n_cap 256.  Such a
+        # deployment is infeasible: a row of its own in a sweep, exit 3 alone
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["solver"]["rho"] = 0.5
+        code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), "sweep", "--axis", "K", "--values", "1,6,12")
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = read_csv(tmp_path / "o" / "sweep_K.csv")
+        assert [r[1] for r in rows[:2]] == ["infeasible", "infeasible"] and rows[2][1] != "infeasible"
+        raw["system"]["selected"] = 2
+        text = yaml.safe_dump(raw)
+        for argv, name in [(["compare-eps", "--values", "20,30"], "compare_eps.csv"),
+                           (["sweep", "--axis", "eps_bar", "--values", "20,30"], "sweep_eps_bar.csv")]:
+            code, err = self.run_in_process(tmp_path, text, *argv)
+            assert (code, err) == (EXIT_OK, "")
+            _, rows = read_csv(tmp_path / "o" / name)
+            assert [r[1] for r in rows] == ["infeasible", "infeasible"]
+        for argv in (["solve"], ["qbar", "--values", "30"]):
+            code, err = self.run_in_process(tmp_path, text, *argv)
+            assert code == EXIT_INFEASIBLE
+            assert err == "error: the variance floor needs n >= 700 even at q = 2, p = 1/2, above n_cap = 256\n"
 
     def test_fractional_sweep_k_rejected(self, tmp_path):
         code, err = self.run_in_process(tmp_path, SMALL_CONFIG, "sweep", "--axis", "K", "--values", "12.9")
@@ -706,7 +770,7 @@ class TestExitCodes:
 
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
-DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 6, 7, 8}
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 7, 8}
 JUNK_VALUES = [None, "abc", True, [1.0], {"k": 1}, -1, 0, 1100, 1e6, -1e6, 1e-300,
                math.nan, math.inf, -math.inf]
 

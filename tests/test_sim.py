@@ -314,6 +314,27 @@ class TestCommCost:
             comm_cost(*args)
 
 
+# each boundary check of the training loop, the bias probe, the round-count
+# estimate and the task constructors, with a piece of its message
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_fsgd(QuadraticBowlTask(d=4, M=2, seed=0), flat_system(2, 2, 4), None, 0,
+                      np.random.default_rng(0), gamma=0.1), "rounds must be >= 1"),
+    (lambda: run_fsgd(QuadraticBowlTask(d=3, M=2, seed=0), flat_system(2, 2, 4), None, 1,
+                      np.random.default_rng(0), gamma=0.1), "task dimension 3 != system dimension 4"),
+    (lambda: measure_bias(QuadraticBowlTask(d=4, M=2, seed=0), make_solution(9, 32, 0.5, 2), 1,
+                          np.random.default_rng(0)), "at least 2 trials"),
+    (lambda: iterations_estimate(1.0, 1.0, 0.5, 0.5, -1e-12), "sigma_sq must be >= 0"),
+    (lambda: QuadraticBowlTask(d=0, M=2, seed=0), "d and M must be >= 1"),
+    (lambda: LogisticRegressionTask(d=4, M=2, samples_per_device=0), "samples_per_device must be >= 1"),
+    (lambda: LogisticRegressionTask(d=4, M=2, l2=-0.1), "l2 must be >= 0"),
+    (lambda: FixedGradientTask(np.zeros(3), grad_bound=1.0), r"shape \(M, d\)"),
+], ids=["fsgd-rounds", "fsgd-dimension", "bias-trials", "iterations-sigma", "quadratic-d", "logistic-samples",
+        "logistic-l2", "fixed-shape"])
+def test_boundary_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 
 

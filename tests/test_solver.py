@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from binomfl.errors import (
     AllInfeasibleError,
-    ErrorBoundUnavailableError,
     InfeasibleError,
     NotApplicableError,
     PrivacyInfeasibleError,
@@ -156,8 +155,15 @@ class TestObjective:
     lambda: small_cfg(rho=math.inf),
     lambda: small_cfg(n_cap=100.5),
     lambda: small_cfg(bit_cap=10.5),
+    lambda: small_cfg(eps_bar=0.0),
+    lambda: small_cfg(eps_bar=math.inf),
+    lambda: small_cfg(lam=0.5),
+    lambda: small_cfg(lam=0.0),
+    lambda: mu_from_eta(0.0),
+    lambda: mu_from_eta(math.nextafter(0.25, 1.0)),
 ], ids=["objective-p-nan", "objective-q-nan", "objective-n-nan", "rho-nan", "rho-inf", "n_cap-fraction",
-        "bit_cap-fraction"])
+        "bit_cap-fraction", "eps_bar-zero", "eps_bar-inf", "lambda_step-half", "lambda_step-zero", "mu-eta-zero",
+        "mu-eta-above-quarter"])
 def test_non_finite_or_fractional_argument_rejected(call):
     with pytest.raises(ValueError):
         call()
@@ -672,6 +678,7 @@ class TestQbar:
 class TestErrorMachinery:
     def test_mu_reference_points(self):
         assert mu_from_eta(3.0 / 16.0) == 4.0
+        assert mu_from_eta(0.25) == 2.0
         assert mu_from_eta(0.09) == pytest.approx(10.0, rel=1e-12)
 
     @pytest.mark.parametrize("eta", [1e-19, 1e-9, 1.27e-5, 0.1138, 0.2499])
@@ -698,8 +705,25 @@ class TestErrorMachinery:
 
     def test_eta_above_quarter_signals(self):
         ctx = PrivacyContext(d=1000, delta=1e-8, K=1)
-        with pytest.raises(ErrorBoundUnavailableError):
+        with pytest.raises(InfeasibleError, match="variance floor"):
             eta_and_mu_values(2, ctx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.integers(1, 40), d=st.integers(2, 40), delta=st.floats(1e-4, 0.05),
+           n_cap=st.integers(8, 512), base_target=st.floats(12.0, 200.0), eps_bar=st.floats(5.0, 80.0))
+    def test_a_returned_solve_has_eta_at_most_a_quarter(self, K, d, delta, n_cap, base_target, eps_bar):
+        # eta > 1/4 means the floor needs more than n_cap trials even at q = 2,
+        # p = 1/2, so no cell is feasible and the solve raises instead
+        system = make_system(K=K, M=K, d=d, delta=delta, base_target=base_target)
+        ctx = make_context(system)
+        floor_fits = min_trials(2, 0.5, ctx) <= n_cap
+        try:
+            _, stats = solve_with_stats(system, small_cfg(eps_bar=eps_bar, lam=0.05, n_cap=n_cap), ctx)
+        except InfeasibleError:
+            return
+        assert floor_fits
+        assert type(stats.eta) is float and type(stats.mu) is float
+        assert 0.0 < stats.eta <= 0.25 and stats.mu >= 2.0
 
     def test_lambda_strictly_below_target(self, rng):
         for _ in range(30):

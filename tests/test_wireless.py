@@ -401,6 +401,23 @@ class TestSampleGains:
         assert len(gains) == 10 and all(g > 0 for g in gains)
 
 
+# each boundary check of the records and functions above, with a piece of its message
+@pytest.mark.parametrize("call, message", [
+    (lambda: dataclasses.replace(flat_system(), delta=0.0), r"delta must lie in \(0, 1\)"),
+    (lambda: dataclasses.replace(flat_system(), delta=1.0), r"delta must lie in \(0, 1\)"),
+    (lambda: ChannelSampler(g0=0.0, d0=1.0, d_min=1.0, d_max=2.0, seed=0), "g0 and d0 must be positive"),
+    (lambda: ChannelSampler(g0=1.0, d0=-1.0, d_min=1.0, d_max=2.0, seed=0), "g0 and d0 must be positive"),
+    (lambda: sample_gains(ChannelSampler(g0=1.0, d0=1.0, d_min=1.0, d_max=2.0, seed=0), 0),
+     "count must be >= 1"),
+    (lambda: capacity_feasible(2, 2, [1.0], flat_system(K=2)), "powers has length 1, expected K=2"),
+    (lambda: watts_to_dbm(0.0), "watts must be positive"),
+    (lambda: watts_to_dbm(-1e-3), "watts must be positive"),
+], ids=["delta-zero", "delta-one", "g0", "d0", "sample-count", "powers-length", "watts-zero", "watts-negative"])
+def test_boundary_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestUnitConversions:
     def test_dbm_watts_roundtrip(self, rng):
         for _ in range(20):
