@@ -46,7 +46,7 @@ from .errors import (
     PrivacyInfeasibleError,
 )
 from .privacy import epsilon_baseline
-from .solver import Solution, qbar, solve_with_stats, suboptimal_tuple
+from .solver import Solution, eta_and_mu_values, qbar, solve_with_stats, suboptimal_tuple
 from .wireless import watts_to_dbm
 
 EXIT_OK = 0
@@ -136,6 +136,7 @@ def _build(cfg: RunConfig):
 def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     system, ctx, scfg = _build(cfg)
     sol, stats = solve_with_stats(system, scfg, ctx)
+    eta, mu = eta_and_mu_values(scfg.n_cap, ctx)
     report = {
         "spec_version": SPEC_VERSION,
         "eps_bar": scfg.eps_bar,
@@ -145,12 +146,12 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
         "objective": sol.objective,
         "epsilon_achieved": sol.epsilon_achieved,
         "powers_w": list(sol.powers),
-        "eta": stats.eta,
-        "mu": stats.mu,
-        "lambda_step": stats.lambda_step,
-        "relative_error_bound": stats.mu * stats.lambda_step,
+        "eta": eta,
+        "mu": mu,
+        "lambda_step": scfg.lambda_step,
+        "relative_error_bound": mu * scfg.lambda_step,
         "grid": {
-            "q_lo": stats.q_lo,
+            "q_lo": 2,
             "q_hi": stats.q_hi,
             "p_points": stats.p_grid_size,
             "cells_total": stats.cells_total,
@@ -161,9 +162,9 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     }
     print(f"q={sol.q}  n={sol.n}  p={sol.p:.6g}  objective={sol.objective:.6g}")
     print(f"epsilon achieved {sol.epsilon_achieved:.6g} of budget {scfg.eps_bar:.6g}")
-    print(f"eta={stats.eta:.4g}  mu={stats.mu:.4g}  lambda={stats.lambda_step:.4g}  "
-          f"relative error < {stats.mu * stats.lambda_step:.4g}")
-    print(f"grid {stats.q_hi - stats.q_lo + 1} q-values x {stats.p_grid_size} p-values, "
+    print(f"eta={eta:.4g}  mu={mu:.4g}  lambda={scfg.lambda_step:.4g}  "
+          f"relative error < {mu * scfg.lambda_step:.4g}")
+    print(f"grid {stats.q_hi - 1} q-values x {stats.p_grid_size} p-values, "
           f"{stats.eps_evaluations} budget evaluations")
     lo, hi = min(sol.powers), max(sol.powers)
     print(f"power range [{lo:.4g}, {hi:.4g}] W ({watts_to_dbm(lo):.2f} to {watts_to_dbm(hi):.2f} dBm)")
@@ -221,9 +222,10 @@ def cmd_qbar(args, cfg: RunConfig) -> dict[str, str]:
     values = _parse_values(args.values) if args.values is not None else [float(v) for v in range(1, 21)]
     rows = []
     for dbm in values:
-        system, ctx, scfg = _build(cfg.merged({"system": {"power_max_dbm": dbm}}))
+        run = cfg.merged({"system": {"power_max_dbm": dbm}})
+        system = run.build_system()
         try:
-            qb = qbar(system, scfg, ctx)
+            qb = qbar(system, cfg.eps_bar, run.build_context(system))
             rows.append([dbm, qb, math.log10(qb)])
         except EmptyDomainError:
             rows.append([dbm, "empty_domain", None])
@@ -352,8 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = RunConfig.from_yaml(args.config) if args.config else RunConfig.defaults()
         if args.seed is not None:
             cfg = cfg.merged({"seed": args.seed})
-        out = cfg.output_dir()  # checked even when --out replaces it
-        out = Path(args.out or out)
+        out = Path(args.out or cfg.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

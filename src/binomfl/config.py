@@ -61,7 +61,7 @@ DEFAULTS: dict[str, Any] = {
     "solver": {
         "eps_bar": 10.0,
         "rho": None,
-        "lambda_step": 0.01,         # ignored when rho is given
+        "lambda_step": 0.01,         # checked even when rho is set, which derives the pitch
         "n_cap": 65_534,
         "bit_cap": 16,
     },
@@ -119,20 +119,30 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 class RunConfig:
     """Validated run configuration; build_* methods yield module-level types.
 
-    The seeds and the sim section are checked when the config is built, so
-    every command rejects a malformed one, even a command that never reads
-    it; ``sim`` holds the checked section.
+    Every section checkable without building anything is checked when the
+    config is built, so every command rejects a malformed one, even one that
+    never reads it; ``seed``, ``sim``, ``output_dir`` and ``eps_bar`` hold
+    checked values.  The solver section is checked at the file's lambda_step.
     """
 
     raw: dict = field(default_factory=lambda: dict(DEFAULTS))
+    seed: int = field(init=False, repr=False, compare=False)
     sim: dict = field(init=False, repr=False, compare=False)
+    output_dir: str = field(init=False, repr=False, compare=False)
+    eps_bar: float = field(init=False, repr=False, compare=False)
+    _solver: SolverConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        validate_integer("seed", self.raw["seed"], 0)
+        self.seed = validate_integer("seed", self.raw["seed"], 0)
         channel_seed = self.raw["system"]["channel"]["seed"]
         if channel_seed is not None:
             validate_integer("system.channel.seed", channel_seed, 0)
         self.sim = self._checked_sim()
+        self.output_dir = self.raw["output"]["dir"]
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output.dir must be a string, got {self.output_dir!r}")
+        self._solver = self._checked_solver()
+        self.eps_bar = self._solver.eps_bar
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -153,10 +163,6 @@ class RunConfig:
     @classmethod
     def defaults(cls) -> "RunConfig":
         return cls()
-
-    @property
-    def seed(self) -> int:
-        return int(self.raw["seed"])
 
     def merged(self, override: dict) -> "RunConfig":
         """This config with ``override`` merged in, checked like a file."""
@@ -214,20 +220,29 @@ class RunConfig:
     # solver ---------------------------------------------------------------
 
     def build_solver(self, ctx: PrivacyContext, eps_bar: float | None = None) -> SolverConfig:
+        """The checked solver section, its pitch derived from rho in ``ctx`` if rho is set."""
         # eps_bar= is kept for bench/make_refs.py only; it is a merge like any override
         if eps_bar is not None:
             return self.merged({"solver": {"eps_bar": eps_bar}}).build_solver(ctx)
+        sv = self._solver
+        if sv.rho is None:
+            return sv
+        try:
+            return SolverConfig.for_target_error(sv.eps_bar, sv.rho, sv.n_cap, ctx, sv.bit_cap)
+        except ValueError as exc:
+            raise ConfigError(f"bad solver section: {exc}") from exc
+
+    def _checked_solver(self) -> SolverConfig:
+        """The solver section at the file's lambda_step, rho included, so every range check runs."""
         sv = self.raw["solver"]
         try:
-            eps = validate_real("eps_bar", sv["eps_bar"], "(0, inf)", lambda v: v > 0.0)
-            lambda_step = validate_real("solver.lambda_step", sv["lambda_step"])  # read even with rho
-            n_cap = validate_integer("solver.n_cap", sv["n_cap"])
-            bit_cap = sv["bit_cap"]
-            bit_cap = None if bit_cap is None else validate_integer("solver.bit_cap", bit_cap)
-            if sv["rho"] is not None:
-                rho = validate_real("solver.rho", sv["rho"])
-                return SolverConfig.for_target_error(eps, rho, n_cap, ctx, bit_cap)
-            return SolverConfig(eps_bar=eps, lambda_step=lambda_step, n_cap=n_cap, bit_cap=bit_cap)
+            return SolverConfig(
+                eps_bar=validate_real("eps_bar", sv["eps_bar"], "(0, inf)", lambda v: v > 0.0),
+                lambda_step=validate_real("solver.lambda_step", sv["lambda_step"]),
+                n_cap=validate_integer("solver.n_cap", sv["n_cap"]),
+                bit_cap=None if sv["bit_cap"] is None else validate_integer("solver.bit_cap", sv["bit_cap"]),
+                rho=None if sv["rho"] is None else validate_real("solver.rho", sv["rho"]),
+            )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad solver section: {exc}") from exc
 
@@ -243,12 +258,6 @@ class RunConfig:
         if s["task"] not in ("logistic", "quadratic"):
             raise ConfigError(f"unknown task {str(s['task'])!r}; expected 'logistic' or 'quadratic'")
         return s
-
-    def output_dir(self) -> str:
-        path = self.raw["output"]["dir"]
-        if not isinstance(path, str):
-            raise ConfigError(f"output.dir must be a string, got {path!r}")
-        return path
 
 
 def validate_real(name: str, value, interval: str = "(-inf, inf)", ok=lambda v: True) -> float:

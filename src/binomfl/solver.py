@@ -118,6 +118,8 @@ class SolverConfig:
         bit_cap: int | None = None,
     ) -> "SolverConfig":
         """Build a config whose grid pitch guarantees relative error < rho."""
+        if not (math.isfinite(rho) and rho > 0.0):  # before a NaN reaches the pitch check
+            raise ValueError(f"rho must be positive and finite, got {rho}")
         _, mu = eta_and_mu_values(n_cap, ctx)
         lambda_step = lambda_for_rho(rho, mu)
         if lambda_step >= 0.5:
@@ -140,18 +142,14 @@ class Solution:
 
 @dataclass
 class SolveStats:
-    """Bookkeeping of one solve run, for reports and complexity checks."""
+    """What one solve's search counted; its q range runs from 2 to q_hi."""
 
-    eta: float
-    mu: float
-    lambda_step: float
     p_grid_size: int
-    q_lo: int
     q_hi: int
-    cells_total: int = 0
-    cells_feasible: int = 0
-    eps_evaluations: int = 0
-    max_evals_per_cell: int = 0
+    cells_total: int
+    cells_feasible: int
+    eps_evaluations: int
+    max_evals_per_cell: int
 
 
 def objective(q, n, p):
@@ -286,14 +284,6 @@ def _take(factors, mask):
     return tuple(f[mask] if isinstance(f, np.ndarray) else f for f in factors)
 
 
-def n_from_constraints(q, p, n1, ctx: PrivacyContext):
-    """Final trial count: the variance floor's :func:`privacy.min_trials` joined with n1.
-
-    Broadcasts over arrays of q, p and n1.
-    """
-    return np.maximum(min_trials(q, p, ctx), n1).astype(np.int64)
-
-
 def mu_from_eta(eta: float) -> float:
     """Error amplification 2 / (1 - sqrt(1 - 4*eta)) ~ 1/eta, in a form free of cancellation.
 
@@ -360,24 +350,24 @@ def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:
     return t1 + t2 + t3 + t4 + t5
 
 
-def qbar(sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext) -> int:
-    """Largest quantization level the budget cap leaves any room for.
+def qbar(sys: SystemParams, eps_bar: float, ctx: PrivacyContext) -> int:
+    """Largest quantization level the cap eps_bar leaves any room for, on the channel alone.
 
     Bisection for the largest q in {2, ..., domain bound} whose lower
     envelope stays at or under eps_bar.  Raises
     :class:`AllInfeasibleError` when already q = 2 is ruled out.
     """
     bound = domain_bound(sys)
-    if qbar_envelope(2, sys, ctx) > cfg.eps_bar:
+    if qbar_envelope(2, sys, ctx) > eps_bar:
         raise AllInfeasibleError(
-            f"budget envelope at q=2 already exceeds eps_bar={cfg.eps_bar}"
+            f"budget envelope at q=2 already exceeds eps_bar={eps_bar}"
         )
-    if qbar_envelope(bound, sys, ctx) <= cfg.eps_bar:
+    if qbar_envelope(bound, sys, ctx) <= eps_bar:
         return bound
     lo, hi = 2, bound  # envelope(lo) <= eps_bar < envelope(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if qbar_envelope(mid, sys, ctx) <= cfg.eps_bar:
+        if qbar_envelope(mid, sys, ctx) <= eps_bar:
             lo = mid
         else:
             hi = mid
@@ -413,7 +403,7 @@ def solve_with_stats(
 ) -> tuple[Solution, SolveStats]:
     """Grid search over (q, p) cells; see :func:`solve`."""
     q_max, cap_real = payload_caps(sys, cfg.bit_cap)
-    q_hi = min(qbar(sys, cfg, ctx), q_max)
+    q_hi = min(qbar(sys, cfg.eps_bar, ctx), q_max)
     cells = (q_hi - 1) * (0.5 / cfg.lambda_step)
     if cells > MAX_GRID_CELLS:
         raise ConfigError(
@@ -436,7 +426,7 @@ def solve_with_stats(
     reached = np.flatnonzero(n1)
     iq, ip = np.unravel_index(reached, (q.size, p.size))
     q_r, p_r = q[iq, 0], p[0, ip]
-    n_r = n_from_constraints(q_r, p_r, n1[reached], ctx)
+    n_r = np.maximum(min_trials(q_r, p_r, ctx), n1[reached]).astype(np.int64)
     feasible = (n_r <= cfg.n_cap) & (n_r <= cap_real - q_r)
     q_f, n_f, p_f = q_r[feasible], n_r[feasible], p_r[feasible]
     if q_f.size == 0:
@@ -446,11 +436,8 @@ def solve_with_stats(
                 "at every grid point"
             )
         raise InfeasibleError("no feasible grid point")
-    # a feasible cell clears the variance floor within n_cap, so eta <= 1/4
-    eta, mu = eta_and_mu_values(cfg.n_cap, ctx)
     stats = SolveStats(
-        eta=eta, mu=mu, lambda_step=cfg.lambda_step,
-        p_grid_size=len(grid), q_lo=2, q_hi=q_hi,
+        p_grid_size=len(grid), q_hi=q_hi,
         cells_total=int(n1.size),
         cells_feasible=int(q_f.size),
         eps_evaluations=int(evals.sum()),

@@ -330,7 +330,7 @@ def test_criterion_09_quantization_cap():
             cfg = SolverConfig(eps_bar=float(rng.uniform(3.0, 300.0)),
                                lambda_step=0.1, n_cap=64)
             try:
-                qb = qbar(system, cfg, ctx)
+                qb = qbar(system, cfg.eps_bar, ctx)
             except AllInfeasibleError:
                 assert qbar_envelope(2, system, ctx) > cfg.eps_bar
                 continue
@@ -344,7 +344,7 @@ def test_criterion_09_quantization_cap():
         prev = 0
         for scale in (0.6, 0.8, 1.0, 1.4, 2.0, 3.0):
             try:
-                qb = qbar(_scaled(family, p_max=family.p_max * scale), cfg, ctx)
+                qb = qbar(_scaled(family, p_max=family.p_max * scale), cfg.eps_bar, ctx)
             except AllInfeasibleError:
                 qb = 1
             assert qb >= prev
@@ -354,8 +354,7 @@ def test_criterion_09_quantization_cap():
         preset = RunConfig.defaults()
         system = preset.build_system()
         ctx = preset.build_context(system)
-        scfg = preset.build_solver(ctx)
-        qb = qbar(system, scfg, ctx)
+        qb = qbar(system, preset.eps_bar, ctx)
         assert qb <= 2**16 / 10.0
 
 

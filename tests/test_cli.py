@@ -531,7 +531,9 @@ class TestExitCodes:
     def test_rho_where_the_variance_floor_outgrows_n_cap(self, tmp_path):
         # with rho set, eta = thr(2)/(K*n_cap) > 1/4 at K <= 6: the floor needs
         # n >= 700 at K = 2 even at q = 2, p = 1/2, above n_cap 256.  Such a
-        # deployment is infeasible: a row of its own in a sweep, exit 3 alone
+        # deployment is infeasible: a row of its own in a sweep, exit 3 alone.
+        # qbar reads only eps_bar and the channel, so it writes the rows it
+        # writes without rho (it once exited 3 here)
         raw = yaml.safe_load(DESK_CONFIG.read_text())
         raw["solver"]["rho"] = 0.5
         code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), "sweep", "--axis", "K", "--values", "1,6,12")
@@ -546,10 +548,35 @@ class TestExitCodes:
             assert (code, err) == (EXIT_OK, "")
             _, rows = read_csv(tmp_path / "o" / name)
             assert [r[1] for r in rows] == ["infeasible", "infeasible"]
-        for argv in (["solve"], ["qbar", "--values", "30"]):
-            code, err = self.run_in_process(tmp_path, text, *argv)
-            assert code == EXIT_INFEASIBLE
-            assert err == "error: the variance floor needs n >= 700 even at q = 2, p = 1/2, above n_cap = 256\n"
+        code, err = self.run_in_process(tmp_path, text, "solve")
+        assert code == EXIT_INFEASIBLE
+        assert err == "error: the variance floor needs n >= 700 even at q = 2, p = 1/2, above n_cap = 256\n"
+        written = {}
+        for rho in (0.5, None):
+            raw["solver"]["rho"] = rho
+            code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), "qbar", "--values", "0,10,20,30")
+            assert (code, err) == (EXIT_OK, "")
+            written[rho] = (tmp_path / "o" / "qbar_sweep.csv").read_text()
+        assert written[0.5] == written[None]
+        _, rows = read_csv(tmp_path / "o" / "qbar_sweep.csv")
+        assert [r[1] for r in rows] == ["empty_domain", "empty_domain", "empty_domain", "17"]
+
+    @pytest.mark.parametrize("solver", [
+        {"n_cap": 1}, {"bit_cap": 64}, {"rho": -1},
+        {"lambda_step": 0.7},
+        # the key was once read and then ignored when rho was set
+        {"lambda_step": 0.7, "rho": 0.5},
+    ], ids=["n_cap-1", "bit_cap-64", "rho-negative", "lambda_step", "lambda_step-with-rho"])
+    @pytest.mark.parametrize("argv", [["solve"], ["sweep", "--axis", "eps_bar", "--values", "30"],
+                                      ["compare-eps", "--values", "30"], ["qbar", "--values", "30"], ["simulate"]],
+                             ids=["solve", "sweep", "compare-eps", "qbar", "simulate"])
+    def test_every_command_rejects_an_out_of_range_solver_key(self, argv, solver, tmp_path):
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["solver"].update(solver)
+        code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), *argv)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: bad solver section: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_fractional_sweep_k_rejected(self, tmp_path):
         code, err = self.run_in_process(tmp_path, SMALL_CONFIG, "sweep", "--axis", "K", "--values", "12.9")

@@ -38,7 +38,6 @@ from binomfl.solver import (
     lambda_for_rho,
     lockstep_min_n,
     mu_from_eta,
-    n_from_constraints,
     objective,
     p_grid,
     qbar,
@@ -146,26 +145,34 @@ class TestObjective:
             assert objective(q, n, p) == pytest.approx(objective(q, n, 1.0 - p), rel=1e-15)
 
 
-# the objective once returned NaN on each NaN argument, and each config constructed
-@pytest.mark.parametrize("call", [
-    lambda: objective(8, 241, math.nan),
-    lambda: objective(math.nan, 241, 0.5),
-    lambda: objective(8, math.nan, 0.5),
-    lambda: small_cfg(rho=math.nan),
-    lambda: small_cfg(rho=math.inf),
-    lambda: small_cfg(n_cap=100.5),
-    lambda: small_cfg(bit_cap=10.5),
-    lambda: small_cfg(eps_bar=0.0),
-    lambda: small_cfg(eps_bar=math.inf),
-    lambda: small_cfg(lam=0.5),
-    lambda: small_cfg(lam=0.0),
-    lambda: mu_from_eta(0.0),
-    lambda: mu_from_eta(math.nextafter(0.25, 1.0)),
+# the objective once returned NaN on each NaN argument, and each config
+# constructed; a NaN rho of for_target_error once blamed lambda_step
+DESK_CTX = PrivacyContext(d=40, delta=1e-4, K=12)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: objective(8, 241, math.nan), "p must lie"),
+    (lambda: objective(math.nan, 241, 0.5), "q must be"),
+    (lambda: objective(8, math.nan, 0.5), "n must be"),
+    (lambda: small_cfg(rho=math.nan), "rho must be positive and finite"),
+    (lambda: small_cfg(rho=math.inf), "rho must be positive and finite"),
+    (lambda: small_cfg(n_cap=100.5), "n_cap"),
+    (lambda: small_cfg(bit_cap=10.5), "bit_cap"),
+    (lambda: small_cfg(eps_bar=0.0), "eps_bar must be positive and finite"),
+    (lambda: small_cfg(eps_bar=math.inf), "eps_bar must be positive and finite"),
+    (lambda: small_cfg(lam=0.5), "lambda_step must lie"),
+    (lambda: small_cfg(lam=0.0), "lambda_step must lie"),
+    (lambda: mu_from_eta(0.0), "eta must lie"),
+    (lambda: mu_from_eta(math.nextafter(0.25, 1.0)), "eta must lie"),
+    (lambda: SolverConfig.for_target_error(30.0, math.nan, 256, DESK_CTX), "^rho must be positive and finite, got nan"),
+    (lambda: SolverConfig.for_target_error(30.0, math.inf, 256, DESK_CTX), "^rho must be positive and finite, got inf"),
+    (lambda: SolverConfig.for_target_error(30.0, 0.0, 256, DESK_CTX), "^rho must be positive and finite, got 0.0"),
+    (lambda: SolverConfig.for_target_error(30.0, -1.0, 256, DESK_CTX), "^rho must be positive and finite, got -1.0"),
 ], ids=["objective-p-nan", "objective-q-nan", "objective-n-nan", "rho-nan", "rho-inf", "n_cap-fraction",
         "bit_cap-fraction", "eps_bar-zero", "eps_bar-inf", "lambda_step-half", "lambda_step-zero", "mu-eta-zero",
-        "mu-eta-above-quarter"])
-def test_non_finite_or_fractional_argument_rejected(call):
-    with pytest.raises(ValueError):
+        "mu-eta-above-quarter", "target-rho-nan", "target-rho-inf", "target-rho-zero", "target-rho-negative"])
+def test_non_finite_or_fractional_argument_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
         call()
 
 
@@ -578,11 +585,11 @@ class TestNFromConstraints:
         ctx = PrivacyContext(d=1000, delta=1e-6, K=5)
         floor = math.ceil(dp_variance_threshold(3, 1000, 1e-6) / (5 * 0.25))
         assert floor > 7
-        assert n_from_constraints(3, 0.5, 7, ctx) == floor
+        assert min_trials(3, 0.5, ctx) == floor
 
     def test_privacy_term_wins(self):
         ctx = PrivacyContext(d=1, delta=0.5, K=100000)
-        assert n_from_constraints(3, 0.5, 7, ctx) == 7
+        assert min_trials(3, 0.5, ctx) <= 7
 
     def test_output_satisfies_variance_floor(self, rng):
         for _ in range(200):
@@ -592,7 +599,7 @@ class TestNFromConstraints:
             delta = 10.0 ** rng.uniform(-10, -1)
             K = int(rng.integers(1, 3000))
             ctx = PrivacyContext(d=d, delta=delta, K=K)
-            n = n_from_constraints(q, p, int(rng.integers(2, 64)), ctx)
+            n = max(int(min_trials(q, p, ctx)), int(rng.integers(2, 64)))
             # exact: the product form holds at n, the gate accepts the floor and
             # rejects one less
             thr = dp_variance_threshold(q, d, delta)
@@ -617,7 +624,7 @@ class TestQbar:
             ctx = make_context(system)
             cfg = small_cfg(eps_bar=float(rng.uniform(5, 200)))
             try:
-                qb = qbar(system, cfg, ctx)
+                qb = qbar(system, cfg.eps_bar, ctx)
             except AllInfeasibleError:
                 assert qbar_envelope(2, system, ctx) > cfg.eps_bar
                 continue
@@ -654,7 +661,7 @@ class TestQbar:
         cfg = small_cfg(eps_bar=1e6)
         bound = domain_bound(system)
         assert qbar_envelope(bound, system, ctx) <= cfg.eps_bar
-        assert qbar(system, cfg, ctx) == bound
+        assert qbar(system, cfg.eps_bar, ctx) == bound
 
     def test_monotone_in_p_max(self):
         ctx = PrivacyContext(d=20, delta=1e-4, K=10)
@@ -668,7 +675,7 @@ class TestQbar:
                 p_min=system.p_min, p_max=p_max, gains=system.gains,
             )
             try:
-                qb = qbar(scaled, cfg, ctx)
+                qb = qbar(scaled, cfg.eps_bar, ctx)
             except AllInfeasibleError:
                 qb = 1
             assert qb >= prev
@@ -718,12 +725,13 @@ class TestErrorMachinery:
         ctx = make_context(system)
         floor_fits = min_trials(2, 0.5, ctx) <= n_cap
         try:
-            _, stats = solve_with_stats(system, small_cfg(eps_bar=eps_bar, lam=0.05, n_cap=n_cap), ctx)
+            solve_with_stats(system, small_cfg(eps_bar=eps_bar, lam=0.05, n_cap=n_cap), ctx)
         except InfeasibleError:
             return
         assert floor_fits
-        assert type(stats.eta) is float and type(stats.mu) is float
-        assert 0.0 < stats.eta <= 0.25 and stats.mu >= 2.0
+        eta, mu = eta_and_mu_values(n_cap, ctx)
+        assert type(eta) is float and type(mu) is float
+        assert 0.0 < eta <= 0.25 and mu >= 2.0
 
     def test_lambda_strictly_below_target(self, rng):
         for _ in range(30):
@@ -784,9 +792,11 @@ class TestSolve:
         cfg = RunConfig.from_yaml(DESK_CONFIG)
         system = cfg.build_system()
         ctx = cfg.build_context(system)
-        sol, stats = solve_with_stats(system, cfg.build_solver(ctx), ctx)
+        scfg = cfg.build_solver(ctx)
+        sol, _ = solve_with_stats(system, scfg, ctx)
         assert type(sol.epsilon_achieved) is float
-        assert type(stats.eta) is float and type(stats.mu) is float
+        eta, mu = eta_and_mu_values(scfg.n_cap, ctx)
+        assert type(eta) is float and type(mu) is float
 
     def test_complexity_counters(self):
         system = make_system()
