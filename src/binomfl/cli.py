@@ -3,7 +3,8 @@
 Every command reads one YAML config (all keys optional), prints a short
 human summary and returns its CSV/JSON files by name; ``main`` then writes
 them into --out in order, through one writer, and prints ``wrote <path>``
-after each.  A command that fails writes no file.  Exit codes:
+after each.  A command that fails writes no file.  Exit codes, each the
+``exit_code`` of its ``binomfl.errors`` class:
 
     0  success
     2  config error, or an output file that cannot be written
@@ -14,6 +15,9 @@ after each.  A command that fails writes no file.  Exit codes:
     5  privacy bound unreachable within the trial-count cap
     7  simulation diverged
     8  channel cannot carry the minimal payload
+
+NotApplicableError and the base class keep 1, which the CLI never returns:
+every tuple it certifies clears the variance floor.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import math
 import sys as _sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,38 +41,13 @@ from .config import (
     child_seed,
     rng_for,
 )
-from .errors import (
-    AllInfeasibleError,
-    BinomflError,
-    ConfigError,
-    DivergedError,
-    EmptyDomainError,
-    InfeasibleError,
-    PrivacyInfeasibleError,
-)
+from .errors import AllInfeasibleError, BinomflError, ConfigError, EmptyDomainError, InfeasibleError
 from .privacy import epsilon_baseline
 from .solver import Solution, eta_and_mu_values, qbar, solve_with_stats, suboptimal_tuple
 from .wireless import watts_to_dbm
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_ALL_INFEASIBLE = 4
-EXIT_PRIVACY_INFEASIBLE = 5
-EXIT_DIVERGED = 7
-EXIT_EMPTY_DOMAIN = 8
-
 # floats one simulate may hold: M*S*d samples and M d-by-d Gram matrices (logistic), M*d (quadratic)
 MAX_SIM_FLOATS = 2**24
-
-_EXIT_BY_ERROR = [
-    (ConfigError, EXIT_CONFIG),
-    (AllInfeasibleError, EXIT_ALL_INFEASIBLE),
-    (PrivacyInfeasibleError, EXIT_PRIVACY_INFEASIBLE),
-    (DivergedError, EXIT_DIVERGED),
-    (EmptyDomainError, EXIT_EMPTY_DOMAIN),
-    (InfeasibleError, EXIT_INFEASIBLE),  # after its subclasses
-]
 
 
 # indent=None selects the C encoder; json.dumps(indent=2) runs the pure-Python one
@@ -288,13 +268,9 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
             name: tr.total_bits for name, tr in traces.items()
         },
         "comm_cost_formula_bits": simmod.comm_cost(rounds, system.K, system.d, sol.q, sol.n),
-        "theoretical_bounds": {
-            "u_hi": bounds.u_hi, "u_hi_iid": bounds.u_hi_iid,
-            "b_lo": bounds.b_lo, "b_hi": bounds.b_hi,
-        },
-        "measured_bias": {"mean": bias.mean, "stderr": bias.stderr, "trials": bias.trials,
-                          "within_bounds": bool(in_sandwich)},
-        "iterations_estimate": {"exact": iters.exact, "order_form": iters.order_form},
+        "theoretical_bounds": asdict(bounds),
+        "measured_bias": {**asdict(bias), "within_bounds": bool(in_sandwich)},
+        "iterations_estimate": asdict(iters),
         "sigma_sq": sigma_sq,
     }
     base_final = traces["baseline"].loss[-1]
@@ -365,10 +341,10 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot write output file: {exc}") from exc
             print(f"wrote {out / name}")
-        return EXIT_OK
+        return 0
     except BinomflError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return next((code for klass, code in _EXIT_BY_ERROR if isinstance(exc, klass)), 1)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

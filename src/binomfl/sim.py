@@ -183,8 +183,7 @@ def measure_bias(task, sol: Solution, trials: int, rng: np.random.Generator) -> 
     privatized counterpart; only the mechanism randomness varies across
     trials.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    trials = as_count("trials", trials, 2)
     K = len(sol.powers)
     grads = task.device_gradients(np.zeros(task.d), list(range(K)))
     mech = MechanismParams(q=sol.q, n=sol.n, p=sol.p, D=task.grad_bound)
@@ -211,8 +210,9 @@ def run_fsgd(task, sys: SystemParams, sol: Solution | None, rounds: int, rng: np
     privatized one the payload's actual index width.  Raises
     :class:`DivergedError` the moment the loss stops being finite.
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    rounds = as_count("rounds", rounds, 1)
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
     if task.d != sys.d:
         raise ValueError(f"task dimension {task.d} != system dimension {sys.d}")
     mech = None

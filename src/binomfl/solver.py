@@ -324,16 +324,10 @@ def lambda_for_rho(rho: float, mu: float) -> float:
 
 def p_grid(lambda_step: float) -> list[float]:
     """Probability grid {1/2} plus every multiple of the pitch in (1/2, 1)."""
-    grid = [0.5]
-    i = math.floor(0.5 / lambda_step) + 1
-    while True:
-        p = i * lambda_step
-        if p >= 1.0:
-            break
-        if p > 0.5:
-            grid.append(p)
-        i += 1
-    return grid
+    # i * lambda_step from the first multiple past 1/2 to the first at or
+    # past 1: each the same IEEE product as Python's int * float
+    p = np.arange(math.floor(0.5 / lambda_step) + 1, math.floor(1.0 / lambda_step) + 2) * lambda_step
+    return [0.5] + p[(p > 0.5) & (p < 1.0)].tolist()
 
 
 def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:

@@ -103,25 +103,3 @@ class LogisticRegressionTask:
         X = self.X[ks]
         resid = _sigmoid(X @ w) - self.y[ks]
         return np.einsum("kij,ki->kj", X, resid) / self.n_per + self.l2 * w[None, :]
-
-
-class FixedGradientTask:
-    """Frozen gradient table; the loss is irrelevant, only gradients matter.
-
-    Used to probe the mechanism bias at a controlled gradient population.
-    """
-
-    def __init__(self, gradients: np.ndarray, grad_bound: float):
-        g = np.asarray(gradients, dtype=np.float64)
-        if g.ndim != 2:
-            raise ValueError("gradients must have shape (M, d)")
-        self.M, self.d = g.shape
-        self._g = g
-        self.grad_bound = float(grad_bound)
-        self.smoothness = 1.0
-
-    def loss(self, w: np.ndarray) -> float:
-        return 0.0
-
-    def device_gradients(self, w: np.ndarray, devices) -> np.ndarray:
-        return self._g[np.asarray(devices)]

@@ -45,10 +45,10 @@ from binomfl.solver import (
     qbar_envelope,
     solve,
 )
-from binomfl.tasks import FixedGradientTask, LogisticRegressionTask
+from binomfl.tasks import LogisticRegressionTask
 from binomfl.wireless import SystemParams, assign_powers, domain_bound
 
-from conftest import make_context, make_system
+from conftest import FixedGradientTask, make_context, make_system
 
 
 @contextlib.contextmanager

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from binomfl.cli import EXIT_OK, main
+from binomfl.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 FULL_SCALE_EPS_BARS = ["5.00", "7.50", "10.00"]
@@ -40,7 +40,7 @@ SIMULATE_FILES = ["summary.json", "trace_baseline.csv", "trace_optimized.csv", "
 
 def _run_desk(argv, out):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--config", str(DESK_CONFIG), "--out", str(out)]) == EXIT_OK
+        assert main([*argv, "--config", str(DESK_CONFIG), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("argv, name", list(COMMANDS.values()), ids=list(COMMANDS))
@@ -66,6 +66,6 @@ def test_full_scale_solve_matches_golden(eps_bar, tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(f"solver:\n  eps_bar: {eps_bar}\n")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
     golden = GOLDEN / "full_scale" / f"solution_eps_bar_{eps_bar}.json"
     assert (tmp_path / "solution.json").read_bytes() == golden.read_bytes()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from binomfl import sim as simmod
-from binomfl.cli import EXIT_OK, main
+from binomfl.cli import main
 from binomfl.errors import DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import (
@@ -31,8 +31,10 @@ from binomfl.sim import (
     theoretical_bounds,
 )
 from binomfl.solver import Solution, objective
-from binomfl.tasks import FixedGradientTask, LogisticRegressionTask, QuadraticBowlTask
+from binomfl.tasks import LogisticRegressionTask, QuadraticBowlTask
 from binomfl.wireless import SystemParams
+
+from conftest import FixedGradientTask
 
 
 def flat_system(K, M, d):
@@ -314,22 +316,42 @@ class TestCommCost:
             comm_cost(*args)
 
 
+def _fsgd(rounds=1, gamma=0.1):
+    return run_fsgd(QuadraticBowlTask(d=4, M=2, seed=0), flat_system(2, 2, 4), None, rounds,
+                    np.random.default_rng(0), gamma=gamma)
+
+
+def _bias(trials):
+    return measure_bias(QuadraticBowlTask(d=4, M=2, seed=0), make_solution(9, 32, 0.5, 2), trials,
+                        np.random.default_rng(0))
+
+
 # each boundary check of the training loop, the bias probe, the round-count
-# estimate and the task constructors, with a piece of its message
+# estimate and the task constructors, with a piece of its message; a
+# boolean round count once ran one round, a fractional count or trial
+# number raised numpy's or range's TypeError, and a NaN step was reported
+# as divergence
 @pytest.mark.parametrize("call, message", [
-    (lambda: run_fsgd(QuadraticBowlTask(d=4, M=2, seed=0), flat_system(2, 2, 4), None, 0,
-                      np.random.default_rng(0), gamma=0.1), "rounds must be >= 1"),
+    (lambda: _fsgd(rounds=0), "rounds must be an integer >= 1"),
+    (lambda: _fsgd(rounds=True), "rounds must be an integer >= 1"),
+    (lambda: _fsgd(rounds=2.5), "rounds must be an integer >= 1"),
+    (lambda: _fsgd(gamma=math.nan), "gamma must be finite and > 0"),
+    (lambda: _fsgd(gamma=math.inf), "gamma must be finite and > 0"),
+    (lambda: _fsgd(gamma=0.0), "gamma must be finite and > 0"),
+    (lambda: _fsgd(gamma=-0.1), "gamma must be finite and > 0"),
     (lambda: run_fsgd(QuadraticBowlTask(d=3, M=2, seed=0), flat_system(2, 2, 4), None, 1,
                       np.random.default_rng(0), gamma=0.1), "task dimension 3 != system dimension 4"),
-    (lambda: measure_bias(QuadraticBowlTask(d=4, M=2, seed=0), make_solution(9, 32, 0.5, 2), 1,
-                          np.random.default_rng(0)), "at least 2 trials"),
+    (lambda: _bias(1), "trials must be an integer >= 2"),
+    (lambda: _bias(2.5), "trials must be an integer >= 2"),
+    (lambda: _bias(True), "trials must be an integer >= 2"),
     (lambda: iterations_estimate(1.0, 1.0, 0.5, 0.5, -1e-12), "sigma_sq must be >= 0"),
     (lambda: QuadraticBowlTask(d=0, M=2, seed=0), "d and M must be >= 1"),
     (lambda: LogisticRegressionTask(d=4, M=2, samples_per_device=0), "samples_per_device must be >= 1"),
     (lambda: LogisticRegressionTask(d=4, M=2, l2=-0.1), "l2 must be >= 0"),
     (lambda: FixedGradientTask(np.zeros(3), grad_bound=1.0), r"shape \(M, d\)"),
-], ids=["fsgd-rounds", "fsgd-dimension", "bias-trials", "iterations-sigma", "quadratic-d", "logistic-samples",
-        "logistic-l2", "fixed-shape"])
+], ids=["fsgd-rounds", "fsgd-rounds-bool", "fsgd-rounds-fraction", "fsgd-gamma-nan", "fsgd-gamma-inf",
+        "fsgd-gamma-zero", "fsgd-gamma-negative", "fsgd-dimension", "bias-trials", "bias-trials-fraction",
+        "bias-trials-bool", "iterations-sigma", "quadratic-d", "logistic-samples", "logistic-l2", "fixed-shape"])
 def test_boundary_argument_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -350,7 +372,7 @@ class TestTraceCsv:
 
         monkeypatch.setattr(simmod, "run_fsgd", recording_run_fsgd)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path)]) == EXIT_OK
+            assert main(["simulate", "--config", str(DESK_CONFIG), "--out", str(tmp_path)]) == 0
         names = ["baseline", "optimized", "suboptimal"]
         assert len(traces) == len(names)
         for name, trace in zip(names, traces):

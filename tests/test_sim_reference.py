@@ -23,13 +23,10 @@ from binomfl.errors import DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import FLOAT32_BITS, SimTrace, bits_per_coord, measure_bias, run_fsgd
 from binomfl.solver import Solution, objective
-from binomfl.tasks import (
-    FixedGradientTask,
-    LogisticRegressionTask,
-    QuadraticBowlTask,
-    _sigmoid,
-)
+from binomfl.tasks import LogisticRegressionTask, QuadraticBowlTask, _sigmoid
 from binomfl.wireless import SystemParams
+
+from conftest import FixedGradientTask
 
 # -- reference forms ---------------------------------------------------------
 

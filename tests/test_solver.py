@@ -751,6 +751,28 @@ class TestErrorMachinery:
             assert all(0.5 < p < 1.0 for p in grid[1:])
             assert len(grid) <= 1.0 / (2.0 * lam) + 2.0
 
+    @staticmethod
+    def loop_grid(lam):
+        # reference form: step i up from past 1/2 until i * lam reaches 1
+        grid = [0.5]
+        i = math.floor(0.5 / lam) + 1
+        while True:
+            p = i * lam
+            if p >= 1.0:
+                break
+            if p > 0.5:
+                grid.append(p)
+            i += 1
+        return grid
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=st.one_of(st.floats(1e-5, 0.5, exclude_max=True),
+                         st.integers(3, 100_000).map(lambda k: 1.0 / k)))
+    def test_grid_equals_the_loop_form(self, lam):
+        grid = p_grid(lam)
+        assert grid == self.loop_grid(lam)
+        assert all(type(p) is float for p in grid)
+
 
 class TestSolve:
     def test_solution_passes_independent_recheck(self):
