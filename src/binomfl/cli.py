@@ -117,6 +117,7 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     system, ctx, scfg = _build(cfg)
     sol, stats = solve_with_stats(system, scfg, ctx)
     eta, mu = eta_and_mu_values(scfg.n_cap, ctx)
+    error_bound = mu * scfg.lambda_step
     report = {
         "spec_version": SPEC_VERSION,
         "eps_bar": scfg.eps_bar,
@@ -129,7 +130,7 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
         "eta": eta,
         "mu": mu,
         "lambda_step": scfg.lambda_step,
-        "relative_error_bound": mu * scfg.lambda_step,
+        "relative_error_bound": error_bound,
         "grid": {
             "q_lo": 2,
             "q_hi": stats.q_hi,
@@ -143,7 +144,7 @@ def cmd_solve(args, cfg: RunConfig) -> dict[str, str]:
     print(f"q={sol.q}  n={sol.n}  p={sol.p:.6g}  objective={sol.objective:.6g}")
     print(f"epsilon achieved {sol.epsilon_achieved:.6g} of budget {scfg.eps_bar:.6g}")
     print(f"eta={eta:.4g}  mu={mu:.4g}  lambda={scfg.lambda_step:.4g}  "
-          f"relative error < {mu * scfg.lambda_step:.4g}")
+          f"relative error < {error_bound:.4g}")
     print(f"grid {stats.q_hi - 1} q-values x {stats.p_grid_size} p-values, "
           f"{stats.eps_evaluations} budget evaluations")
     lo, hi = min(sol.powers), max(sol.powers)
@@ -289,6 +290,10 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     return {**files, "summary.json": _json(summary)}
 
 
+# argparse reads "--values -10,0" as a missing value followed by an option
+_NEGATIVE_FIRST = "; a list that starts with a negative value takes the = form, e.g. --values=-10,0"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="binomfl",
@@ -307,15 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="re-solve along one parameter axis")
     p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p.add_argument("--values", required=True, help="ascending comma-separated values "
-                   "(p_max in dBm, W in Hz, T in s)")
+                   "(p_max in dBm, W in Hz, T in s)" + _NEGATIVE_FIRST)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("compare-eps", parents=[common], help="tight vs classical budget on solved tuples")
-    p.add_argument("--values", help="eps_bar values (default 1..10)")
+    p.add_argument("--values", help="eps_bar values (default 1..10)" + _NEGATIVE_FIRST)
     p.set_defaults(func=cmd_compare_eps)
 
     p = sub.add_parser("qbar", parents=[common], help="quantization-level cap across max power")
-    p.add_argument("--values", help="p_max values in dBm (default 1..20)")
+    p.add_argument("--values", help="p_max values in dBm (default 1..20)" + _NEGATIVE_FIRST)
     p.set_defaults(func=cmd_qbar)
 
     p = sub.add_parser("simulate", parents=[common], help="desk-scale training runs with the solved tuple")

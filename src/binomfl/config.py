@@ -18,7 +18,6 @@ streams of existing ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -115,7 +114,6 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-@dataclass
 class RunConfig:
     """Validated run configuration; build_* methods yield module-level types.
 
@@ -125,18 +123,11 @@ class RunConfig:
     checked values.  The solver section is checked at the file's lambda_step.
     """
 
-    raw: dict = field(default_factory=lambda: dict(DEFAULTS))
-    seed: int = field(init=False, repr=False, compare=False)
-    sim: dict = field(init=False, repr=False, compare=False)
-    output_dir: str = field(init=False, repr=False, compare=False)
-    eps_bar: float = field(init=False, repr=False, compare=False)
-    _solver: SolverConfig = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, raw: dict | None = None):
+        self.raw = dict(DEFAULTS) if raw is None else raw
         self.seed = validate_integer("seed", self.raw["seed"], 0)
-        channel_seed = self.raw["system"]["channel"]["seed"]
-        if channel_seed is not None:
-            validate_integer("system.channel.seed", channel_seed, 0)
+        ch_seed = self.raw["system"]["channel"]["seed"]
+        self._channel_seed = None if ch_seed is None else validate_integer("system.channel.seed", ch_seed, 0)
         self.sim = self._checked_sim()
         self.output_dir = self.raw["output"]["dir"]
         if not isinstance(self.output_dir, str):
@@ -172,14 +163,14 @@ class RunConfig:
 
     def channel_sampler(self) -> ChannelSampler:
         ch = self.raw["system"]["channel"]
-        seed = ch["seed"] if ch["seed"] is not None else child_seed(self.seed, ROLE_GAINS)
+        seed = child_seed(self.seed, ROLE_GAINS) if self._channel_seed is None else self._channel_seed
         try:
             return ChannelSampler(
                 g0=validate_db("system.channel.reference_gain_db", ch["reference_gain_db"], db_to_linear),
                 d0=validate_real("system.channel.reference_distance_m", ch["reference_distance_m"]),
                 d_min=validate_real("system.channel.distance_min_m", ch["distance_min_m"]),
                 d_max=validate_real("system.channel.distance_max_m", ch["distance_max_m"]),
-                seed=int(seed),
+                seed=seed,
                 semantics=str(ch["gain_semantics"]),
             )
         except (TypeError, ValueError, OverflowError) as exc:
@@ -261,9 +252,11 @@ class RunConfig:
 
 
 def validate_real(name: str, value, interval: str = "(-inf, inf)", ok=lambda v: True) -> float:
-    """``value`` as a float; raises :class:`ConfigError` unless it is a
-    finite number, not a boolean, for which ``ok`` holds (by default any: the
-    type built from the value, e.g. SystemParams, checks its range)."""
+    """``float(value)``; raises :class:`ConfigError` unless that is finite,
+    ``value`` is not a boolean, and ``ok`` holds (by default any: the type
+    built from the value, e.g. SystemParams, checks its range).  A string
+    that ``float`` reads passes, so the unquoted ``1e-4`` that PyYAML loads
+    as a string works, and so do ``"30"`` and ``"1_000"``."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):

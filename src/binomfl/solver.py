@@ -117,14 +117,16 @@ class SolverConfig:
         ctx: PrivacyContext,
         bit_cap: int | None = None,
     ) -> "SolverConfig":
-        """Build a config whose grid pitch guarantees relative error < rho."""
+        """Build a config whose grid pitch guarantees relative error < rho: any
+        pitch strictly below rho/mu does, and a margin keeps it clear of rho/mu."""
         if not (math.isfinite(rho) and rho > 0.0):  # before a NaN reaches the pitch check
             raise ValueError(f"rho must be positive and finite, got {rho}")
         _, mu = eta_and_mu_values(n_cap, ctx)
-        lambda_step = lambda_for_rho(rho, mu)
+        margin = 0.99
+        lambda_step = margin * rho / mu
         if lambda_step >= 0.5:
             raise ValueError(f"rho = {rho} gives a grid pitch {lambda_step:.4g} >= 1/2; "
-                             f"rho must be below {0.5 * mu / 0.99:.4g} here")
+                             f"rho must be below {0.5 * mu / margin:.4g} here")
         return cls(eps_bar=eps_bar, lambda_step=lambda_step, n_cap=n_cap, rho=rho, bit_cap=bit_cap)
 
 
@@ -311,23 +313,12 @@ def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
     return eta, mu_from_eta(eta)
 
 
-def lambda_for_rho(rho: float, mu: float) -> float:
-    """Grid pitch that keeps the relative-error guarantee under rho.
-
-    Any pitch strictly below rho/mu qualifies; a 0.99 safety factor keeps
-    the returned value clear of the boundary.
-    """
-    if rho <= 0.0 or mu <= 0.0:
-        raise ValueError("rho and mu must be positive")
-    return 0.99 * rho / mu
-
-
-def p_grid(lambda_step: float) -> list[float]:
-    """Probability grid {1/2} plus every multiple of the pitch in (1/2, 1)."""
+def p_grid(lambda_step: float) -> np.ndarray:
+    """Probability grid {1/2} plus every multiple of the pitch in (1/2, 1), as float64."""
     # i * lambda_step from the first multiple past 1/2 to the first at or
     # past 1: each the same IEEE product as Python's int * float
     p = np.arange(math.floor(0.5 / lambda_step) + 1, math.floor(1.0 / lambda_step) + 2) * lambda_step
-    return [0.5] + p[(p > 0.5) & (p < 1.0)].tolist()
+    return np.concatenate(([0.5], p[(p > 0.5) & (p < 1.0)]))
 
 
 def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:
@@ -405,12 +396,10 @@ def solve_with_stats(
             f"{MAX_GRID_CELLS} one solve may hold; set solver.bit_cap, or a "
             "coarser lambda_step or rho"
         )
-    grid = p_grid(cfg.lambda_step)
-
     # a (Q, 1) column of q values against a (1, P) row of p values; cells
     # are numbered q-major over the ascending p grid
     q = np.arange(2, q_hi + 1)[:, None]
-    p = np.array(grid)[None, :]
+    p = p_grid(cfg.lambda_step)[None, :]
     n1, evals = lockstep_min_n(
         tight_epsilon_factors(q, p, ctx.d, ctx.delta),
         tight_epsilon_at_n, tight_epsilon_lead, cfg.eps_bar, cfg.n_cap,
@@ -431,7 +420,7 @@ def solve_with_stats(
             )
         raise InfeasibleError("no feasible grid point")
     stats = SolveStats(
-        p_grid_size=len(grid), q_hi=q_hi,
+        p_grid_size=p.size, q_hi=q_hi,
         cells_total=int(n1.size),
         cells_feasible=int(q_f.size),
         eps_evaluations=int(evals.sum()),

@@ -38,7 +38,6 @@ from binomfl.solver import (
     brute_force_solve,
     check_solution,
     eta_and_mu_values,
-    lambda_for_rho,
     lockstep_min_n,
     objective,
     qbar,
@@ -167,8 +166,8 @@ def test_criterion_04_relative_error_guarantee():
             eps_floor = tight_epsilon_value(2, n_max, 0.5, ctx.d, ctx.delta)
             eps_bar = eps_floor * float(rng.uniform(1.1, 3.0))
             for rho in (0.05, 0.1, 0.3):
-                lam = lambda_for_rho(rho, mu)
-                cfg = SolverConfig(eps_bar=eps_bar, lambda_step=lam, n_cap=n_cap, rho=rho)
+                cfg = SolverConfig.for_target_error(eps_bar, rho, n_cap, ctx)
+                lam = cfg.lambda_step
                 sol = solve(system, cfg, ctx)
                 oracle = brute_force_solve(system, cfg, ctx, fine_factor=3)
                 ratio = sol.objective / oracle.objective

@@ -483,6 +483,9 @@ class TestExitCodes:
         # a bool once ran as K = 1 and exited 3; fractions were truncated
         ("solve", "  selected: 12\n", "  selected: true\n"),
         ("solve", "  selected: 12\n", "  selected: 12.9\n"),
+        # a count takes no string, not even one that spells an integer
+        ("solve", "  selected: 12\n", '  selected: "12"\n'),
+        ("solve", "  n_cap: 256\n", '  n_cap: "256"\n'),
         ("solve", "  population: 60\n", "  population: 60.5\n"),
         ("solve", "  dimension: 40\n", "  dimension: false\n"),
         ("solve", "  n_cap: 256\n", "  n_cap: 255.7\n"),
@@ -531,6 +534,17 @@ class TestExitCodes:
         assert err.startswith("error: bad --values list '1,abc': ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("argv, output, first", [
+        (["qbar", "--values=-10,0,30"], "qbar_sweep.csv", ["-10.0", "empty_domain", ""]),
+        (["sweep", "--axis", "p_max", "--values=-10,30"], "sweep_p_max.csv", ["-10.0", "infeasible", "", "", "", ""]),
+    ], ids=["qbar", "sweep-p_max"])
+    def test_negative_values_with_the_equals_form(self, argv, output, first, tmp_path):
+        # "--values -10,0" reads -10,0 as an option; "--values=-10,0" does not
+        code, err = self.run_in_process(tmp_path, SMALL_CONFIG, *argv)
+        assert (code, err) == (0, "")
+        _, rows = read_csv(tmp_path / "o" / output)
+        assert len(rows) == len(argv[-1].split(",")) and rows[0] == first
 
     def test_coarse_rho_blames_rho(self, tmp_path):
         # rho 5 at desk (mu = 7.635) asks for a pitch 0.648; the error once

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from binomfl.config import (
     ROLE_BIAS,
@@ -49,6 +50,22 @@ class TestMergeAndDefaults:
         path.write_text("system:\n  selected: 3\n  gains: [1.0, 2.0]\n")
         with pytest.raises(ConfigError):
             RunConfig.from_yaml(path).build_system()
+
+    # a real-valued key takes whatever float() reads, so a string that spells
+    # a number loads; PyYAML reads an unquoted 1e-4 (no dot) as such a string
+    @pytest.mark.parametrize("section, key, literal, value", [
+        ("system", "delta", "1e-4", 1e-4),
+        ("solver", "eps_bar", '"30"', 30.0),
+        ("system", "bandwidth_hz", '"1_000"', 1000.0),
+    ], ids=["delta-unquoted-1e-4", "eps_bar-quoted", "bandwidth_hz-underscore"])
+    def test_number_string_on_a_real_key_loads(self, section, key, literal, value, tmp_path):
+        text = f"{section}:\n  {key}: {literal}\n"
+        assert isinstance(yaml.safe_load(text)[section][key], str)
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        cfg = RunConfig.from_yaml(path).merged({"system": {"selected": 5, "population": 9, "dimension": 3}})
+        system = cfg.build_system()
+        assert {"delta": system.delta, "eps_bar": cfg.eps_bar, "bandwidth_hz": system.W}[key] == value
 
     def test_rho_derives_lambda(self, tmp_path):
         path = tmp_path / "c.yaml"

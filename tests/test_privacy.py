@@ -405,6 +405,54 @@ class TestSplitKernel:
             assert tight_epsilon_at_n(one, np.array(ns, dtype=np.float64)).tolist() == expected
 
 
+class TestHalfIsTheMostPrivateShape:
+    """p = 1/2 gives the smallest tight budget, asserted exactly in float.
+
+    Each example evaluates a row p = 1/2 +- k * pitch, k = 0..63, with a
+    pitch of at least 2^-20 (the 1.25e-6 grid pitch that rho 0.1 asks for at
+    the built-in scale lies above it).  The search's p grid starts at 1/2
+    and relies on both facts.  Within a few ulps of 1/2 the float kernel can
+    reverse them by one ulp; the last test pins such a point.
+    """
+
+    ROW = dict(
+        q=st.integers(2, 5000),
+        n=st.one_of(st.integers(2, 2000), st.integers(2, 2**40)),
+        d=st.integers(1, 2**24),
+        log_delta=st.floats(-14.0, -1.0),
+        pitch=st.floats(2.0**-20, 2.0**-7),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+
+    @staticmethod
+    def row(pitch, side):
+        # p moves away from 1/2 as k grows; 63 * 2^-7 keeps it inside (0, 1)
+        return 0.5 + side * pitch * np.arange(64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**ROW)
+    def test_non_decreasing_in_distance_from_half_at_fixed_n(self, q, n, d, log_delta, pitch, side):
+        p = self.row(pitch, side)
+        eps = tight_epsilon_at_n(tight_epsilon_factors(q, p, d, 10.0**log_delta), n)
+        assert np.all(np.diff(eps) >= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**ROW, log_x=st.floats(0.0, 12.0))
+    def test_smallest_at_half_at_fixed_variance(self, q, n, d, log_delta, pitch, side, log_x):
+        # x = n*p*(1-p) held fixed, with the real n = x/(p*(1-p)); n = 4x at 1/2
+        p = self.row(pitch, side)
+        x = 10.0**log_x
+        eps = tight_epsilon_at_n(tight_epsilon_factors(q, p, d, 10.0**log_delta), x / (p * (1.0 - p)))
+        assert np.all(eps >= eps[0])
+
+    def test_rounding_edge_within_ulps_of_half(self):
+        # 49 ulps above 1/2 the float kernel sits one ulp below its value at
+        # 1/2, so the facts hold exactly only away from 1/2
+        d, delta = 4412434, 0.0038662301594136086
+        near = tight_epsilon_value(1472, 1765, 0.5000000000000054, d, delta)
+        assert near == np.nextafter(tight_epsilon_value(1472, 1765, 0.5, d, delta), 0.0)
+
+
 class TestLead:
     """The first summand alone, which the search compares against eps_bar to
     rule out cells before it builds their factors.  That is sound because of

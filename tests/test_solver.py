@@ -35,7 +35,6 @@ from binomfl.solver import (
     brute_force_solve,
     check_solution,
     eta_and_mu_values,
-    lambda_for_rho,
     lockstep_min_n,
     mu_from_eta,
     objective,
@@ -580,6 +579,62 @@ class TestLockstepSearch:
         assert built == [((stats.q_hi - 1, 1), (1, stats.p_grid_size))]
 
 
+class TestHalfColumnDecides:
+    """In the search's (q, p) grid the p = 1/2 column bounds every row: a row
+    that reaches the budget at some p reaches it at 1/2, and no reached cell
+    needs fewer trials than the row's 1/2 cell.  Asserted exactly."""
+
+    @staticmethod
+    def assert_half_column_decides(n1):
+        # n1 on the (Q, P) grid, its first column p = 1/2
+        reached = n1 > 0
+        assert np.all(n1[reached.any(axis=1), 0] > 0)
+        assert np.all(n1[reached] >= np.broadcast_to(n1[:, :1], n1.shape)[reached])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q_hi=st.integers(2, 200),
+        d=st.integers(1, 2**24),
+        log_delta=st.floats(-14.0, -1.0),
+        n_cap=st.integers(2, 2**30),
+        # eps_bar this many times the budget at q = 2, p = 1/2 and n_cap, so
+        # that row is reached and others may be
+        log_slack=st.floats(0.0, 2.0),
+        lam=st.one_of(st.integers(4, 250).map(lambda k: 1.0 / k), st.floats(0.004, 0.25)),
+    )
+    def test_lockstep_output(self, q_hi, d, log_delta, n_cap, log_slack, lam):
+        delta = 10.0**log_delta
+        eps_bar = tight_epsilon_value(2, n_cap, 0.5, d, delta) * 10.0**log_slack
+        q = np.arange(2, q_hi + 1)[:, None]
+        p = p_grid(lam)[None, :]
+        n1, _ = lockstep_min_n(tight_epsilon_factors(q, p, d, delta), tight_epsilon_at_n, tight_epsilon_lead,
+                               eps_bar, n_cap)
+        n1 = n1.reshape(q.size, p.size)
+        assert n1[0, 0] > 0
+        self.assert_half_column_decides(n1)
+
+    @pytest.mark.parametrize("config, eps_bar", [
+        (DESK_CONFIG, 20.0), (DESK_CONFIG, 30.0), (DESK_CONFIG, 45.0), (DESK_CONFIG, 100.0),
+        (None, 5.0), (None, 7.5), (None, 10.0),
+    ], ids=["desk-20", "desk-30", "desk-45", "desk-100", "defaults-5", "defaults-7.5", "defaults-10"])
+    def test_solve_grid(self, config, eps_bar, monkeypatch):
+        grids = []
+
+        def recorded(factors, *args):
+            n1, evals = lockstep_min_n(factors, *args)
+            grids.append(n1.reshape(np.broadcast_shapes(*map(np.shape, factors))))
+            return n1, evals
+
+        monkeypatch.setattr(solver_module, "lockstep_min_n", recorded)
+        cfg = (RunConfig.from_yaml(config) if config else RunConfig.defaults()).merged({"solver": {"eps_bar": eps_bar}})
+        system = cfg.build_system()
+        ctx = cfg.build_context(system)
+        _, stats = solve_with_stats(system, cfg.build_solver(ctx), ctx)
+        [n1] = grids
+        assert n1.shape == (stats.q_hi - 1, stats.p_grid_size)
+        self.assert_half_column_decides(n1)
+
+
 class TestNFromConstraints:
     def test_floor_term_wins(self):
         ctx = PrivacyContext(d=1000, delta=1e-6, K=5)
@@ -734,12 +789,19 @@ class TestErrorMachinery:
         assert 0.0 < eta <= 0.25 and mu >= 2.0
 
     def test_lambda_strictly_below_target(self, rng):
-        for _ in range(30):
+        checked = 0
+        while checked < 30:
+            ctx = PrivacyContext(d=int(rng.integers(2, 200)), delta=float(rng.uniform(1e-6, 0.05)),
+                                 K=int(rng.integers(1, 100)))
+            n_cap = int(rng.integers(2, 10_000))
             rho = float(rng.uniform(0.01, 1.0))
-            mu = float(rng.uniform(2.0, 100.0))
-            lam = lambda_for_rho(rho, mu)
-            assert lam < rho / mu
-        assert lambda_for_rho(0.1, 10.0) == pytest.approx(0.0099)
+            if min_trials(2, 0.5, ctx) > n_cap:
+                continue
+            cfg = SolverConfig.for_target_error(10.0, rho, n_cap, ctx)
+            _, mu = eta_and_mu_values(n_cap, ctx)
+            assert cfg.lambda_step < rho / mu
+            assert cfg.lambda_step / (rho / mu) == pytest.approx(0.99)
+            checked += 1
 
     def test_grid_size_bound(self, rng):
         # the 1/(2 lambda) + 1 count is off by up to one point (integer
@@ -770,8 +832,8 @@ class TestErrorMachinery:
                          st.integers(3, 100_000).map(lambda k: 1.0 / k)))
     def test_grid_equals_the_loop_form(self, lam):
         grid = p_grid(lam)
-        assert grid == self.loop_grid(lam)
-        assert all(type(p) is float for p in grid)
+        assert grid.dtype == np.float64
+        assert grid.tolist() == self.loop_grid(lam)
 
 
 class TestSolve:
@@ -932,8 +994,7 @@ class TestBruteForce:
         # the oracle may call the budget kernel, never the search it checks
         system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
         ctx = make_context(system)
-        _, mu = eta_and_mu_values(64, ctx)
-        cfg = SolverConfig(eps_bar=40.0, lambda_step=lambda_for_rho(0.1, mu), n_cap=64, rho=0.1)
+        cfg = SolverConfig.for_target_error(40.0, 0.1, 64, ctx)
         expected = brute_force_solve(system, cfg, ctx, fine_factor=3)
 
         def forbidden(*args, **kwargs):
@@ -956,8 +1017,8 @@ class TestBruteForce:
         ctx = make_context(system)
         eta, mu = eta_and_mu_values(64, ctx)
         assert eta < 0.25
-        lam = lambda_for_rho(0.1, mu)
-        cfg = SolverConfig(eps_bar=40.0, lambda_step=lam, n_cap=64, rho=0.1)
+        cfg = SolverConfig.for_target_error(40.0, 0.1, 64, ctx)
+        lam = cfg.lambda_step
         sol = solve(system, cfg, ctx)
         oracle = brute_force_solve(system, cfg, ctx, fine_factor=3)
         assert sol.objective <= oracle.objective * (1.0 + mu * lam)
