@@ -411,8 +411,9 @@ class TestHalfIsTheMostPrivateShape:
     Each example evaluates a row p = 1/2 +- k * pitch, k = 0..63, with a
     pitch of at least 2^-20 (the 1.25e-6 grid pitch that rho 0.1 asks for at
     the built-in scale lies above it).  The search's p grid starts at 1/2
-    and relies on both facts.  Within a few ulps of 1/2 the float kernel can
-    reverse them by one ulp; the last test pins such a point.
+    and relies on both facts.  Between points closer to 1/2 (within ~3e-7)
+    the float kernel can reverse them by one ulp; the last test pins such a
+    point a few ulps past 1/2.
     """
 
     ROW = dict(
