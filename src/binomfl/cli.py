@@ -31,8 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sim as simmod
-from . import tasks as tasksmod
 from .config import (
     ROLE_BIAS,
     ROLE_SIM,
@@ -216,6 +214,9 @@ def cmd_qbar(args, cfg: RunConfig) -> dict[str, str]:
 
 
 def _build_task(s: dict, system, seed: int):
+    # imported here, so the other commands start without the task module
+    from . import tasks as tasksmod
+
     M, d, S = system.M, system.d, s["samples_per_device"]
     floats = M * d * max(S, d) if s["task"] == "logistic" else M * d
     if floats > MAX_SIM_FLOATS:  # before any array exists
@@ -229,6 +230,9 @@ def _build_task(s: dict, system, seed: int):
 
 
 def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
+    # imported here, so the other commands start without the simulator
+    from . import sim as simmod
+
     s = cfg.sim
     system, ctx, scfg = _build(cfg)
     task = _build_task(s, system, cfg.seed)
@@ -294,43 +298,64 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
 _NEGATIVE_FIRST = "; a list that starts with a negative value takes the = form, e.g. --values=-10,0"
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> its help line, in the order -h lists them
+COMMANDS = {"solve": "solve the joint problem once", "sweep": "re-solve along one parameter axis",
+            "compare-eps": "tight vs classical budget on solved tuples",
+            "qbar": "quantization-level cap across max power",
+            "simulate": "desk-scale training runs with the solved tuple"}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with ``command``'s subparser alone when it names one, else with all five.
+
+    ``main`` passes the command it runs: building the other four subparsers
+    takes about twice as long as building and parsing with that one.
+    """
     parser = argparse.ArgumentParser(
         prog="binomfl",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="YAML config file (defaults built in)")
-    common.add_argument("--out", help="output directory (default: config output.dir)")
-    common.add_argument("--seed", type=int, help="override the top-level seed")
-
-    p = sub.add_parser("solve", parents=[common], help="solve the joint problem once")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("sweep", parents=[common], help="re-solve along one parameter axis")
-    p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
-    p.add_argument("--values", required=True, help="ascending comma-separated values "
-                   "(p_max in dBm, W in Hz, T in s)" + _NEGATIVE_FIRST)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("compare-eps", parents=[common], help="tight vs classical budget on solved tuples")
-    p.add_argument("--values", help="eps_bar values (default 1..10)" + _NEGATIVE_FIRST)
-    p.set_defaults(func=cmd_compare_eps)
-
-    p = sub.add_parser("qbar", parents=[common], help="quantization-level cap across max power")
-    p.add_argument("--values", help="p_max values in dBm (default 1..20)" + _NEGATIVE_FIRST)
-    p.set_defaults(func=cmd_qbar)
-
-    p = sub.add_parser("simulate", parents=[common], help="desk-scale training runs with the solved tuple")
-    p.set_defaults(func=cmd_simulate)
+    if command in COMMANDS:
+        # an error's usage line still names all five; set only here, since a
+        # metavar also renames the argument in the "invalid choice" and
+        # "required" errors, which only the full parser prints
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+        _add_command(sub, command)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name in COMMANDS:
+            _add_command(sub, name)
     return parser
 
 
+def _add_command(sub, name: str) -> None:
+    # each cmd_* is looked up when the parser is built, so a replaced one is run
+    p = sub.add_parser(name, help=COMMANDS[name])
+    p.add_argument("--config", help="YAML config file (defaults built in)")
+    p.add_argument("--out", help="output directory (default: config output.dir)")
+    p.add_argument("--seed", type=int, help="override the top-level seed")
+    if name == "solve":
+        p.set_defaults(func=cmd_solve)
+    elif name == "sweep":
+        p.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
+        p.add_argument("--values", required=True, help="ascending comma-separated values "
+                       "(p_max in dBm, W in Hz, T in s)" + _NEGATIVE_FIRST)
+        p.set_defaults(func=cmd_sweep)
+    elif name == "compare-eps":
+        p.add_argument("--values", help="eps_bar values (default 1..10)" + _NEGATIVE_FIRST)
+        p.set_defaults(func=cmd_compare_eps)
+    elif name == "qbar":
+        p.add_argument("--values", help="p_max values in dBm (default 1..20)" + _NEGATIVE_FIRST)
+        p.set_defaults(func=cmd_qbar)
+    else:
+        p.set_defaults(func=cmd_simulate)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = _sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = RunConfig.from_yaml(args.config) if args.config else RunConfig.defaults()
         if args.seed is not None:

@@ -1,5 +1,6 @@
 """Command-line front end: outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -825,6 +826,44 @@ class TestExitCodes:
             main(["--help"])
         out = capsys.readouterr().out
         assert "Exit codes" in out and "privacy" in out
+
+
+def parser_exit(call):
+    """The stdout, stderr and exit code of a call that argparse ends."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        call()
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+class TestParser:
+    # main builds the named command's subparser alone; help and every parse
+    # error must read as they do from the parser with all five
+    @pytest.mark.parametrize("argv", [
+        ["-h"], *([cmd, "-h"] for cmd in cli.COMMANDS),
+        [], ["foo"], ["--config", "x", "solve"],
+        ["solve", "--bogus"], ["solve", "extra"], ["solve", "--out"], ["solve", "--seed", "x"],
+        ["sweep"], ["sweep", "--axis", "K"], ["sweep", "--axis", "bad", "--values", "1"],
+        ["qbar", "--values", "-10,0"], ["simulate", "--seed"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_main_prints_what_the_full_parser_prints(self, argv):
+        assert parser_exit(lambda: main(argv)) == parser_exit(lambda: cli.build_parser().parse_args(argv))
+
+    def test_a_call_builds_only_its_commands_subparser(self, tmp_path, monkeypatch):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "--out", str(tmp_path)]) == 0
+        assert added == ["solve"]
+        added.clear()
+        cli.build_parser()
+        assert added == ["solve", "sweep", "compare-eps", "qbar", "simulate"]
 
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"

@@ -7,9 +7,13 @@ import types
 import pytest
 
 
-# wireless takes the integer rule for its counts from privacy
-@pytest.mark.parametrize("module, dependencies", [("privacy", ["errors"]), ("wireless", ["errors", "privacy"])],
-                         ids=["privacy", "wireless"])
+# wireless takes the integer rule for its counts from privacy; cli loads
+# sim and tasks only when simulate runs
+@pytest.mark.parametrize("module, dependencies", [
+    ("privacy", ["errors"]),
+    ("wireless", ["errors", "privacy"]),
+    ("cli", ["config", "errors", "privacy", "solver", "wireless"]),
+], ids=["privacy", "wireless", "cli"])
 def test_importing_a_module_loads_only_its_dependencies(module, dependencies):
     # a fresh interpreter, so modules other tests imported do not count
     code = (
