@@ -228,7 +228,7 @@ class RunConfig:
         sv = self.raw["solver"]
         try:
             return SolverConfig(
-                eps_bar=validate_real("eps_bar", sv["eps_bar"], "(0, inf)", lambda v: v > 0.0),
+                eps_bar=validate_real("solver.eps_bar", sv["eps_bar"], "(0, inf)", lambda v: v > 0.0),
                 lambda_step=validate_real("solver.lambda_step", sv["lambda_step"]),
                 n_cap=validate_integer("solver.n_cap", sv["n_cap"]),
                 bit_cap=None if sv["bit_cap"] is None else validate_integer("solver.bit_cap", sv["bit_cap"]),
@@ -251,18 +251,20 @@ class RunConfig:
         return s
 
 
-def validate_real(name: str, value, interval: str = "(-inf, inf)", ok=lambda v: True) -> float:
+def validate_real(name: str, value, interval: str | None = None, ok=lambda v: True) -> float:
     """``float(value)``; raises :class:`ConfigError` unless that is finite,
-    ``value`` is not a boolean, and ``ok`` holds (by default any: the type
-    built from the value, e.g. SystemParams, checks its range).  A string
-    that ``float`` reads passes, so the unquoted ``1e-4`` that PyYAML loads
-    as a string works, and so do ``"30"`` and ``"1_000"``."""
+    ``value`` is not a boolean, and ``ok`` holds.  By default ``ok`` passes
+    every number and the message names no interval: the type built from
+    the value, e.g. SystemParams, checks its range.  A string that
+    ``float`` reads passes, so the unquoted ``1e-4`` that PyYAML loads as a
+    string works, and so do ``"30"`` and ``"1_000"``."""
     try:
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not (math.isfinite(number) and ok(number)):
-        raise ConfigError(f"{name} must be a finite number in {interval}, got {value!r}")
+        where = "" if interval is None else f" in {interval}"
+        raise ConfigError(f"{name} must be a finite number{where}, got {value!r}")
     return number
 
 

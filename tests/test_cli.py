@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,8 @@ from binomfl.config import DEFAULTS, RunConfig
 from binomfl.errors import DivergedError
 from binomfl.solver import SUBOPT_FACTOR, Solution, check_solution, objective
 
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+# configs/desk.yaml without its comments, for the tests that edit its text
 SMALL_CONFIG = """\
 seed: 7
 system:
@@ -64,6 +67,11 @@ def config_path(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(SMALL_CONFIG)
     return path
+
+
+def test_small_config_is_the_desk_config(config_path):
+    # an edit to one of the two must reach the other
+    assert RunConfig.from_yaml(config_path).raw == RunConfig.from_yaml(DESK_CONFIG).raw
 
 
 def run_module(argv):
@@ -136,6 +144,13 @@ class TestSolveCommand:
     def test_runs_as_module(self, config_path, tmp_path):
         proc = run_module(["solve", "--config", str(config_path), "--out", str(tmp_path / "m")])
         assert proc.returncode == 0, proc.stderr
+
+    def test_console_script_reads_sys_argv(self, config_path, tmp_path, monkeypatch):
+        # the binomfl entry point calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["binomfl", "solve", "--config", str(config_path), "--out", str(tmp_path)])
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main() == 0
+        assert (tmp_path / "solution.json").exists()
 
     def test_builtin_defaults_feasible(self, tmp_path, monkeypatch):
         # full-scale preset: K=1000, M=1e6, delta=1e-10, 16-bit cap, eps_bar=10
@@ -278,6 +293,21 @@ class TestSimulateCommand:
         assert summary["suboptimal"]["objective_ratio"] >= SUBOPT_FACTOR
         assert (out / "trace_suboptimal.csv").exists()
 
+    def test_seed_option_equals_the_seed_key(self, tmp_path):
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw["seed"] = 8
+        (tmp_path / "seed8.yaml").write_text(yaml.safe_dump(raw))
+        runs = {"option": [str(DESK_CONFIG), "--seed", "8"], "key": [str(tmp_path / "seed8.yaml")],
+                "desk": [str(DESK_CONFIG)]}
+        with contextlib.redirect_stdout(io.StringIO()):
+            for name, argv in runs.items():
+                assert main(["simulate", "--config", *argv, "--out", str(tmp_path / name)]) == 0
+        names = sorted(path.name for path in (tmp_path / "option").iterdir())
+        assert names == ["summary.json", "trace_baseline.csv", "trace_optimized.csv", "trace_suboptimal.csv"]
+        assert all((tmp_path / "option" / name).read_bytes() == (tmp_path / "key" / name).read_bytes()
+                   for name in names)
+        assert (tmp_path / "option" / "summary.json").read_bytes() != (tmp_path / "desk" / "summary.json").read_bytes()
+
     def test_quadratic_task(self, tmp_path):
         raw = yaml.safe_load(DESK_CONFIG.read_text())
         raw["sim"]["task"] = "quadratic"
@@ -408,23 +438,42 @@ class TestExitCodes:
         )
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize("section, key, value, exit_code", [
+        ("solver", "eps_bar", 5.0, 4),  # every q ruled out
+        ("solver", "n_cap", 8, 5),  # budget unreachable
+        ("system", "power_max_dbm", 0.0, 8),  # empty domain
+    ], ids=["eps_bar-5", "n_cap-8", "power_max_dbm-0"])
+    def test_desk_variant_exits_with_its_code_in_one_line(self, section, key, value, exit_code, tmp_path):
+        raw = yaml.safe_load(DESK_CONFIG.read_text())
+        raw[section][key] = value
+        code, err = self.run_in_process(tmp_path, yaml.safe_dump(raw), "solve")
+        assert code == exit_code
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "o" / "solution.json").exists()
+
     def test_empty_domain(self, config_path, tmp_path):
         cfg = tmp_path / "narrow.yaml"
         cfg.write_text(SMALL_CONFIG.replace("bandwidth_hz: 150.0", "bandwidth_hz: 10.0"))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 8
 
-    @staticmethod
-    def assert_config_error(tmp_path, text, *extra):
-        cfg = tmp_path / "c.yaml"
-        cfg.write_text(text)
-        proc = run_module(["solve", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
+    @classmethod
+    def assert_config_error(cls, tmp_path, text, *extra):
+        """solve on ``text`` exits 2 with one stderr line, which it returns."""
+        code, err = cls.run_in_process(tmp_path, text, "solve", *extra)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "o" / "solution.json").exists()
+        return err
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "abc"])
-    def test_eps_bar_not_a_finite_number(self, value, tmp_path):
-        self.assert_config_error(tmp_path, SMALL_CONFIG.replace("eps_bar: 30.0", f"eps_bar: {value}"))
+    @pytest.mark.parametrize("value, shown", [(".nan", "nan"), (".inf", "inf"), ("abc", "'abc'")],
+                             ids=[".nan", ".inf", "abc"])
+    def test_eps_bar_not_a_finite_number(self, value, shown, tmp_path):
+        err = self.assert_config_error(tmp_path, SMALL_CONFIG.replace("eps_bar: 30.0", f"eps_bar: {value}"))
+        assert err == f"error: solver.eps_bar must be a finite number in (0, inf), got {shown}\n"
+        # SolverConfig checks lambda_step's range, so its message names none
+        err = self.assert_config_error(tmp_path, SMALL_CONFIG.replace("lambda_step: 0.02", f"lambda_step: {value}"))
+        assert err == f"error: solver.lambda_step must be a finite number, got {shown}\n"
 
     @pytest.mark.parametrize("line, value", [
         ("power_max_dbm: 30.0", ".nan"),
@@ -849,6 +898,12 @@ class TestParser:
     def test_main_prints_what_the_full_parser_prints(self, argv):
         assert parser_exit(lambda: main(argv)) == parser_exit(lambda: cli.build_parser().parse_args(argv))
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_command_help_lists_the_shared_options(self, command):
+        out, _, code = parser_exit(lambda: main([command, "-h"]))
+        assert code == 0
+        assert {"--config", "--out", "--seed"} <= set(re.findall(r"--[\w-]+", out))
+
     def test_a_call_builds_only_its_commands_subparser(self, tmp_path, monkeypatch):
         added = []
         add_parser = argparse._SubParsersAction.add_parser
@@ -866,7 +921,6 @@ class TestParser:
         assert added == ["solve", "sweep", "compare-eps", "qbar", "simulate"]
 
 
-DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5, 7, 8}
 JUNK_VALUES = [None, "abc", True, [1.0], {"k": 1}, -1, 0, 1100, 1e6, -1e6, 1e-300,
                math.nan, math.inf, -math.inf]

@@ -167,9 +167,12 @@ DESK_CTX = PrivacyContext(d=40, delta=1e-4, K=12)
     (lambda: SolverConfig.for_target_error(30.0, math.inf, 256, DESK_CTX), "^rho must be positive and finite, got inf"),
     (lambda: SolverConfig.for_target_error(30.0, 0.0, 256, DESK_CTX), "^rho must be positive and finite, got 0.0"),
     (lambda: SolverConfig.for_target_error(30.0, -1.0, 256, DESK_CTX), "^rho must be positive and finite, got -1.0"),
+    (lambda: brute_force_solve(make_system(), small_cfg(), make_context(make_system()), fine_factor=0),
+     "^fine_factor must be >= 1, got 0"),
 ], ids=["objective-p-nan", "objective-q-nan", "objective-n-nan", "rho-nan", "rho-inf", "n_cap-fraction",
         "bit_cap-fraction", "eps_bar-zero", "eps_bar-inf", "lambda_step-half", "lambda_step-zero", "mu-eta-zero",
-        "mu-eta-above-quarter", "target-rho-nan", "target-rho-inf", "target-rho-zero", "target-rho-negative"])
+        "mu-eta-above-quarter", "target-rho-nan", "target-rho-inf", "target-rho-zero", "target-rho-negative",
+        "oracle-fine_factor-zero"])
 def test_non_finite_or_fractional_argument_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
