@@ -24,8 +24,13 @@ cap into limits on q and on q + n.
 
 ``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
 p grid and every single n, sharing nothing with the search logic above.
-Per (q, p) it builds the kernel's factors and evaluates them at every
-admissible n in one ``privacy.tight_epsilon_at_n`` call; it calls none of
+Per q, one floor test over the whole p axis finds the rows where some n
+meets the variance floor under the caps: the floor product K*n*p*(1-p) is
+non-decreasing in n as computed (each factor is a positive constant, and
+rounding is monotone), and the cap keeps a prefix of the ascending n, so
+the product at the largest admitted n decides the row.  Per kept (q, p)
+row it builds the kernel's factors and evaluates them at every admissible
+n in one ``privacy.tight_epsilon_at_n`` call; it calls none of
 ``lockstep_min_n``, ``qbar``, ``qbar_envelope``, ``p_grid`` or
 ``privacy.min_trials`` (it keeps its own product form of the variance floor).
 """
@@ -470,7 +475,12 @@ def brute_force_solve(
 
     The p grid is ``fine_factor`` times denser than the solver's and spans
     all of (0, 1) plus the point 1/2; q runs over the full channel domain
-    with no envelope pruning.  Intended for small instances only.
+    with no envelope pruning.  A (q, p) row is skipped only when no n meets
+    the variance floor under the caps, which one product per p at the
+    largest admitted n decides, in the same IEEE order as the row's own
+    mask; every other row evaluates the kernel at every n its mask admits.
+    Nothing is assumed about how the budget varies with n.  Intended for
+    small instances only.
     """
     if fine_factor < 1:
         raise ValueError(f"fine_factor must be >= 1, got {fine_factor}")
@@ -480,19 +490,28 @@ def brute_force_solve(
     # i * lam for i = 1, 2, ... below 1, and the point 1/2
     ps = sorted(set(itertools.takewhile(lambda p: p < 1.0, (i * lam for i in itertools.count(1)))) | {0.5})
 
+    ps_arr = np.array(ps)
     # n_cap >= 2 (SolverConfig) and domain_bound >= 2 (payload_caps)
     n_all = np.arange(2, min(cfg.n_cap, domain_bound(sys)) + 1, dtype=np.float64)
+
+    def floor_product(n, p):
+        # the row test and the row's mask round the same operations in the
+        # same order, one of n and p an array
+        return ctx.K * n * p * (1.0 - p)
 
     best: tuple[float, int, float, int] | None = None
     for q in range(2, q_hi + 1):
         cap_mask = n_all <= cap_real - q  # never empty: q <= cap_real - 2 admits n = 2
         thr = dp_variance_threshold(q, ctx.d, ctx.delta)
         denom_sq = (q - 1) ** 2
-        for p in ps:
+        # the floor product is non-decreasing in n and cap_mask keeps a
+        # prefix of the ascending n_all, so a p row admits some n exactly
+        # when the product reaches thr at the largest n the cap admits
+        n_top = n_all[np.count_nonzero(cap_mask) - 1]
+        rows = floor_product(n_top, ps_arr) >= thr
+        for p in itertools.compress(ps, rows):
             pq = p * (1.0 - p)
-            mask = cap_mask & (ctx.K * n_all * p * (1.0 - p) >= thr)
-            if not mask.any():
-                continue
+            mask = cap_mask & (floor_product(n_all, p) >= thr)
             n_sub = n_all[mask]
             eps = tight_epsilon_at_n(tight_epsilon_factors(q, p, ctx.d, ctx.delta), n_sub)
             ok = eps <= cfg.eps_bar

@@ -13,6 +13,8 @@ task is built:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -71,8 +73,8 @@ class LogisticRegressionTask:
                  seed: int = 0, l2: float = 0.05):
         if d < 1 or M < 1 or samples_per_device < 1:
             raise ValueError("d, M and samples_per_device must be >= 1")
-        if l2 < 0.0:
-            raise ValueError("l2 must be >= 0")
+        if not (math.isfinite(l2) and l2 >= 0.0):
+            raise ValueError(f"l2 must be >= 0 and finite, got {l2}")
         rng = np.random.default_rng(seed)
         self.d = d
         self.M = M

@@ -81,10 +81,12 @@ class ChannelSampler:
     semantics: str = "amplitude"
 
     def __post_init__(self):
-        if not (0.0 < self.d_min <= self.d_max):
-            raise ValueError(f"need 0 < d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if self.g0 <= 0.0 or self.d0 <= 0.0:
-            raise ValueError("g0 and d0 must be positive")
+        for name in ("g0", "d0", "d_min", "d_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.d_min > self.d_max:
+            raise ValueError(f"need d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if self.semantics not in ("amplitude", "power"):
             raise ValueError(f"semantics must be 'amplitude' or 'power', got {self.semantics!r}")
 

@@ -348,10 +348,13 @@ def _bias(trials):
     (lambda: QuadraticBowlTask(d=0, M=2, seed=0), "d and M must be >= 1"),
     (lambda: LogisticRegressionTask(d=4, M=2, samples_per_device=0), "samples_per_device must be >= 1"),
     (lambda: LogisticRegressionTask(d=4, M=2, l2=-0.1), "l2 must be >= 0"),
+    (lambda: LogisticRegressionTask(d=4, M=2, l2=math.nan), "l2 must be >= 0 and finite, got nan"),
+    (lambda: LogisticRegressionTask(d=4, M=2, l2=math.inf), "l2 must be >= 0 and finite, got inf"),
     (lambda: FixedGradientTask(np.zeros(3), grad_bound=1.0), r"shape \(M, d\)"),
 ], ids=["fsgd-rounds", "fsgd-rounds-bool", "fsgd-rounds-fraction", "fsgd-gamma-nan", "fsgd-gamma-inf",
         "fsgd-gamma-zero", "fsgd-gamma-negative", "fsgd-dimension", "bias-trials", "bias-trials-fraction",
-        "bias-trials-bool", "iterations-sigma", "quadratic-d", "logistic-samples", "logistic-l2", "fixed-shape"])
+        "bias-trials-bool", "iterations-sigma", "quadratic-d", "logistic-samples", "logistic-l2", "logistic-l2-nan",
+        "logistic-l2-inf", "fixed-shape"])
 def test_boundary_argument_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -31,6 +31,7 @@ from binomfl.privacy import (
 )
 from binomfl.solver import (
     SUBOPT_FACTOR,
+    Solution,
     SolverConfig,
     brute_force_solve,
     check_solution,
@@ -45,7 +46,7 @@ from binomfl.solver import (
     solve_with_stats,
     suboptimal_tuple,
 )
-from binomfl.wireless import SystemParams, capacity_base, domain_bound
+from binomfl.wireless import SystemParams, assign_powers, capacity_base, domain_bound
 
 from conftest import make_context, make_system
 
@@ -1003,11 +1004,65 @@ class TestBruteForce:
         def forbidden(*args, **kwargs):
             raise AssertionError("search code called")
 
-        for name in ("lockstep_min_n", "qbar", "qbar_envelope", "p_grid"):
+        for name in ("lockstep_min_n", "qbar", "qbar_envelope", "p_grid", "min_trials"):
             monkeypatch.setattr(solver_module, name, forbidden)
         with pytest.raises(AssertionError, match="search code called"):
             solve(system, cfg, ctx)
         assert brute_force_solve(system, cfg, ctx, fine_factor=3) == expected
+
+    @staticmethod
+    def exhaustive_scan(system, cfg, ctx, fine_factor):
+        """Reference oracle: every (q, p, n) of the oracle's grid, no row
+        skipped.  Returns the least (objective, q, p, n) over the feasible
+        tuples, or None, and how many (q, p) rows admit no n under the
+        floor and the caps."""
+        lam = cfg.lambda_step / fine_factor
+        ps, i = {0.5}, 1
+        while i * lam < 1.0:
+            ps.add(i * lam)
+            i += 1
+        cap = capacity_base(system)
+        if cfg.bit_cap is not None:
+            cap = min(cap, float(2**cfg.bit_cap))
+        best, floor_rows = None, 0
+        for q in range(2, domain_bound(system) + 1):
+            thr = dp_variance_threshold(q, ctx.d, ctx.delta)
+            ns = range(2, min(cfg.n_cap, math.floor(cap - q)) + 1)
+            for p in sorted(ps):
+                if not any(ctx.K * n * p * (1.0 - p) >= thr for n in ns):
+                    floor_rows += 1
+                for n in range(2, cfg.n_cap + 1):
+                    if tuple_feasible(q, n, p, system, cfg, ctx):
+                        cand = (objective(q, n, p), q, p, n)
+                        if best is None or cand < best:
+                            best = cand
+        return best, floor_rows
+
+    @pytest.mark.parametrize(
+        "K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor",
+        [
+            pytest.param(40, 4, 1.5e-3, 28.8, 505.0, 0.1, 48, None, 2, id="most-rows-fail-the-floor"),
+            pytest.param(150, 12, 2e-3, 37.8, 472.0, 0.07, 24, 5, 2, id="bit-cap-cuts-n"),
+            pytest.param(300, 7, 0.018, 34.0, 132.7, 0.07, 16, None, 3, id="off-half"),
+            pytest.param(80, 8, 9e-3, 31.7, 367.0, 0.1, 16, 4, 1, id="bit-cap-binds"),
+        ],
+    )
+    def test_matches_an_unpruned_scan(
+        self, K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor
+    ):
+        system = make_system(K=K, d=d, delta=delta, base_target=base_target)
+        ctx = make_context(system)
+        cfg = SolverConfig(eps_bar=eps_bar, lambda_step=lam, n_cap=n_cap, bit_cap=bit_cap)
+        best, floor_rows = self.exhaustive_scan(system, cfg, ctx, fine_factor)
+        assert best is not None and floor_rows > 0
+        phi, q, p, n = best
+        if bit_cap is not None:
+            # the bit cap, not the channel, cuts n at the optimum's q
+            assert 2**bit_cap < capacity_base(system) and 2**bit_cap - q < n_cap
+        assert brute_force_solve(system, cfg, ctx, fine_factor=fine_factor) == Solution(
+            q=q, n=n, p=p, powers=assign_powers(q, n, system), objective=phi,
+            epsilon_achieved=tight_epsilon_value(q, n, p, d, delta),
+        )
 
     def test_nothing_feasible_raises(self):
         system = make_system(K=5, d=10, delta=1e-2, base_target=30.0)

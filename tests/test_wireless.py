@@ -405,8 +405,8 @@ class TestSampleGains:
 @pytest.mark.parametrize("call, message", [
     (lambda: dataclasses.replace(flat_system(), delta=0.0), r"delta must lie in \(0, 1\)"),
     (lambda: dataclasses.replace(flat_system(), delta=1.0), r"delta must lie in \(0, 1\)"),
-    (lambda: ChannelSampler(g0=0.0, d0=1.0, d_min=1.0, d_max=2.0, seed=0), "g0 and d0 must be positive"),
-    (lambda: ChannelSampler(g0=1.0, d0=-1.0, d_min=1.0, d_max=2.0, seed=0), "g0 and d0 must be positive"),
+    (lambda: ChannelSampler(g0=0.0, d0=1.0, d_min=1.0, d_max=2.0, seed=0), "g0 must be positive"),
+    (lambda: ChannelSampler(g0=1.0, d0=-1.0, d_min=1.0, d_max=2.0, seed=0), "d0 must be positive"),
     (lambda: sample_gains(ChannelSampler(g0=1.0, d0=1.0, d_min=1.0, d_max=2.0, seed=0), 0),
      "count must be >= 1"),
     (lambda: capacity_feasible(2, 2, [1.0], flat_system(K=2)), "powers has length 1, expected K=2"),
@@ -416,6 +416,17 @@ class TestSampleGains:
 def test_boundary_argument_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# a NaN or infinite length or gain once came back from sample_gains as NaN
+# or inf gains, and d_max = inf as numpy's OverflowError
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+@pytest.mark.parametrize("name", ["g0", "d0", "d_min", "d_max"])
+def test_channel_sampler_rejects_non_finite_or_non_positive(name, value):
+    fields = dict(g0=1e-4, d0=1.0, d_min=2.0, d_max=200.0, seed=0)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        ChannelSampler(**fields)
 
 
 class TestUnitConversions:
