@@ -174,6 +174,7 @@ def test_criterion_04_relative_error_guarantee():
                 assert ratio <= 1.0 + mu * lam + 1e-12
                 assert ratio <= 1.0 + rho + 1e-12
                 assert check_solution(sol, system, cfg, ctx) == []
+                assert check_solution(oracle, system, cfg, ctx) == []
 
 
 def _scaled(system, p_max=None, W=None, T=None):

@@ -169,11 +169,18 @@ DESK_CTX = PrivacyContext(d=40, delta=1e-4, K=12)
     (lambda: SolverConfig.for_target_error(30.0, 0.0, 256, DESK_CTX), "^rho must be positive and finite, got 0.0"),
     (lambda: SolverConfig.for_target_error(30.0, -1.0, 256, DESK_CTX), "^rho must be positive and finite, got -1.0"),
     (lambda: brute_force_solve(make_system(), small_cfg(), make_context(make_system()), fine_factor=0),
-     "^fine_factor must be >= 1, got 0"),
+     "^fine_factor must be an integer >= 1, got 0"),
+    # a fractional factor builds a fine grid that misses the solver's points
+    (lambda: brute_force_solve(make_system(), small_cfg(), make_context(make_system()), fine_factor=2.5),
+     "^fine_factor must be an integer >= 1, got 2.5"),
+    (lambda: brute_force_solve(make_system(), small_cfg(), make_context(make_system()), fine_factor=True),
+     "^fine_factor must be an integer >= 1, got True"),
+    (lambda: brute_force_solve(make_system(), small_cfg(), make_context(make_system()), fine_factor=math.nan),
+     "^fine_factor must be an integer >= 1, got nan"),
 ], ids=["objective-p-nan", "objective-q-nan", "objective-n-nan", "rho-nan", "rho-inf", "n_cap-fraction",
         "bit_cap-fraction", "eps_bar-zero", "eps_bar-inf", "lambda_step-half", "lambda_step-zero", "mu-eta-zero",
         "mu-eta-above-quarter", "target-rho-nan", "target-rho-inf", "target-rho-zero", "target-rho-negative",
-        "oracle-fine_factor-zero"])
+        "oracle-fine_factor-zero", "oracle-fine_factor-fraction", "oracle-fine_factor-bool", "oracle-fine_factor-nan"])
 def test_non_finite_or_fractional_argument_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -994,6 +1001,35 @@ class TestBruteForce:
             assert (sol.q, sol.n) == (oracle.q, oracle.n)
             assert sol.p in (oracle.p, 1.0 - oracle.p)
 
+    @staticmethod
+    def dyadic_instance():
+        """A small instance whose oracle grid, pitch 1/32 at fine factor 2,
+        holds multiples of 1/64 only: there p and 1 - p give bit-equal
+        factors, objectives and budgets."""
+        system = make_system(K=25, d=8, delta=1e-2, base_target=40.0)
+        return system, make_context(system), SolverConfig(eps_bar=30.0, lambda_step=1.0 / 32.0, n_cap=64)
+
+    def test_a_mirror_tie_goes_to_the_smaller_p(self):
+        system, ctx, cfg = self.dyadic_instance()
+        oracle = brute_force_solve(system, cfg, ctx, fine_factor=2)
+        q, n, p = oracle.q, oracle.n, oracle.p
+        assert (q, n, p) == (2, 35, 30 / 64)
+        # the row 1 - p ties the optimum bit for bit and is feasible too
+        assert tuple_feasible(q, n, 1.0 - p, system, cfg, ctx)
+        assert objective(q, n, 1.0 - p) == oracle.objective
+        assert tight_epsilon_value(q, n, 1.0 - p, ctx.d, ctx.delta) == oracle.epsilon_achieved
+
+    def test_an_optimum_one_ulp_over_the_cap_is_passed_over(self):
+        system, ctx, cfg = self.dyadic_instance()
+        first = brute_force_solve(system, cfg, ctx, fine_factor=2)
+        tight = dataclasses.replace(cfg, eps_bar=math.nextafter(first.epsilon_achieved, 0.0))
+        second = brute_force_solve(system, tight, ctx, fine_factor=2)
+        # the optimum and its mirror row sit one ulp over the cap, so the
+        # oracle must take another tuple, no better than the first
+        assert second.epsilon_achieved <= tight.eps_bar < first.epsilon_achieved
+        assert second.objective >= first.objective
+        assert check_solution(second, system, tight, ctx) == []
+
     def test_independent_of_the_search(self, monkeypatch):
         # the oracle may call the budget kernel, never the search it checks
         system = make_system(K=40, d=12, delta=1e-3, base_target=50.0)
@@ -1132,6 +1168,10 @@ def desk_instance():
     # a fractional q with the matching objective and budget once passed clean
     ({"q": 7.5, "objective": objective(7.5, 241, 0.5),
       "epsilon_achieved": tight_epsilon_value(7.5, 241, 0.5, 40, 1e-4)}, {}, "q=7.5 outside {2..288}"),
+    # eps_bar one ulp below the desk budget, and powers a relative 1e-12 low
+    ({}, {"eps_bar": math.nextafter(tight_epsilon_value(8, 241, 0.5, 40, 1e-4), 0.0)},
+     "budget 29.9672 exceeds eps_bar"),
+    ({"powers": "scaled down"}, {}, "capacity constraint violated"),
 ])
 def test_check_solution_reports_each_broken_constraint(desk_instance, broken, config, message):
     sol, system, scfg, ctx = desk_instance
@@ -1142,6 +1182,8 @@ def test_check_solution_reports_each_broken_constraint(desk_instance, broken, co
         "first at zero": (0.0,) + sol.powers[1:],
         "first above p_max": (2.0 * system.p_max,) + sol.powers[1:],
         "all at p_min": (system.p_min,) * system.K,
+        # a relative 1e-12 below the desk powers, each still above p_min
+        "scaled down": tuple(p_k / (1.0 + 1e-12) for p_k in sol.powers),
     }
     if "powers" in broken:
         broken = {"powers": powers[broken["powers"]]}

@@ -167,6 +167,15 @@ class TestCapacityFeasible:
         sys = flat_system(K=2, d=4, T=2.0, W=4.0)
         assert not capacity_feasible(2, 2, [0.9, 0.9], sys)
 
+    def test_payload_a_relative_1e_12_above_capacity_fails(self):
+        # log2(1 + power) = 1/(1 + 1e-12) puts T*rate a relative 1e-12 below
+        # the payload 4*log2(4) = 8
+        sys = flat_system(K=2, d=4, T=2.0, W=4.0)
+        power = 2.0 ** (1.0 / (1.0 + 1e-12)) - 1.0
+        gap = payload_bits_real(4, 2, 2) / (sys.T * shannon_rate(power, 1.0, sys)) - 1.0
+        assert 0.5e-12 < gap < 2e-12
+        assert not capacity_feasible(2, 2, [power, power], sys)
+
     def test_more_time_or_bandwidth_never_breaks(self, rng):
         for _ in range(50):
             d = int(rng.integers(1, 30))
