@@ -10,10 +10,14 @@ dimension-dependent floor, n >= ``min_trials(q, p, ctx)``; below it they
 raise :class:`NotApplicableError` instead of returning a number.
 The tight estimator is written once, as five terms of the n-free factors,
 x = n*p*(1-p) and the variance factor s1, in one numpy code path for
-scalars and arrays alike.  It has five entry points:
+scalars and arrays alike.  It has seven entry points:
 ``tight_epsilon_factors`` builds the n-free factors (everything q, p, d and
-delta fix), ``tight_epsilon_at_n`` evaluates built factors at a trial count
-(the search builds the factors once per cell and calls this on every step),
+delta fix), ``tight_epsilon_n_stage`` builds the n-only stage (n,
+n*(n+1)*(n+2) and 3n + 2), ``tight_epsilon_at_stage`` evaluates built
+factors on a built stage or on slices of it (the exhaustive oracle builds
+the stage once per q and evaluates each p row on its suffix of n),
+``tight_epsilon_at_n`` evaluates built factors at a trial count (the search
+builds the factors once per cell and calls this on every step),
 ``tight_epsilon_lead`` is the first of the five terms alone, bit for bit
 the one the sum holds (the search rules out cells with it before building
 their factors), ``tight_epsilon_lower`` is the lower bound over every
@@ -207,13 +211,24 @@ def tight_epsilon_factors(q, p, d: int, delta: float) -> tuple:
     )
 
 
-def _s1(n, f):
-    # the variance factor at trial count n from the factors f
-    pq, s1_num, two_over_pq = f[5], f[7], f[8]
+def tight_epsilon_n_stage(n) -> tuple:
+    """The n-only stage of the tight estimate: n, n*(n+1)*(n+2) and 3n + 2.
+
+    n is a scalar or an array, integer or float.  Every entry is
+    elementwise in n, so a slice of each entry is the stage of the same
+    slice of n, bit for bit; :func:`tight_epsilon_at_stage` evaluates it.
+    """
     # n + 1.0 and n + 2.0 turn an integer n to float before the product, so
     # an int64 array of trial counts cannot overflow and gives the bits of
     # the same counts in float64
-    return s1_num / (n * (n + 1.0) * (n + 2.0) * pq * pq) * (3.0 * n + 2.0 + two_over_pq)
+    return n, n * (n + 1.0) * (n + 2.0), 3.0 * n + 2.0
+
+
+def _s1(stage, f):
+    # the variance factor at the n stage from the factors f
+    _, cubic, linear = stage
+    pq, s1_num, two_over_pq = f[5], f[7], f[8]
+    return s1_num / (cubic * pq * pq) * (linear + two_over_pq)
 
 
 def _s2(x, f):
@@ -243,8 +258,8 @@ def _tight_terms(f, x, s1):
     )
 
 
-def _n_terms(f, n):
-    return _tight_terms(f, n * f[5], _s1(n, f))
+def _stage_terms(f, stage):
+    return _tight_terms(f, stage[0] * f[5], _s1(stage, f))
 
 
 def tight_epsilon_lead(f, n):
@@ -260,15 +275,26 @@ def tight_epsilon_lead(f, n):
     return _lead(f, n * f[5])
 
 
+def tight_epsilon_at_stage(f, stage) -> np.ndarray:
+    """The budget from the n-free factors and the n stage.
+
+    ``f`` is the tuple :func:`tight_epsilon_factors` built, ``stage`` the
+    tuple :func:`tight_epsilon_n_stage` built, or a slice of each of its
+    entries; its entries broadcast against the factors.  The result is 1-D,
+    flattened in C order of the broadcast shape.
+    """
+    t1, t2, t3, t4, t5 = _stage_terms(f, stage)
+    return np.ravel(t1 + t2 + t3 + t4 + t5)
+
+
 def tight_epsilon_at_n(f, n) -> np.ndarray:
-    """The n stage of the tight estimate: the budget at trial count n.
+    """The budget at trial count n: :func:`tight_epsilon_at_stage` on the stage of n.
 
     ``f`` is the tuple :func:`tight_epsilon_factors` built, n a scalar or
     an array (integer or float) that broadcasts against its entries.  The
     result is 1-D, flattened in C order of the broadcast shape.
     """
-    t1, t2, t3, t4, t5 = _n_terms(f, n)
-    return np.ravel(t1 + t2 + t3 + t4 + t5)
+    return tight_epsilon_at_stage(f, tight_epsilon_n_stage(n))
 
 
 def tight_epsilon_lower(q, x, d: int, delta: float):

@@ -28,18 +28,23 @@ Per q, one floor test over the whole p axis finds the rows where some n
 meets the variance floor under the caps: the floor product K*n*p*(1-p) is
 non-decreasing in n as computed (each factor is a positive constant, and
 rounding is monotone), and the cap keeps a prefix of the ascending n, so
-the product at the largest admitted n decides the row.  Per q it then
-builds the floor-and-cap mask once over the kept rows' (p x n) block and
-the kernel's n-free factors once on the kept p axis, evaluates each kept
-row at every n its mask admits in one ``privacy.tight_epsilon_at_n`` call,
-and picks the q's best feasible cell with one argmin in row-major order (p
-ascending, then n), the (objective, q, p, n) tie-break.  The kernel runs
-once per row, not once over the whole block: a per-q batch serves about
-18x the certify-small benchmark ops, and until the benchmark evicts the
-blocks of ops it has served, its peak RSS grows with them past its 10%
-bound (67.2 against 45.6 MiB).  The oracle calls none of ``lockstep_min_n``,
-``qbar``, ``qbar_envelope``, ``p_grid`` or ``privacy.min_trials`` (it keeps
-its own product form of the variance floor).
+the product at the largest admitted n decides the row.  For the same
+reason the n a kept row admits are a suffix of the q's ascending n, so per
+q the oracle counts each kept row's n below the floor once, over the kept
+rows' (p x n) block, and builds the kernel's n stage
+(``privacy.tight_epsilon_n_stage``) once on the q's n and its n-free
+factors once on the kept p axis.  Each kept row is one
+``privacy.tight_epsilon_at_stage`` call on its suffix of the stage.  The
+objective is non-decreasing in n at fixed (q, p) as computed, so a row's
+best cell is its first feasible n, and one argmin over the rows' first
+feasible cells in p order picks the q's best, the (objective, q, p, n)
+tie-break.  The kernel runs once per row, not once over the whole block: a
+per-q batch served ~16x the certify-small benchmark ops (184 against 11.8
+ops/s), and until the benchmark evicts the blocks of ops it has served,
+its peak RSS grows with them past its 10% bound (62.3 against 45.9 MiB).
+The oracle calls none of ``lockstep_min_n``, ``qbar``, ``qbar_envelope``,
+``p_grid`` or ``privacy.min_trials`` (it keeps its own product form of the
+variance floor).
 """
 
 from __future__ import annotations
@@ -66,9 +71,11 @@ from .privacy import (
     is_integral,
     min_trials,
     tight_epsilon_at_n,
+    tight_epsilon_at_stage,
     tight_epsilon_factors,
     tight_epsilon_lead,
     tight_epsilon_lower,
+    tight_epsilon_n_stage,
     tight_epsilon_value,
 )
 from .wireless import (
@@ -485,12 +492,15 @@ def brute_force_solve(
     full channel domain with no envelope pruning.  A (q, p) row is skipped
     only when no n meets the variance floor under the caps, which one
     product per p at the largest admitted n decides, in the same IEEE order
-    as the rows' mask.  Per q, the floor-and-cap mask and the kernel's
-    n-free factors are built once over the kept rows, and the kernel runs
-    once per kept row on every n its mask admits (per row, not per q, for
-    the memory reason the module docstring gives); one argmin over the q's
-    feasible (p, n) cells then picks its best.  Nothing is assumed about
-    how the budget varies with n.  Intended for small instances only.
+    as the count of each kept row's n below the floor.  A kept row admits a
+    suffix of the q's n.  Per q, the kernel's n stage is built once on the
+    q's n and its n-free factors once over the kept rows, and the kernel
+    runs once per kept row on its suffix of the stage (per row, not per q,
+    for the memory reason the module docstring gives).  The objective is
+    non-decreasing in n, so a row's best cell is its first feasible n, and
+    one argmin over those cells in p order picks the q's best.  Nothing is
+    assumed about how the budget varies with n.  Intended for small
+    instances only.
     """
     fine_factor = as_count("fine_factor", fine_factor, 1)
     q_hi, cap_real = payload_caps(sys, cfg.bit_cap)
@@ -504,8 +514,8 @@ def brute_force_solve(
     n_all = np.arange(2, min(cfg.n_cap, domain_bound(sys)) + 1, dtype=np.float64)
 
     def floor_product(n, p):
-        # the row test and the rows' mask round the same operations in the
-        # same order, n and p arrays that broadcast
+        # the row test and the rows' start counts round the same operations
+        # in the same order, n and p arrays that broadcast
         return ctx.K * n * p * (1.0 - p)
 
     best: tuple[float, int, float, int] | None = None
@@ -518,22 +528,29 @@ def brute_force_solve(
         p_kept = ps[floor_product(n_cap_q[-1], ps) >= thr]
         if p_kept.size == 0:
             continue
-        admitted = floor_product(n_cap_q, p_kept[:, None]) >= thr
+        # for the same reason a kept row admits a suffix of n_cap_q, which
+        # starts past the row's n below the floor
+        starts = np.count_nonzero(floor_product(n_cap_q, p_kept[:, None]) < thr, axis=1).tolist()
+        stage = tight_epsilon_n_stage(n_cap_q)
         factors = tight_epsilon_factors(q, p_kept, ctx.d, ctx.delta)
         # one row's factors as Python floats: the p-axis entries split by
         # row, the others shared
         rows = zip(*(f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in factors))
-        # the kernel runs once per row, so its arrays stay one row long; a
-        # cell no mask admits keeps an infinite budget and fails the cap
-        eps = np.full(admitted.shape, np.inf)
-        for i, row_factors in enumerate(rows):
-            eps[i, admitted[i]] = tight_epsilon_at_n(row_factors, n_cap_q[admitted[i]])
-        ip, jn = np.nonzero(eps <= cfg.eps_bar)
-        if ip.size == 0:
+        # the objective is non-decreasing in n at fixed (q, p), so a row's
+        # best cell is its first feasible n; the kernel runs once per row, on
+        # the row's suffix of the stage, so its arrays stay one row long
+        ip, jn = [], []
+        for i, (start, row_factors) in enumerate(zip(starts, rows)):
+            feasible = tight_epsilon_at_stage(row_factors, tuple(s[start:] for s in stage)) <= cfg.eps_bar
+            j = int(feasible.argmax())
+            if feasible[j]:
+                ip.append(i)
+                jn.append(start + j)
+        if not ip:
             continue
-        # the feasible cells run p-major and n-ascending, so the first minimum
-        # is the (objective, p, n) tie-break; q ascends, so a later q wins only
-        # on a strictly smaller objective
+        # one candidate per row, p ascending, so the first minimum is the
+        # (objective, p, n) tie-break; q ascends, so a later q wins only on a
+        # strictly smaller objective
         obj = objective(q, n_cap_q[jn], p_kept[ip])
         k = int(np.argmin(obj))
         if best is None or obj[k] < best[0]:

@@ -1,6 +1,7 @@
 """Outputs pinned byte for byte: at desk, solve, sweep on every axis,
 compare-eps, qbar, and simulate's summary and three traces; at the built-in
-full scale, solve at three budgets.
+full scale, solve at three budgets, and the search's (q, n, p) and
+objective at every tenth budget of the benchmark's solve-full grid.
 
 The files under data/golden/ are what these commands write on
 configs/desk.yaml.  A change that alters them on purpose rewrites them (run
@@ -13,15 +14,21 @@ all 1,000 powers bit for bit.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from binomfl.cli import main
+from binomfl.config import RunConfig
+from binomfl.solver import solve_with_stats
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 FULL_SCALE_EPS_BARS = ["5.00", "7.50", "10.00"]
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.yaml"
+# bench/make_refs.py writes it: one built-in full-scale solve per eps_bar of
+# {5.00, 5.01, ..., 10.00}, keyed by eps_bar to two decimals
+REFS_SOLVE_FULL = Path(__file__).resolve().parents[1] / "bench" / "refs_solve_full.json"
 
 COMMANDS = {
     "solve": (["solve"], "solution.json"),
@@ -69,3 +76,20 @@ def test_full_scale_solve_matches_golden(eps_bar, tmp_path):
         assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
     golden = GOLDEN / "full_scale" / f"solution_eps_bar_{eps_bar}.json"
     assert (tmp_path / "solution.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def full_scale():
+    cfg = RunConfig.defaults()
+    system = cfg.build_system()
+    return cfg, system, cfg.build_context(system), json.loads(REFS_SOLVE_FULL.read_text())
+
+
+@pytest.mark.parametrize("k", range(0, 501, 10))
+def test_full_scale_search_matches_the_solve_full_references(k, full_scale):
+    cfg, system, ctx, refs = full_scale
+    eps_bar = round(5.0 + 0.01 * k, 2)
+    key = f"{eps_bar:.2f}"
+    sol, _ = solve_with_stats(system, cfg.merged({"solver": {"eps_bar": eps_bar}}).build_solver(ctx), ctx)
+    assert [sol.q, sol.n, sol.p] == refs["tuple_qnp"][key]
+    assert sol.objective == refs["objective"][key]

@@ -18,19 +18,21 @@ from binomfl.privacy import (
     ALPHA,
     MechanismParams,
     PrivacyContext,
-    _n_terms,
     _s1,
     _s2,
     _sensitivity_triple,
+    _stage_terms,
     baseline_epsilon_value,
     dp_variance_threshold,
     epsilon_baseline,
     epsilon_tight,
     min_trials,
     tight_epsilon_at_n,
+    tight_epsilon_at_stage,
     tight_epsilon_factors,
     tight_epsilon_lead,
     tight_epsilon_lower,
+    tight_epsilon_n_stage,
     tight_epsilon_value,
 )
 
@@ -53,7 +55,7 @@ GOLDEN2_TIGHT = 39.133276861495438629
 
 def tight_terms(q, n, p, d, delta):
     """The five summands of the tight estimate, ungated."""
-    return _n_terms(tight_epsilon_factors(q, p, d, delta), n)
+    return _stage_terms(tight_epsilon_factors(q, p, d, delta), tight_epsilon_n_stage(n))
 
 
 def tight_at(q, n, p, d, delta):
@@ -378,9 +380,9 @@ class TestSplitKernel:
             ),
             min_size=1, max_size=5,
         ),
-        # n*(n+1) stays below 2^53, where the scalar path's Python-int
-        # product and the array path's float product are both exact
-        ns=st.lists(st.integers(2, 10**7), min_size=1, max_size=4),
+        # up to 2^62, the int64 counts whose products the n stage forms in
+        # float64; past 2^53 every path rounds n to float64 the same way
+        ns=st.lists(st.one_of(st.integers(2, 10**7), st.integers(2, 2**62)), min_size=1, max_size=4),
     )
     def test_matches_scalar_bitwise(self, d, log_delta, qs, ps, ns):
         delta = 10.0**log_delta
@@ -397,12 +399,18 @@ class TestSplitKernel:
             # an int64 array of n, one count per flat cell
             at = tight_epsilon_at_n(flat, np.full(len(cells), n, dtype=np.int64))
             assert at.tolist() == expected
-        # one factor tuple per cell, evaluated at scalar n, with every n at once
+        # one factor tuple per cell, evaluated at scalar n, with every n at
+        # once, and on each suffix of one n stage of float64 and of int64 n
         for q, p in cells:
             one = tight_epsilon_factors(q, p, d, delta)
             expected = [tight_epsilon_value(q, n, p, d, delta) for n in ns]
             assert [float(tight_epsilon_at_n(one, n)[0]) for n in ns] == expected
-            assert tight_epsilon_at_n(one, np.array(ns, dtype=np.float64)).tolist() == expected
+            for dtype in (np.float64, np.int64):
+                along = np.array(ns, dtype=dtype)
+                stage = tight_epsilon_n_stage(along)
+                for j in range(len(ns)):
+                    suffix = tight_epsilon_at_stage(one, tuple(s[j:] for s in stage)).tolist()
+                    assert suffix == tight_epsilon_at_n(one, along[j:]).tolist() == expected[j:]
 
 
 class TestHalfIsTheMostPrivateShape:
@@ -481,7 +489,7 @@ class TestLead:
             lead = tight_epsilon_lead(axes, n)
             assert np.shape(lead) == shape
             assert np.all(lead.ravel() <= tight_epsilon_at_n(axes, n))
-            t1, *rest = _n_terms(axes, n)
+            t1, *rest = _stage_terms(axes, tight_epsilon_n_stage(n))
             assert np.array_equal(lead, np.broadcast_to(t1, shape))
             for t in rest:
                 assert np.all(t >= 0.0)
@@ -511,10 +519,11 @@ class TestSTerms:
         for _ in range(50):
             n = int(rng.integers(2, 10000))
             p = float(rng.uniform(0.01, 0.99))
-            assert _s1(n, self.factors(p)) == pytest.approx(_s1(n, self.factors(1.0 - p)), rel=1e-12)
+            stage = tight_epsilon_n_stage(n)
+            assert _s1(stage, self.factors(p)) == pytest.approx(_s1(stage, self.factors(1.0 - p)), rel=1e-12)
 
     def test_s1_hand_value(self):
-        assert _s1(2, self.factors(0.5)) == pytest.approx(8.0 / 3.0, rel=1e-15)
+        assert _s1(tight_epsilon_n_stage(2), self.factors(0.5)) == pytest.approx(8.0 / 3.0, rel=1e-15)
 
     def test_s2_above_one(self, rng):
         for _ in range(50):

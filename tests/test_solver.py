@@ -1046,12 +1046,40 @@ class TestBruteForce:
             solve(system, cfg, ctx)
         assert brute_force_solve(system, cfg, ctx, fine_factor=3) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        K=st.integers(1, 10**6),
+        # near 0, near 1/2 and near 1
+        p=st.one_of(
+            st.floats(1e-12, 1e-3),
+            st.floats(0.5 - 1e-6, 0.5 + 1e-6),
+            st.floats(1e-12, 1e-3).map(lambda v: 1.0 - v),
+        ),
+        n_lo=st.integers(2, 2**40),
+        length=st.integers(1, 600),
+        at=st.floats(0.0, 1.0),
+        nudge=st.integers(-2, 2),
+    )
+    def test_the_floor_holds_on_a_suffix_of_n(self, K, p, n_lo, length, at, nudge):
+        # the oracle takes each kept row's first admitted n from a count of
+        # the n below the floor, which holds if over ascending float64 n the
+        # floor test fails on a prefix and holds on the rest
+        n = np.arange(n_lo, n_lo + length, dtype=np.float64)
+        product = K * n * p * (1.0 - p)
+        # thr at the product of one n, or a few ulps off it, where rounding decides
+        thr = float(product[int(at * (length - 1))])
+        for _ in range(abs(nudge)):
+            thr = math.nextafter(thr, math.copysign(math.inf, nudge))
+        holds = product >= thr
+        assert np.array_equal(holds, np.arange(length) >= np.count_nonzero(~holds))
+
     @staticmethod
     def exhaustive_scan(system, cfg, ctx, fine_factor):
         """Reference oracle: every (q, p, n) of the oracle's grid, no row
         skipped.  Returns the least (objective, q, p, n) over the feasible
-        tuples, or None, and how many (q, p) rows admit no n under the
-        floor and the caps."""
+        tuples, or None; how many (q, p) rows admit no n under the floor
+        and the caps; and how many rows have a feasible n above the first n
+        they admit but none at it."""
         lam = cfg.lambda_step / fine_factor
         ps, i = {0.5}, 1
         while i * lam < 1.0:
@@ -1060,37 +1088,44 @@ class TestBruteForce:
         cap = capacity_base(system)
         if cfg.bit_cap is not None:
             cap = min(cap, float(2**cfg.bit_cap))
-        best, floor_rows = None, 0
+        best, floor_rows, late_rows = None, 0, 0
         for q in range(2, domain_bound(system) + 1):
             thr = dp_variance_threshold(q, ctx.d, ctx.delta)
             ns = range(2, min(cfg.n_cap, math.floor(cap - q)) + 1)
             for p in sorted(ps):
-                if not any(ctx.K * n * p * (1.0 - p) >= thr for n in ns):
+                admitted = [n for n in ns if ctx.K * n * p * (1.0 - p) >= thr]
+                if not admitted:
                     floor_rows += 1
-                for n in range(2, cfg.n_cap + 1):
-                    if tuple_feasible(q, n, p, system, cfg, ctx):
-                        cand = (objective(q, n, p), q, p, n)
-                        if best is None or cand < best:
-                            best = cand
-        return best, floor_rows
+                feasible = [n for n in range(2, cfg.n_cap + 1) if tuple_feasible(q, n, p, system, cfg, ctx)]
+                if feasible and feasible[0] > admitted[0]:
+                    late_rows += 1
+                for n in feasible:
+                    cand = (objective(q, n, p), q, p, n)
+                    if best is None or cand < best:
+                        best = cand
+        return best, floor_rows, late_rows
 
     @pytest.mark.parametrize(
-        "K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor",
+        "K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor, late",
         [
-            pytest.param(40, 4, 1.5e-3, 28.8, 505.0, 0.1, 48, None, 2, id="most-rows-fail-the-floor"),
-            pytest.param(150, 12, 2e-3, 37.8, 472.0, 0.07, 24, 5, 2, id="bit-cap-cuts-n"),
-            pytest.param(300, 7, 0.018, 34.0, 132.7, 0.07, 16, None, 3, id="off-half"),
-            pytest.param(80, 8, 9e-3, 31.7, 367.0, 0.1, 16, 4, 1, id="bit-cap-binds"),
+            pytest.param(40, 4, 1.5e-3, 28.8, 505.0, 0.1, 48, None, 2, False, id="most-rows-fail-the-floor"),
+            pytest.param(150, 12, 2e-3, 37.8, 472.0, 0.07, 24, 5, 2, True, id="bit-cap-cuts-n"),
+            pytest.param(300, 7, 0.018, 34.0, 132.7, 0.07, 16, None, 3, True, id="off-half"),
+            pytest.param(80, 8, 9e-3, 31.7, 367.0, 0.1, 16, 4, 1, False, id="bit-cap-binds"),
+            pytest.param(60, 5, 5e-3, 30.0, 200.0, 0.1, 32, None, 1, True, id="budget-binds-above-the-floor"),
         ],
     )
     def test_matches_an_unpruned_scan(
-        self, K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor
+        self, K, d, delta, base_target, eps_bar, lam, n_cap, bit_cap, fine_factor, late
     ):
+        # late: some kept row's first feasible n lies above its first admitted
+        # n, so a row's best cell is not where the floor lets it start
         system = make_system(K=K, d=d, delta=delta, base_target=base_target)
         ctx = make_context(system)
         cfg = SolverConfig(eps_bar=eps_bar, lambda_step=lam, n_cap=n_cap, bit_cap=bit_cap)
-        best, floor_rows = self.exhaustive_scan(system, cfg, ctx, fine_factor)
+        best, floor_rows, late_rows = self.exhaustive_scan(system, cfg, ctx, fine_factor)
         assert best is not None and floor_rows > 0
+        assert (late_rows > 0) == late
         phi, q, p, n = best
         if bit_cap is not None:
             # the bit cap, not the channel, cuts n at the optimum's q
