@@ -44,7 +44,8 @@ from .privacy import epsilon_baseline
 from .solver import Solution, eta_and_mu_values, qbar, solve_with_stats, suboptimal_tuple
 from .wireless import watts_to_dbm
 
-# floats one simulate may hold: M*S*d samples and M d-by-d Gram matrices (logistic), M*d (quadratic)
+# cap on M*d*max(S, d) (logistic), which bounds its M*S*d samples held and its M eigen-decompositions
+# of d-by-d matrices, built one at a time; and on M*d (quadratic)
 MAX_SIM_FLOATS = 2**24
 
 
@@ -288,9 +289,8 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
               f"(objective x{summary['suboptimal']['objective_ratio']:.2f})")
     print(f"bias {bias.mean:.6g} +/- {bias.stderr:.2g} vs bounds "
           f"[{bounds.b_lo:.6g}, {bounds.b_hi:.6g}] -> {'PASS' if in_sandwich else 'FAIL'}")
-    files = {f"trace_{name}.csv": _csv(simmod.TRACE_COLUMNS, zip(range(tr.rounds), tr.loss, tr.grad_norm_sq,
-                                                                  tr.bias_sample, tr.bits))
-             for name, tr in traces.items()}
+    files = {f"trace_{name}.csv": _csv(simmod.TRACE_COLUMNS, zip(range(tr.rounds), *(
+        getattr(tr, column) for column in simmod.TRACE_COLUMNS[1:]))) for name, tr in traces.items()}
     return {**files, "summary.json": _json(summary)}
 
 

@@ -1,29 +1,18 @@
 """Closed-form privacy accounting for the quantized Binomial mechanism.
 
-Two (epsilon, delta) budget estimators are provided for a single aggregation
-of q-level stochastically quantized gradients with added Binomial(n, p)
-noise: the classical ``epsilon_baseline(q, n, p, ctx)`` and the tighter
-``epsilon_tight(q, n, p, ctx)``, tighter wherever the per-device variance
-n*p*(1-p) is not small (see :func:`epsilon_tight` for where it is not).
+Two (epsilon, delta) budget estimators for a single aggregation of q-level
+stochastically quantized gradients with added Binomial(n, p) noise: the
+classical :func:`epsilon_baseline` and the tighter :func:`epsilon_tight`.
 Both are certified only while the aggregate variance K*n*p*(1-p) clears a
-dimension-dependent floor, n >= ``min_trials(q, p, ctx)``; below it they
-raise :class:`NotApplicableError` instead of returning a number.
-The tight estimator is written once, as five terms of the n-free factors,
-x = n*p*(1-p) and the variance factor s1, in one numpy code path for
-scalars and arrays alike.  It has seven entry points:
-``tight_epsilon_factors`` builds the n-free factors (everything q, p, d and
-delta fix), ``tight_epsilon_n_stage`` builds the n-only stage (n,
-n*(n+1)*(n+2) and 3n + 2), ``tight_epsilon_at_stage`` evaluates built
-factors on a built stage or on slices of it (the exhaustive oracle builds
-the stage once per q and evaluates each p row on its suffix of n),
-``tight_epsilon_at_n`` evaluates built factors at a trial count (the search
-builds the factors once per cell and calls this on every step),
-``tight_epsilon_lead`` is the first of the five terms alone, bit for bit
-the one the sum holds (the search rules out cells with it before building
-their factors), ``tight_epsilon_lower`` is the lower bound over every
-(n, p) with n*p*(1-p) <= x (the same five terms at the worst noise shape),
-and ``tight_epsilon_value`` is the scalar estimate at one (q, n, p), a
-Python float bit-identical to the matching ``tight_epsilon_at_n`` element.
+dimension-dependent floor, n >= :func:`min_trials`; below it they raise
+:class:`NotApplicableError` instead of returning a number.
+
+The tight estimator is written once, as five terms in ``_tight_terms``, in
+one numpy code path for scalars and arrays alike.  Its entry points are
+``tight_epsilon_factors``, ``tight_epsilon_n_stage``,
+``tight_epsilon_at_stage``, ``tight_epsilon_at_n``, ``tight_epsilon_lead``,
+``tight_epsilon_lower`` and ``tight_epsilon_value``, each explained by its
+own docstring.
 
 All logarithms here are natural logs (``math.log``).  Channel-capacity math
 elsewhere in the package uses ``math.log2``; the two must never be mixed.
@@ -311,7 +300,11 @@ def tight_epsilon_lower(q, x, d: int, delta: float):
 
 
 def tight_epsilon_value(q: int, n: int, p: float, d: int, delta: float) -> float:
-    """Tight budget estimate without the variance-floor gate of :func:`epsilon_tight`."""
+    """Tight budget estimate without the variance-floor gate of :func:`epsilon_tight`.
+
+    A Python float, bit-identical to the matching :func:`tight_epsilon_at_n`
+    element.
+    """
     return tight_epsilon_at_n(tight_epsilon_factors(q, p, d, delta), n).item()
 
 

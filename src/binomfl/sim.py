@@ -8,9 +8,9 @@ The quantizer is mean-preserving and the noise is mean-shifted, so the
 whole pipeline is unbiased.
 
 There is one wire path, on a (K, d) block with one row per device:
-``privatize`` builds the int64 payload, ``dequantize`` maps it back to
-values, and ``_privatized_mean`` averages those over the rows.  A payload
-costs ``payload.size * bits_per_coord(q, n)`` bits.
+``_privatized_mean`` averages ``dequantize`` of the ``privatize`` payload
+over the rows, and ``_privatized_round`` is the privatized step of an FSGD
+round and of a bias trial alike.
 
 Randomness: every routine takes an explicit ``numpy.random.Generator``;
 two runs with equal generators produce bit-identical traces.
@@ -19,8 +19,9 @@ The paper's convergence constants are plain functions of the smoothness L,
 the initial optimality gap G_f and the noise sigma^2: ``learning_rate`` is
 its step size, ``iterations_estimate`` its round count.
 
-``TRACE_COLUMNS`` is the trace schema: the CLI writes a ``SimTrace`` as one
-CSV row per round under that header; this module writes no file.
+``TRACE_COLUMNS`` is the trace schema, the round index and then
+``SimTrace``'s fields: the CLI writes a ``SimTrace`` as one CSV row per
+round under that header; this module writes no file.
 
 A round is bit-reproducible, and the trace CSVs are pinned byte for byte,
 so a rewrite for speed must keep every value's IEEE operations.  Three
@@ -38,7 +39,7 @@ things must not change:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .privacy import MechanismParams, as_count
 from .solver import Solution
 from .wireless import SystemParams
 
-TRACE_COLUMNS = ("round", "loss", "grad_norm_sq", "bias_sample", "bits")
 FLOAT32_BITS = 32
 
 
@@ -96,6 +96,9 @@ class SimTrace:
         self.grad_norm_sq.append(float(grad_norm_sq))
         self.bias_sample.append(float(bias_sample))
         self.bits.append(int(bits))
+
+
+TRACE_COLUMNS = ("round", *(f.name for f in fields(SimTrace)))
 
 
 def bits_per_coord(q: int, n: int) -> int:
@@ -161,6 +164,15 @@ def _privatized_mean(grads: np.ndarray, mech: MechanismParams, rng: np.random.Ge
     return _mean_rows(dequantize(privatize(grads, mech, rng), mech))
 
 
+def _privatized_round(capped: np.ndarray, clean: np.ndarray, mech: MechanismParams,
+                      rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    # the privatized mean of a capped block and its squared distance to the
+    # block's clean mean
+    noisy = _privatized_mean(capped, mech, rng)
+    diff = noisy - clean
+    return noisy, float(diff @ diff)
+
+
 def theoretical_bounds(sys: SystemParams, sol: Solution, G: float) -> TheoreticalBounds:
     """Closed-form bounds on the gradient-sampling variance and the bias, for
     the l2 bound G on a device gradient: ||g||_2^2 <= G^2 in the sampling
@@ -191,9 +203,7 @@ def measure_bias(task, sol: Solution, trials: int, rng: np.random.Generator) -> 
     clean = _mean_rows(capped)
     samples = np.empty(trials)
     for t in range(trials):
-        noisy = _privatized_mean(capped, mech, rng)
-        diff = noisy - clean
-        samples[t] = diff @ diff
+        _, samples[t] = _privatized_round(capped, clean, mech, rng)
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(trials))
     return BiasEstimate(mean=mean, stderr=stderr, trials=trials)
@@ -229,9 +239,7 @@ def run_fsgd(task, sys: SystemParams, sol: Solution | None, rounds: int, rng: np
         grads = task.device_gradients(w, devices)
         if mech is not None:
             capped = _cap_gradients(grads, mech.D)
-            step_grad = _privatized_mean(capped, mech, rng)
-            diff = step_grad - _mean_rows(capped)
-            bias_sample = float(diff @ diff)
+            step_grad, bias_sample = _privatized_round(capped, _mean_rows(capped), mech, rng)
         else:
             step_grad = _mean_rows(grads)
             bias_sample = 0.0

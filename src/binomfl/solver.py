@@ -1,50 +1,23 @@
 """Joint optimization of quantization level, Binomial noise, and power.
 
-The search minimizes (1 + n*p*(1-p)) / (q-1)^2 over integer q and n, a
-probability grid of pitch lambda for p, and per-device powers, subject to
-the privacy-budget cap, the noise-variance floor, channel capacity and the
-power limits.  The cells form a Cartesian grid, a column of q values
-against a row of p values, and every (q, p) cell needs the smallest trial
-count whose (monotone in n) budget estimate meets the cap, or 0 where even
-n_cap misses it.  ``lockstep_min_n`` finds it for all cells at once, and
-its docstring is the one account of how.  The budget kernel's first term,
-``privacy.tight_epsilon_lead``, decides every probe it puts above the cap
-without the full kernel: at n_cap it rules out 95-97% of the cells at the
-built-in scale, and below n_cap it decides the doubling probes n = 2, 4,
-8, ....  ``SolveStats.eps_evaluations`` counts the trial counts compared
-against eps_bar, a probe the leading term decided included, not the
-elements of the full kernel.  Only the cells whose budget n_cap reaches
-go on to the variance-floor ceiling and the trial-count, capacity and bit
-caps, and the tie-break is an argmin over them in q-major order.  The q
-range is pre-pruned by the q-bar envelope,
-``privacy.tight_epsilon_lower`` at x = (cap - q)/4, and p is restricted to
-[1/2, 1) because every constraint and the objective are symmetric around
-1/2.  ``payload_caps`` is the one place that turns the channel and the bit
-cap into limits on q and on q + n.
+The problem: minimize :func:`objective` over integer q and n, a p grid and
+per-device powers, subject to the privacy-budget cap, the variance floor,
+channel capacity and the power limits.  Each part is explained where it
+is written:
 
-``brute_force_solve`` is the test oracle: an exhaustive scan over a denser
-p grid and every single n, sharing nothing with the search logic above.
-Per q, one floor test over the whole p axis finds the rows where some n
-meets the variance floor under the caps: the floor product K*n*p*(1-p) is
-non-decreasing in n as computed (each factor is a positive constant, and
-rounding is monotone), and the cap keeps a prefix of the ascending n, so
-the product at the largest admitted n decides the row.  For the same
-reason the n a kept row admits are a suffix of the q's ascending n, so per
-q the oracle counts each kept row's n below the floor once, over the kept
-rows' (p x n) block, and builds the kernel's n stage
-(``privacy.tight_epsilon_n_stage``) once on the q's n and its n-free
-factors once on the kept p axis.  Each kept row is one
-``privacy.tight_epsilon_at_stage`` call on its suffix of the stage.  The
-objective is non-decreasing in n at fixed (q, p) as computed, so a row's
-best cell is its first feasible n, and one argmin over the rows' first
-feasible cells in p order picks the q's best, the (objective, q, p, n)
-tie-break.  The kernel runs once per row, not once over the whole block: a
-per-q batch served ~16x the certify-small benchmark ops (184 against 11.8
-ops/s), and until the benchmark evicts the blocks of ops it has served,
-its peak RSS grows with them past its 10% bound (62.3 against 45.9 MiB).
-The oracle calls none of ``lockstep_min_n``, ``qbar``, ``qbar_envelope``,
-``p_grid`` or ``privacy.min_trials`` (it keeps its own product form of the
-variance floor).
+* :func:`solve` states what the search returns and its tie-break, and
+  :func:`solve_with_stats` runs it on the grid of :func:`p_grid` and the
+  q range of :func:`qbar`;
+* :func:`lockstep_min_n` finds every cell's smallest trial count;
+* :func:`payload_caps` turns the channel and the bit cap into limits on q
+  and on q + n;
+* :func:`brute_force_solve` is the exhaustive test oracle, and
+  :func:`check_solution` re-checks a tuple against every constraint;
+* :func:`suboptimal_tuple` is simulate's deliberately worse arm.
+
+:func:`solve_with_stats`, :func:`brute_force_solve` and :func:`qbar` raise
+``ValueError`` on a context that disagrees with the system on d, delta or
+K, and :func:`check_solution` reports one.
 """
 
 from __future__ import annotations
@@ -333,11 +306,22 @@ def eta_and_mu_values(n_cap: int, ctx: PrivacyContext) -> tuple[float, float]:
 
 
 def p_grid(lambda_step: float) -> np.ndarray:
-    """Probability grid {1/2} plus every multiple of the pitch in (1/2, 1), as float64."""
+    """Probability grid {1/2} plus every multiple of the pitch in (1/2, 1), as float64.
+
+    Every constraint and the objective are symmetric around 1/2.
+    """
     # i * lambda_step from the first multiple past 1/2 to the first at or
     # past 1: each the same IEEE product as Python's int * float
     p = np.arange(math.floor(0.5 / lambda_step) + 1, math.floor(1.0 / lambda_step) + 2) * lambda_step
     return np.concatenate(([0.5], p[(p > 0.5) & (p < 1.0)]))
+
+
+def _check_context(sys: SystemParams, ctx: PrivacyContext) -> None:
+    # a budget certified for another d, delta or K certifies nothing about
+    # this system, so the two must agree
+    ours, theirs = (sys.d, sys.delta, sys.K), (ctx.d, ctx.delta, ctx.K)
+    if theirs != ours:
+        raise ValueError(f"privacy context (d, delta, K) = {theirs} disagrees with the system's {ours}")
 
 
 def qbar_envelope(q: int, sys: SystemParams, ctx: PrivacyContext) -> float:
@@ -361,6 +345,7 @@ def qbar(sys: SystemParams, eps_bar: float, ctx: PrivacyContext) -> int:
     envelope stays at or under eps_bar.  Raises
     :class:`AllInfeasibleError` when already q = 2 is ruled out.
     """
+    _check_context(sys, ctx)
     bound = domain_bound(sys)
     if qbar_envelope(2, sys, ctx) > eps_bar:
         raise AllInfeasibleError(
@@ -406,6 +391,7 @@ def solve_with_stats(
     sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext
 ) -> tuple[Solution, SolveStats]:
     """Grid search over (q, p) cells; see :func:`solve`."""
+    _check_context(sys, ctx)
     q_max, cap_real = payload_caps(sys, cfg.bit_cap)
     q_hi = min(qbar(sys, cfg.eps_bar, ctx), q_max)
     cells = (q_hi - 1) * (0.5 / cfg.lambda_step)
@@ -485,23 +471,42 @@ def suboptimal_tuple(sol: Solution, sys: SystemParams, cfg: SolverConfig, ctx: P
 def brute_force_solve(
     sys: SystemParams, cfg: SolverConfig, ctx: PrivacyContext, fine_factor: int = 3
 ) -> Solution:
-    """Exhaustive oracle: scans every n and a fine p grid, no binary search.
+    """Exhaustive oracle: every n and a fine p grid, sharing nothing with the search.
 
     The p grid is ``fine_factor`` (an integer >= 1) times denser than the
     solver's and spans all of (0, 1) plus the point 1/2; q runs over the
-    full channel domain with no envelope pruning.  A (q, p) row is skipped
-    only when no n meets the variance floor under the caps, which one
-    product per p at the largest admitted n decides, in the same IEEE order
-    as the count of each kept row's n below the floor.  A kept row admits a
-    suffix of the q's n.  Per q, the kernel's n stage is built once on the
-    q's n and its n-free factors once over the kept rows, and the kernel
-    runs once per kept row on its suffix of the stage (per row, not per q,
-    for the memory reason the module docstring gives).  The objective is
-    non-decreasing in n, so a row's best cell is its first feasible n, and
-    one argmin over those cells in p order picks the q's best.  Nothing is
-    assumed about how the budget varies with n.  Intended for small
-    instances only.
+    full channel domain with no envelope pruning, and n over every count
+    the caps admit.  Nothing is assumed about how the budget varies with
+    n.  The oracle calls none of :func:`lockstep_min_n`, :func:`qbar`,
+    :func:`qbar_envelope`, :func:`p_grid` or :func:`privacy.min_trials`;
+    it keeps its own product form K*n*p*(1-p) of the variance floor.
+    Intended for small instances only.
+
+    Per q it scans in three steps:
+
+    1. Rows.  The floor product is non-decreasing in n as computed (each
+       factor is a positive constant, and rounding is monotone), and the
+       cap keeps a prefix of the ascending n.  So a (q, p) row admits some
+       n exactly when the product at the largest admitted n reaches the
+       floor, one product per p decides which rows are skipped, and the n
+       a kept row admits are a suffix of the q's n.  One count per row,
+       over the kept rows' (p x n) block, gives each suffix's start; it
+       rounds the same operations in the same order as the row test.
+    2. Budgets.  The kernel's n stage (:func:`privacy.tight_epsilon_n_stage`)
+       is built once on the q's n, and its n-free factors once on the kept
+       p axis.  Each kept row is one :func:`privacy.tight_epsilon_at_stage`
+       call on its suffix of the stage.  The kernel runs once per row, not
+       once over the q's rows: such a per-q batch served ~16x the
+       certify-small benchmark ops (184 against 11.8 ops/s), but until the
+       benchmark evicts the blocks of the ops it has served, its peak RSS
+       grows with them past the 10% bound (62.3 against 45.9 MiB).
+    3. Pick.  The objective is non-decreasing in n at fixed (q, p) as
+       computed, so a row's best cell is its first feasible n, and one
+       argmin over those cells in p order picks the q's best.  q ascends,
+       so a later q wins only on a strictly smaller objective: the
+       (objective, q, p, n) tie-break.
     """
+    _check_context(sys, ctx)
     fine_factor = as_count("fine_factor", fine_factor, 1)
     q_hi, cap_real = payload_caps(sys, cfg.bit_cap)
 
@@ -514,31 +519,22 @@ def brute_force_solve(
     n_all = np.arange(2, min(cfg.n_cap, domain_bound(sys)) + 1, dtype=np.float64)
 
     def floor_product(n, p):
-        # the row test and the rows' start counts round the same operations
-        # in the same order, n and p arrays that broadcast
         return ctx.K * n * p * (1.0 - p)
 
     best: tuple[float, int, float, int] | None = None
     for q in range(2, q_hi + 1):
         n_cap_q = n_all[n_all <= cap_real - q]  # never empty: q <= cap_real - 2 admits n = 2
         thr = dp_variance_threshold(q, ctx.d, ctx.delta)
-        # the floor product is non-decreasing in n and the cap keeps a prefix
-        # of the ascending n_all, so a p row admits some n exactly when the
-        # product reaches thr at the largest n the cap admits
         p_kept = ps[floor_product(n_cap_q[-1], ps) >= thr]
         if p_kept.size == 0:
             continue
-        # for the same reason a kept row admits a suffix of n_cap_q, which
-        # starts past the row's n below the floor
         starts = np.count_nonzero(floor_product(n_cap_q, p_kept[:, None]) < thr, axis=1).tolist()
         stage = tight_epsilon_n_stage(n_cap_q)
         factors = tight_epsilon_factors(q, p_kept, ctx.d, ctx.delta)
         # one row's factors as Python floats: the p-axis entries split by
         # row, the others shared
         rows = zip(*(f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in factors))
-        # the objective is non-decreasing in n at fixed (q, p), so a row's
-        # best cell is its first feasible n; the kernel runs once per row, on
-        # the row's suffix of the stage, so its arrays stay one row long
+        # each kept row's first feasible n
         ip, jn = [], []
         for i, (start, row_factors) in enumerate(zip(starts, rows)):
             feasible = tight_epsilon_at_stage(row_factors, tuple(s[start:] for s in stage)) <= cfg.eps_bar
@@ -548,9 +544,6 @@ def brute_force_solve(
                 jn.append(start + j)
         if not ip:
             continue
-        # one candidate per row, p ascending, so the first minimum is the
-        # (objective, p, n) tie-break; q ascends, so a later q wins only on a
-        # strictly smaller objective
         obj = objective(q, n_cap_q[jn], p_kept[ip])
         k = int(np.argmin(obj))
         if best is None or obj[k] < best[0]:
@@ -569,6 +562,10 @@ def check_solution(
 ) -> list[str]:
     """Independent re-check of every original constraint; empty list = clean."""
     problems = []
+    try:
+        _check_context(sys, ctx)
+    except ValueError as exc:
+        problems.append(str(exc))
     bound = domain_bound(sys)
     if not (is_integral(sol.q) and 2 <= sol.q <= bound):
         problems.append(f"q={sol.q} outside {{2..{bound}}}")

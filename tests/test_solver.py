@@ -192,7 +192,7 @@ def test_solver_config_stores_integral_caps_as_int():
     assert type(cfg.n_cap) is int and type(cfg.bit_cap) is int
 
 
-class TestMinNForPrivacy:
+class TestLockstepMinNOneCell:
     """The smallest trial count meeting the budget, one cell of the search."""
 
     def test_synthetic_hyperbola(self):
@@ -646,14 +646,14 @@ class TestHalfColumnDecides:
         self.assert_half_column_decides(n1)
 
 
-class TestNFromConstraints:
+class TestMinTrials:
     def test_floor_term_wins(self):
         ctx = PrivacyContext(d=1000, delta=1e-6, K=5)
         floor = math.ceil(dp_variance_threshold(3, 1000, 1e-6) / (5 * 0.25))
         assert floor > 7
         assert min_trials(3, 0.5, ctx) == floor
 
-    def test_privacy_term_wins(self):
+    def test_small_floor_needs_few_trials(self):
         ctx = PrivacyContext(d=1, delta=0.5, K=100000)
         assert min_trials(3, 0.5, ctx) <= 7
 
@@ -1226,3 +1226,23 @@ def test_check_solution_reports_each_broken_constraint(desk_instance, broken, co
         dataclasses.replace(sol, **broken), system, dataclasses.replace(scfg, **config), ctx
     )
     assert any(message in problem for problem in problems), problems
+
+
+# on desk, a context with one field off would steer the search to these
+# tuples, and check_solution against that context would pass them; at the
+# system's d = 40 and delta = 1e-4 each breaks eps_bar = 30
+@pytest.mark.parametrize("field, value, tuple_qnp, budget", [
+    ("d", 4, (10, 247, 0.5), 35.17),
+    ("delta", 1e-2, (18, 253, 0.5), 56.81),
+], ids=["d", "delta"])
+def test_a_context_that_disagrees_with_its_system_is_refused(desk_instance, field, value, tuple_qnp, budget):
+    sol, system, scfg, ctx = desk_instance
+    bad = dataclasses.replace(ctx, **{field: value})
+    for call in (lambda: solve(system, scfg, bad), lambda: brute_force_solve(system, scfg, bad),
+                 lambda: qbar(system, scfg.eps_bar, bad)):
+        with pytest.raises(ValueError, match=r"privacy context \(d, delta, K\) = .* disagrees with the "
+                                             r"system's \(40, 0\.0001, 12\)"):
+            call()
+    assert any("disagrees with the system's" in problem for problem in check_solution(sol, system, scfg, bad))
+    assert epsilon_tight(*tuple_qnp, ctx) == pytest.approx(budget, abs=0.005)
+    assert epsilon_tight(*tuple_qnp, ctx) > scfg.eps_bar
