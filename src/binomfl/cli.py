@@ -226,7 +226,7 @@ def _build_task(s: dict, system, seed: int):
             f"{MAX_SIM_FLOATS} one run may hold; configs/desk.yaml is a desk-scale deployment")
     data_seed = child_seed(seed, ROLE_SIM)
     if s["task"] == "logistic":
-        return tasksmod.LogisticRegressionTask(d=d, M=M, samples_per_device=S, seed=data_seed, l2=s["l2"])
+        return tasksmod.LogisticRegressionTask(d=d, M=M, samples_per_device=S, seed=data_seed)
     return tasksmod.QuadraticBowlTask(d=d, M=M, seed=data_seed)
 
 
@@ -244,7 +244,7 @@ def cmd_simulate(args, cfg: RunConfig) -> dict[str, str]:
     sigma_sq = bounds.u_hi_iid + bounds.b_hi
     L, G_f = task.smoothness, max(task.loss(np.zeros(task.d)), 1e-9)
     gamma = simmod.learning_rate(L, G_f, sigma_sq, rounds)
-    iters = simmod.iterations_estimate(L, G_f, s["theta"], s["confidence"], sigma_sq)
+    iters = simmod.iterations_estimate(L, G_f, *simmod.ACCURACY_TARGET, sigma_sq)
     bias = simmod.measure_bias(task, sol, trials=s["bias_trials"], rng=rng_for(cfg.seed, ROLE_BIAS))
     in_sandwich = (bounds.b_lo - 4.0 * bias.stderr) <= bias.mean <= (bounds.b_hi + 4.0 * bias.stderr)
 

@@ -67,10 +67,7 @@ DEFAULTS: dict[str, Any] = {
     "sim": {
         "task": "logistic",
         "samples_per_device": 25,
-        "l2": 0.05,
         "rounds": 500,
-        "theta": 0.1,
-        "confidence": 0.1,           # capital lambda
         "bias_trials": 400,
     },
     "output": {
@@ -82,11 +79,6 @@ DEFAULTS: dict[str, Any] = {
 # sim counts and their smallest valid value: run_fsgd needs a round, and
 # measure_bias two trials for a standard error
 SIM_COUNTS = {"samples_per_device": 1, "rounds": 1, "bias_trials": 2}
-SIM_REALS = {
-    "l2": ("[0, inf)", lambda v: v >= 0.0),
-    "theta": ("(0, 1]", lambda v: 0.0 < v <= 1.0),
-    "confidence": ("(0, 1)", lambda v: 0.0 < v < 1.0),
-}
 
 
 def rng_for(seed: int, *roles: int) -> np.random.Generator:
@@ -240,12 +232,10 @@ class RunConfig:
     # sim ------------------------------------------------------------------
 
     def _checked_sim(self) -> dict:
-        """The sim section, checked: counts, reals in range, and choices."""
+        """The sim section, checked: counts and the task."""
         s = dict(self.raw["sim"])
         for key, minimum in SIM_COUNTS.items():
             s[key] = validate_integer(f"sim.{key}", s[key], minimum)
-        for key, (interval, ok) in SIM_REALS.items():
-            s[key] = validate_real(f"sim.{key}", s[key], interval, ok)
         if s["task"] not in ("logistic", "quadratic"):
             raise ConfigError(f"unknown task {str(s['task'])!r}; expected 'logistic' or 'quadratic'")
         return s

@@ -258,6 +258,10 @@ def learning_rate(L: float, G_f: float, sigma_sq: float, rounds: int) -> float:
     return 1.0 / L
 
 
+# the (theta, Lambda) target whose round count ``binomfl simulate`` reports
+ACCURACY_TARGET = (0.1, 0.1)
+
+
 def iterations_estimate(L: float, G_f: float, theta: float, capital_lambda: float,
                         sigma_sq: float) -> IterationsEstimate:
     """Rounds needed for a (theta, capital_lambda)-accurate point.

@@ -512,9 +512,8 @@ def brute_force_solve(
 
     lam = cfg.lambda_step / fine_factor
     # i * lam for i = 1, 2, ... below 1, and the point 1/2, ascending
-    ps = np.array(sorted(
-        set(itertools.takewhile(lambda p: p < 1.0, (i * lam for i in itertools.count(1)))) | {0.5}
-    ))
+    ps = np.arange(1, math.floor(1.0 / lam) + 2) * lam
+    ps = np.concatenate((ps[ps < 0.5], [0.5], ps[(ps > 0.5) & (ps < 1.0)]))
     # n_cap >= 2 (SolverConfig) and domain_bound >= 2 (payload_caps)
     n_all = np.arange(2, min(cfg.n_cap, domain_bound(sys)) + 1, dtype=np.float64)
 

@@ -47,6 +47,7 @@ system:
     reference_distance_m: 1.0
     distance_min_m: 1.0
     distance_max_m: 2.0
+    seed: 1201125462
 solver:
   eps_bar: 30.0
   lambda_step: 0.02
@@ -308,6 +309,16 @@ class TestSimulateCommand:
                    for name in names)
         assert (tmp_path / "option" / "summary.json").read_bytes() != (tmp_path / "desk" / "summary.json").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["1", "2024"])
+    def test_seed_option_keeps_the_desk_deployment(self, seed, tmp_path):
+        # desk pins its channel seed, so --seed redraws training, not the gains
+        argv = ["--config", str(DESK_CONFIG), "--seed", seed]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", *argv, "--out", str(tmp_path / "solve")]) == 0
+            assert main(["simulate", *argv, "--out", str(tmp_path / "sim")]) == 0
+        report = json.loads((tmp_path / "solve" / "solution.json").read_text())
+        assert (report["q"], report["n"], report["p"]) == (8, 241, 0.5)
+
     def test_quadratic_task(self, tmp_path):
         raw = yaml.safe_load(DESK_CONFIG.read_text())
         raw["sim"]["task"] = "quadratic"
@@ -517,8 +528,7 @@ class TestExitCodes:
         self.assert_config_error(tmp_path, SMALL_CONFIG.replace("seed: 7", f"seed: {config_seed}"), *extra)
 
     def test_negative_channel_seed(self, tmp_path):
-        self.assert_config_error(tmp_path, SMALL_CONFIG.replace(
-            "    distance_max_m: 2.0\n", "    distance_max_m: 2.0\n    seed: -1\n"))
+        self.assert_config_error(tmp_path, SMALL_CONFIG.replace("    seed: 1201125462\n", "    seed: -1\n"))
 
     @staticmethod
     def run_in_process(tmp_path, text, *argv):
@@ -554,27 +564,6 @@ class TestExitCodes:
         code, err = self.run_in_process(tmp_path, SMALL_CONFIG.replace(line, value, 1), command)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("key, value, interval", [
-        ("theta", "1.5", "(0, 1]"),
-        ("theta", "0", "(0, 1]"),
-        ("confidence", "1.0", "(0, 1)"),
-        ("confidence", "0", "(0, 1)"),
-    ])
-    def test_convergence_constant_out_of_range(self, key, value, interval, tmp_path):
-        text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: {value}\n", 1)
-        code, err = self.run_in_process(tmp_path, text, "simulate")
-        assert code == 2
-        assert err == f"error: sim.{key} must be a finite number in {interval}, got {value}\n"
-        assert not (tmp_path / "o" / "summary.json").exists()
-
-    def test_tiny_theta_overflows_the_round_count(self, tmp_path):
-        text = SMALL_CONFIG.replace("  rounds: 40\n", "  rounds: 40\n  theta: 1.0e-300\n", 1)
-        code, err = self.run_in_process(tmp_path, text, "simulate")
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "round count overflows" in err
-        assert not (tmp_path / "o" / "summary.json").exists()
 
     @pytest.mark.parametrize("argv", [["sweep", "--axis", "eps_bar"], ["compare-eps"], ["qbar"]],
                              ids=["sweep", "compare-eps", "qbar"])
@@ -797,13 +786,17 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     # the deployment's keys live in system and solver; rescale switched
-    # between two per-coordinate caps that the l2 cap replaced, and the last
-    # two shaped the suboptimal arm, which now always runs at 4x
+    # between two per-coordinate caps that the l2 cap replaced, the next
+    # two shaped the suboptimal arm, which now always runs at 4x, and the
+    # last three were the logistic regularizer and the (theta, Lambda)
+    # target, now fixed at tasks.LogisticRegressionTask's default and
+    # sim.ACCURACY_TARGET
     @pytest.mark.parametrize("key, value", [("selected", 12), ("population", 12), ("dimension", 12),
                                             ("eps_bar", 12), ("rescale", "clip"), ("compare_suboptimal", "abc"),
-                                            ("subopt_factor", 4.0)],
+                                            ("subopt_factor", 4.0), ("l2", 0.05), ("theta", 0.1),
+                                            ("confidence", 0.1)],
                              ids=["selected", "population", "dimension", "eps_bar", "rescale",
-                                  "compare_suboptimal", "subopt_factor"])
+                                  "compare_suboptimal", "subopt_factor", "l2", "theta", "confidence"])
     def test_sim_section_has_no_deployment_keys(self, key, value, tmp_path):
         text = SMALL_CONFIG.replace("  rounds: 40\n", f"  rounds: 40\n  {key}: {value}\n")
         code, err = self.run_in_process(tmp_path, text, "simulate")
@@ -979,8 +972,6 @@ def sim_mutation(draw):
         value = st.one_of(st.sampled_from(SIM_COUNT_JUNK), st.booleans(),
                           st.floats(0.25, top).map(lambda f: int(base * f)),
                           st.floats(0.25, top).map(lambda f: base * f))
-    elif isinstance(base, float):
-        value = st.one_of(st.sampled_from(JUNK_VALUES), st.floats(-1.0, 4.0).map(lambda f: base * f))
     else:
         value = st.sampled_from(JUNK_VALUES + ["quadratic", False])
     return path, draw(value)

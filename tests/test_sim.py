@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from binomfl import sim as simmod
 from binomfl.cli import main
-from binomfl.errors import DivergedError
+from binomfl.errors import ConfigError, DivergedError
 from binomfl.privacy import MechanismParams
 from binomfl.sim import (
     TRACE_COLUMNS,
@@ -284,6 +284,10 @@ class TestIterationsEstimate:
     def test_scaling_with_accuracy_product(self):
         tighter = (2.0, 3.0, 0.2, 0.1)
         assert iterations_estimate(*tighter, 1.0).exact < iterations_estimate(*self.CONV, 1.0).exact
+
+    def test_tiny_theta_overflows_the_round_count(self):
+        with pytest.raises(ConfigError, match="so small that the round count overflows"):
+            iterations_estimate(2.0, 3.0, 1e-300, 0.05, 1.5**2)
 
 
 class TestCommCost:
