@@ -34,6 +34,14 @@ from .errors import NotApplicableError
 # coefficient of the |ln(1+z) - z| <= alpha * z^2 inequality on z >= -1/3.
 ALPHA = -3.0 - 9.0 * math.log(2.0 / 3.0)
 
+# The kernel's two literal operands, 1.0 and (2/3) * ALPHA, as read-only 0-d
+# float64 arrays rather than literals: NumPy 2 combines a short array with a
+# 0-d array faster than with a Python float, and to the same bits.
+_ONE = np.array(1.0)
+_ONE.flags.writeable = False
+_TWO_THIRDS_ALPHA = np.array((2.0 / 3.0) * ALPHA)
+_TWO_THIRDS_ALPHA.flags.writeable = False
+
 
 def is_integral(value) -> bool:
     """Whether ``value`` is an integer, or an integral float such as 8.0.
@@ -223,7 +231,7 @@ def _s1(stage, f):
 def _s2(x, f):
     # x * (2 ln20d) rounds the same exact product as 2x * ln20d, with one
     # array operation fewer
-    radius = np.sqrt(x * f[13]) + 1.0 + f[9]
+    radius = np.sqrt(x * f[13]) + _ONE + f[9]
     return radius * radius
 
 
@@ -240,9 +248,9 @@ def _tight_terms(f, x, s1):
     xx = x * x
     return (
         _lead(f, x),
-        k2 * (x + 1.0) * psym / (xx * one_minus),
+        k2 * (x + _ONE) * psym / (xx * one_minus),
         k3 * np.sqrt(s1 * two_ln10),
-        (2.0 / 3.0) * ALPHA * _s2(x, f) * psym * ln10 * dinf / xx,
+        _TWO_THIRDS_ALPHA * _s2(x, f) * psym * ln10 * dinf / xx,
         k5 / x,
     )
 
@@ -267,13 +275,14 @@ def tight_epsilon_lead(f, n):
 def tight_epsilon_at_stage(f, stage) -> np.ndarray:
     """The budget from the n-free factors and the n stage.
 
-    ``f`` is the tuple :func:`tight_epsilon_factors` built, ``stage`` the
-    tuple :func:`tight_epsilon_n_stage` built, or a slice of each of its
-    entries; its entries broadcast against the factors.  The result is 1-D,
+    ``f`` is the tuple :func:`tight_epsilon_factors` built, or its entries
+    each wrapped or split into 0-d arrays; ``stage`` the tuple
+    :func:`tight_epsilon_n_stage` built, or a slice of each of its entries;
+    its entries broadcast against the factors.  The result is 1-D,
     flattened in C order of the broadcast shape.
     """
     t1, t2, t3, t4, t5 = _stage_terms(f, stage)
-    return np.ravel(t1 + t2 + t3 + t4 + t5)
+    return (t1 + t2 + t3 + t4 + t5).ravel()
 
 
 def tight_epsilon_at_n(f, n) -> np.ndarray:

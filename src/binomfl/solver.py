@@ -495,11 +495,15 @@ def brute_force_solve(
     2. Budgets.  The kernel's n stage (:func:`privacy.tight_epsilon_n_stage`)
        is built once on the q's n, and its n-free factors once on the kept
        p axis.  Each kept row is one :func:`privacy.tight_epsilon_at_stage`
-       call on its suffix of the stage.  The kernel runs once per row, not
-       once over the q's rows: such a per-q batch served ~16x the
-       certify-small benchmark ops (184 against 11.8 ops/s), but until the
-       benchmark evicts the blocks of the ops it has served, its peak RSS
-       grows with them past the 10% bound (62.3 against 45.9 MiB).
+       call on its suffix of the stage, with every scalar operand (its
+       p-axis factors, the shared factors and eps_bar) a 0-d float64 array,
+       because on a row's few n NumPy combines an array with a 0-d array
+       faster than with a Python float or a NumPy scalar, and to the same
+       bits.  The kernel runs once per row, not once over the q's rows:
+       such a per-q batch served ~16x the certify-small benchmark ops (184
+       against 11.8 ops/s), but until the benchmark evicts the blocks of
+       the ops it has served, its peak RSS grows with them past the 10%
+       bound (62.3 against 45.9 MiB).
     3. Pick.  The objective is non-decreasing in n at fixed (q, p) as
        computed, so a row's best cell is its first feasible n, and one
        argmin over those cells in p order picks the q's best.  q ascends,
@@ -520,6 +524,7 @@ def brute_force_solve(
     def floor_product(n, p):
         return ctx.K * n * p * (1.0 - p)
 
+    eps_bar = np.array(cfg.eps_bar, dtype=np.float64)
     best: tuple[float, int, float, int] | None = None
     for q in range(2, q_hi + 1):
         n_cap_q = n_all[n_all <= cap_real - q]  # never empty: q <= cap_real - 2 admits n = 2
@@ -528,15 +533,17 @@ def brute_force_solve(
         if p_kept.size == 0:
             continue
         starts = np.count_nonzero(floor_product(n_cap_q, p_kept[:, None]) < thr, axis=1).tolist()
-        stage = tight_epsilon_n_stage(n_cap_q)
+        n_st, cubic, linear = tight_epsilon_n_stage(n_cap_q)
         factors = tight_epsilon_factors(q, p_kept, ctx.d, ctx.delta)
-        # one row's factors as Python floats: the p-axis entries split by
-        # row, the others shared
-        rows = zip(*(f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in factors))
+        rows = zip(*(
+            map(np.array, f.tolist()) if isinstance(f, np.ndarray) else itertools.repeat(np.array(f))
+            for f in factors
+        ))
         # each kept row's first feasible n
         ip, jn = [], []
         for i, (start, row_factors) in enumerate(zip(starts, rows)):
-            feasible = tight_epsilon_at_stage(row_factors, tuple(s[start:] for s in stage)) <= cfg.eps_bar
+            suffix = (n_st[start:], cubic[start:], linear[start:])
+            feasible = tight_epsilon_at_stage(row_factors, suffix) <= eps_bar
             j = int(feasible.argmax())
             if feasible[j]:
                 ip.append(i)

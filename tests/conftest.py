@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from binomfl.privacy import PrivacyContext
-from binomfl.wireless import SystemParams
+from binomfl.solver import eta_and_mu_values
+from binomfl.wireless import SystemParams, domain_bound
 
 
 def make_system(
@@ -36,6 +37,36 @@ def make_system(
 
 def make_context(system: SystemParams) -> PrivacyContext:
     return PrivacyContext(d=system.d, delta=system.delta, K=system.K)
+
+
+def random_small_instance(rng):
+    """System + context with domain bound <= 64, snug eta, and a known
+    feasible point; returns (system, ctx, n_cap, eta, mu)."""
+    while True:
+        d = int(rng.integers(2, 40))
+        delta = 10.0 ** rng.uniform(-4, -1.3)
+        base_target = float(rng.uniform(12.0, 66.0))
+        n_cap = int(rng.integers(16, 513))
+        floor = 23.0 * math.log(10.0 * d / delta)
+        eta_target = float(rng.uniform(0.08, 0.23))
+        K = max(2, round(floor / (eta_target * n_cap)))
+        system = make_system(
+            K=K, M=max(2 * K, K + 1), d=d, delta=delta,
+            base_target=base_target, gain_spread=float(rng.uniform(0.05, 1.0)),
+        )
+        ctx = make_context(system)
+        try:
+            bound = domain_bound(system)
+        except Exception:
+            continue
+        n_max = min(n_cap, bound)
+        if math.ceil(floor / (K * 0.25)) > n_max:
+            continue  # not even p = 1/2 fits; regenerate
+        try:
+            eta, mu = eta_and_mu_values(n_cap, ctx)
+        except Exception:
+            continue
+        return system, ctx, n_cap, eta, mu
 
 
 class FixedGradientTask:

@@ -37,7 +37,6 @@ from binomfl.solver import (
     Solution,
     brute_force_solve,
     check_solution,
-    eta_and_mu_values,
     lockstep_min_n,
     objective,
     qbar,
@@ -47,7 +46,7 @@ from binomfl.solver import (
 from binomfl.tasks import LogisticRegressionTask
 from binomfl.wireless import SystemParams, assign_powers, domain_bound
 
-from conftest import FixedGradientTask, make_context, make_system
+from conftest import FixedGradientTask, make_context, make_system, random_small_instance
 
 
 @contextlib.contextmanager
@@ -126,40 +125,10 @@ def test_criterion_03_binary_search_equals_linear_scan():
             assert n1[0] == expected
 
 
-def _random_small_instance(rng):
-    """System + context with domain bound <= 64, snug eta, and a known
-    feasible point; returns (system, ctx, n_cap, eta, mu)."""
-    while True:
-        d = int(rng.integers(2, 40))
-        delta = 10.0 ** rng.uniform(-4, -1.3)
-        base_target = float(rng.uniform(12.0, 66.0))
-        n_cap = int(rng.integers(16, 513))
-        floor = 23.0 * math.log(10.0 * d / delta)
-        eta_target = float(rng.uniform(0.08, 0.23))
-        K = max(2, round(floor / (eta_target * n_cap)))
-        system = make_system(
-            K=K, M=max(2 * K, K + 1), d=d, delta=delta,
-            base_target=base_target, gain_spread=float(rng.uniform(0.05, 1.0)),
-        )
-        ctx = make_context(system)
-        try:
-            bound = domain_bound(system)
-        except Exception:
-            continue
-        n_max = min(n_cap, bound)
-        if math.ceil(floor / (K * 0.25)) > n_max:
-            continue  # not even p = 1/2 fits; regenerate
-        try:
-            eta, mu = eta_and_mu_values(n_cap, ctx)
-        except Exception:
-            continue
-        return system, ctx, n_cap, eta, mu
-
-
 def test_criterion_04_relative_error_guarantee():
     rng = np.random.default_rng(1004)
     with budget(4, "relative-error guarantee vs oracle", 300.0):
-        instances = [_random_small_instance(rng) for _ in range(50)]
+        instances = [random_small_instance(rng) for _ in range(50)]
         for system, ctx, n_cap, eta, mu in instances:
             bound = domain_bound(system)
             n_max = min(n_cap, bound)

@@ -1,7 +1,8 @@
 """Outputs pinned byte for byte: at desk, solve, sweep on every axis,
 compare-eps, qbar, and simulate's summary and three traces; at the built-in
 full scale, solve at three budgets, and the search's (q, n, p) and
-objective at every tenth budget of the benchmark's solve-full grid.
+objective at every tenth budget of the benchmark's solve-full grid; and the
+exhaustive oracle's answers on small instances at rho-derived fine grids.
 
 The files under data/golden/ are what these commands write on
 configs/desk.yaml.  A change that alters them on purpose rewrites them (run
@@ -9,7 +10,8 @@ each command with ``--config configs/desk.yaml --out tests/data/golden``)
 and says why.  The files under data/golden/full_scale/ are the
 solution.json that ``binomfl solve`` writes at the built-in defaults with
 ``solver: {eps_bar: E}`` as the only config key, one per budget E; they pin
-all 1,000 powers bit for bit.
+all 1,000 powers bit for bit.  data/golden/oracle_fine_factor_3.json holds
+:func:`oracle_answers`, written by ``json.dumps(oracle_answers(), indent=1)``.
 """
 
 import contextlib
@@ -17,11 +19,16 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from binomfl.cli import main
 from binomfl.config import RunConfig
-from binomfl.solver import solve_with_stats
+from binomfl.privacy import tight_epsilon_value
+from binomfl.solver import SolverConfig, brute_force_solve, solve_with_stats
+from binomfl.wireless import domain_bound
+
+from conftest import random_small_instance
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 FULL_SCALE_EPS_BARS = ["5.00", "7.50", "10.00"]
@@ -93,3 +100,25 @@ def test_full_scale_search_matches_the_solve_full_references(k, full_scale):
     sol, _ = solve_with_stats(system, cfg.merged({"solver": {"eps_bar": eps_bar}}).build_solver(ctx), ctx)
     assert [sol.q, sol.n, sol.p] == refs["tuple_qnp"][key]
     assert sol.objective == refs["objective"][key]
+
+
+def oracle_answers():
+    """``brute_force_solve(fine_factor=3)`` on 21 instances built as acceptance
+    criterion 04 builds them, rho cycling over 0.05, 0.1 and 0.3: each
+    answer's q, n, p, objective and epsilon_achieved."""
+    rng = np.random.default_rng(1036)
+    answers = []
+    for i in range(21):
+        system, ctx, n_cap, _, _ = random_small_instance(rng)
+        n_max = min(n_cap, domain_bound(system))
+        eps_bar = tight_epsilon_value(2, n_max, 0.5, ctx.d, ctx.delta) * float(rng.uniform(1.1, 3.0))
+        cfg = SolverConfig.for_target_error(eps_bar, (0.05, 0.1, 0.3)[i % 3], n_cap, ctx)
+        sol = brute_force_solve(system, cfg, ctx, fine_factor=3)
+        answers.append(
+            {"q": sol.q, "n": sol.n, "p": sol.p, "objective": sol.objective, "epsilon_achieved": sol.epsilon_achieved}
+        )
+    return answers
+
+
+def test_oracle_matches_golden():
+    assert oracle_answers() == json.loads((GOLDEN / "oracle_fine_factor_3.json").read_text())

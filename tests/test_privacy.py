@@ -400,17 +400,23 @@ class TestSplitKernel:
             at = tight_epsilon_at_n(flat, np.full(len(cells), n, dtype=np.int64))
             assert at.tolist() == expected
         # one factor tuple per cell, evaluated at scalar n, with every n at
-        # once, and on each suffix of one n stage of float64 and of int64 n
+        # once, and on each suffix of one n stage of float64 and of int64 n;
+        # on each suffix the factors come in three containers, which must not
+        # move a bit: as tight_epsilon_factors returns them for a Python-int q
+        # (NumPy scalars and Python floats), as Python floats and as 0-d arrays
         for q, p in cells:
             one = tight_epsilon_factors(q, p, d, delta)
+            containers = (one, tuple(map(float, one)), tuple(map(np.array, one)))
             expected = [tight_epsilon_value(q, n, p, d, delta) for n in ns]
             assert [float(tight_epsilon_at_n(one, n)[0]) for n in ns] == expected
             for dtype in (np.float64, np.int64):
                 along = np.array(ns, dtype=dtype)
                 stage = tight_epsilon_n_stage(along)
                 for j in range(len(ns)):
-                    suffix = tight_epsilon_at_stage(one, tuple(s[j:] for s in stage)).tolist()
-                    assert suffix == tight_epsilon_at_n(one, along[j:]).tolist() == expected[j:]
+                    assert tight_epsilon_at_n(one, along[j:]).tolist() == expected[j:]
+                    suffix = tuple(s[j:] for s in stage)
+                    for f in containers:
+                        assert tight_epsilon_at_stage(f, suffix).tolist() == expected[j:]
 
 
 class TestHalfIsTheMostPrivateShape:
